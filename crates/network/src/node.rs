@@ -23,16 +23,19 @@
 //!
 //! # Staged verify/execute pipeline
 //!
-//! Authentication and execution no longer run inline on the mailbox thread.
-//! Each drained burst of frames is decoded, its authentication checks are
-//! fanned out to a shared [`WorkerPool`] via [`VerifyPool`] (verdicts come
-//! back in arrival order, so the protocol observes exactly the sequence
-//! inline verification would have produced), and only then are the verified
-//! messages dispatched. After every burst the node executes newly released
-//! rounds through [`ExecutionEngine::execute_round_parallel`] on the same
-//! pool: the conflict-aware parallel path whose results are bit-identical
-//! to sequential execution (see `crates/execution/tests/`). The pool width
-//! is [`NodeConfig::execution_workers`] (`--execution-workers` on the CLI).
+//! Authentication and execution share a [`WorkerPool`] with the mailbox
+//! thread. Each drained burst of frames is decoded, its authentication
+//! checks go through [`VerifyPool`] in one batch (one hand-off per worker,
+//! the mailbox thread checking alongside; verdicts come back in arrival
+//! order, so the protocol observes exactly the sequence inline verification
+//! would have produced), and only then are the verified messages
+//! dispatched. After every burst the node executes newly released rounds
+//! through [`ExecutionEngine::execute_round_parallel`] on the same pool:
+//! in place when the round is point reads and writes, in conflict-free
+//! groups when it has work to split, with results bit-identical to
+//! sequential execution either way (see `crates/execution/tests/`). The pool
+//! width is [`NodeConfig::execution_workers`] (`--execution-workers` on the
+//! CLI).
 //!
 //! Replies implement §III-A: every replica sends the released batch's
 //! certified digest to the client node that submitted it (recovered from
@@ -338,56 +341,59 @@ impl<T: Transport> Node<T> {
         let mut jobs: Vec<VerifyJob> = Vec::new();
         let mut job_slots: Vec<usize> = Vec::new();
         for bytes in &burst {
-            let slot = frames.len();
-            match Frame::decode_frame(bytes) {
-                Ok(frame) => {
-                    match &frame {
-                        // A frame claiming to be from ourselves is rejected
-                        // without wasting a worker on it (dispatch counts it).
-                        Frame::Replica { from, payload, tag } if *from != self.config.replica => {
-                            jobs.push(VerifyJob {
-                                source: VerifySource::Replica(*from),
-                                payload: payload.clone(),
-                                tag: *tag,
-                            });
-                            job_slots.push(slot);
-                        }
-                        Frame::ClientSubmit {
-                            client,
-                            payload,
-                            tag,
-                            ..
-                        } => {
-                            jobs.push(VerifyJob {
-                                source: VerifySource::Client(*client),
-                                payload: payload.clone(),
-                                tag: *tag,
-                            });
-                            job_slots.push(slot);
-                        }
-                        _ => {}
-                    }
-                    frames.push(Some(frame));
+            let mut frame = Frame::decode_frame(bytes).ok();
+            // The payload moves into the verify job and back out of it below:
+            // the check needs the bytes, dispatch needs them afterwards, and
+            // nobody needs two copies.
+            let job = match &mut frame {
+                // A frame claiming to be from ourselves is rejected without
+                // wasting a worker on it (dispatch counts it).
+                Some(Frame::Replica { from, payload, tag }) if *from != self.config.replica => {
+                    Some(VerifyJob {
+                        source: VerifySource::Replica(*from),
+                        payload: std::mem::take(payload),
+                        tag: *tag,
+                    })
                 }
-                Err(_) => {
+                Some(Frame::ClientSubmit {
+                    client,
+                    payload,
+                    tag,
+                    ..
+                }) => Some(VerifyJob {
+                    source: VerifySource::Client(*client),
+                    payload: std::mem::take(payload),
+                    tag: *tag,
+                }),
+                Some(_) => None,
+                None => {
                     self.decode_failures += 1;
-                    frames.push(None);
+                    None
                 }
+            };
+            if let Some(job) = job {
+                job_slots.push(frames.len());
+                jobs.push(job);
             }
+            frames.push(frame);
         }
         let verify_start = self.telemetry.now_nanos();
-        let verdicts = self.verify.verify_batch(jobs);
-        let mut verdict_of: BTreeMap<usize, bool> = BTreeMap::new();
-        for (slot, (_, ok)) in job_slots.into_iter().zip(&verdicts) {
-            verdict_of.insert(slot, *ok);
+        let mut verdicts: Vec<Option<bool>> = vec![None; frames.len()];
+        for (slot, (job, ok)) in job_slots.into_iter().zip(self.verify.verify_batch(jobs)) {
+            verdicts[slot] = Some(ok);
+            if let Some(Frame::Replica { payload, .. } | Frame::ClientSubmit { payload, .. }) =
+                &mut frames[slot]
+            {
+                *payload = job.payload;
+            }
         }
         let dispatch_start = self.telemetry.now_nanos();
         self.telemetry
             .verify_us
             .record(dispatch_start.saturating_sub(verify_start) / 1_000);
-        for (slot, frame) in frames.into_iter().enumerate() {
+        for (frame, verdict) in frames.into_iter().zip(verdicts) {
             if let Some(frame) = frame {
-                self.dispatch(frame, verdict_of.get(&slot).copied());
+                self.dispatch(frame, verdict);
             }
         }
         self.telemetry
@@ -468,11 +474,14 @@ impl<T: Transport> Node<T> {
     fn absorb(&mut self, actions: Vec<Action<RccMessage<PbftMessage>>>) {
         for action in actions {
             match action {
-                Action::Send { to, message } => self.send(to, &message),
+                Action::Send { to, message } => self.send(to, message.encoded()),
                 Action::Broadcast { message } => {
+                    // One serialisation for the whole fan-out; only the tag
+                    // differs per recipient.
+                    let payload = message.encoded();
                     for to in ReplicaId::all(self.config.system.n) {
                         if to != self.config.replica {
-                            self.send(to, &message);
+                            self.send(to, payload.clone());
                         }
                     }
                 }
@@ -513,44 +522,36 @@ impl<T: Transport> Node<T> {
     /// is exactly what the restart-robust ledger comparison in
     /// [`verify_identical_ledgers`] accounts for.
     fn execute_released(&mut self) {
-        let execute_start = self.telemetry.now_nanos();
-        let rounds: Vec<(Round, Vec<(BatchId, Batch)>)> = self
-            .replica
-            .execution_log()
-            .iter()
-            .filter(|released| released.round >= self.next_exec_round)
-            .map(|released| {
-                (
-                    released.round,
-                    released
-                        .batches
-                        .iter()
-                        .map(|b| (b.id, b.batch.clone()))
-                        .collect(),
-                )
-            })
-            .collect();
+        // The retained log is ascending by round, so the unexecuted rounds
+        // are its tail; the batches stay where they are and the engine
+        // borrows them.
+        let log = self.replica.execution_log();
+        let executed = log.partition_point(|released| released.round < self.next_exec_round);
         // Idle calls (no newly released rounds) would flood the histogram's
         // zero bucket and drown the real execution timings.
-        if rounds.is_empty() {
+        if executed == log.len() {
             return;
         }
-        for (round, ordered) in rounds {
+        let execute_start = self.telemetry.now_nanos();
+        for released in &log[executed..] {
+            let ordered: Vec<(BatchId, &Batch)> =
+                released.batches.iter().map(|b| (b.id, &b.batch)).collect();
             // Replies to clients travel via the §III-A digest protocol
             // (`Action::Commit` → `reply`); the engine's own reply records
             // are not re-sent here.
             let _ = self
                 .engine
-                .execute_round_parallel(round, &ordered, &self.pool);
-            self.next_exec_round = round + 1;
+                .execute_round_parallel(released.round, &ordered, &self.pool);
+            self.next_exec_round = released.round + 1;
         }
         self.telemetry
             .execute_us
             .record(self.telemetry.now_nanos().saturating_sub(execute_start) / 1_000);
     }
 
-    fn send(&mut self, to: ReplicaId, message: &RccMessage<PbftMessage>) {
-        let payload = message.encoded();
+    /// Tags an encoded consensus envelope for `to` and hands the frame to
+    /// the transport.
+    fn send(&mut self, to: ReplicaId, payload: Vec<u8>) {
         let tag = self.verify.authenticator().tag_for_replica(to, &payload);
         let frame = Frame::Replica {
             from: self.config.replica,
