@@ -476,10 +476,6 @@ pub struct RunResult {
     pub flight: Vec<FlightEvent>,
 }
 
-fn to_ms(d: rcc_common::Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
-}
-
 /// Runs one experiment with the given phasing.
 pub fn run_spec(spec: &ExperimentSpec, phases: &Phases) -> RunResult {
     let mut spec = spec.clone();
@@ -506,12 +502,14 @@ pub fn run_spec(spec: &ExperimentSpec, phases: &Phases) -> RunResult {
     // drift between the report's native counters and the registry would
     // show up in the CSV immediately.
     let counter = |name: &str| report.telemetry.counter(name).unwrap_or(0);
+    // `sim.latency_us` is in virtual microseconds.
+    let latency = &report.latency;
     RunResult {
         throughput_tps: report.throughput_over(phases.measure_start(), phases.measure_end()),
         tail_tps: report.throughput_over(phases.tail_start(), phases.measure_end()),
-        latency_mean_ms: to_ms(report.latency.mean()),
-        latency_p50_ms: to_ms(report.latency.percentile(0.5)),
-        latency_p99_ms: to_ms(report.latency.percentile(0.99)),
+        latency_mean_ms: latency.mean() / 1e3,
+        latency_p50_ms: latency.percentile(0.5) as f64 / 1e3,
+        latency_p99_ms: latency.percentile(0.99) as f64 / 1e3,
         committed_transactions: counter("sim.committed_txns"),
         committed_batches: counter("sim.committed_batches"),
         messages_delivered: counter("sim.messages"),

@@ -17,8 +17,6 @@
 //!   crosses a deployment boundary (the vendored `serde` is a no-op facade).
 //! * [`config`] — system-wide configuration: number of replicas, fault
 //!   threshold, batching, pipelining, timeouts, and cryptography mode.
-//! * [`metrics`] — throughput meters, latency histograms, and time series
-//!   used by the benchmark harness.
 //! * [`pool`] — the fixed worker pool (std threads + bounded channels)
 //!   shared by the staged verify/execute pipeline.
 //! * [`rng`] — the SplitMix64 generator behind every piece of deterministic
@@ -41,7 +39,6 @@ pub mod config;
 pub mod digest;
 pub mod error;
 pub mod ids;
-pub mod metrics;
 pub mod pool;
 pub mod rng;
 pub mod status;

@@ -26,14 +26,6 @@ pub enum CryptoOp {
     SignatureCreate,
     /// Verifying a digital signature.
     SignatureVerify,
-    /// Creating a threshold share.
-    ThresholdShareCreate,
-    /// Verifying a threshold share.
-    ThresholdShareVerify,
-    /// Combining shares into a certificate.
-    ThresholdCombine,
-    /// Verifying a combined certificate.
-    ThresholdCertificateVerify,
 }
 
 /// Per-operation CPU costs.
@@ -49,14 +41,6 @@ pub struct CryptoCostModel {
     pub signature_create: Duration,
     /// Cost of verifying one signature.
     pub signature_verify: Duration,
-    /// Cost of creating one threshold share.
-    pub threshold_share_create: Duration,
-    /// Cost of verifying one threshold share.
-    pub threshold_share_verify: Duration,
-    /// Cost of combining a certificate (per contributing share).
-    pub threshold_combine_per_share: Duration,
-    /// Cost of verifying a combined certificate.
-    pub threshold_certificate_verify: Duration,
 }
 
 impl Default for CryptoCostModel {
@@ -70,10 +54,6 @@ impl Default for CryptoCostModel {
             // by ~86 % in Fig. 7 (right).
             signature_create: Duration::from_micros(21),
             signature_verify: Duration::from_micros(55),
-            threshold_share_create: Duration::from_micros(30),
-            threshold_share_verify: Duration::from_micros(35),
-            threshold_combine_per_share: Duration::from_micros(8),
-            threshold_certificate_verify: Duration::from_micros(40),
         }
     }
 }
@@ -88,10 +68,6 @@ impl CryptoCostModel {
             mac_verify: Duration::ZERO,
             signature_create: Duration::ZERO,
             signature_verify: Duration::ZERO,
-            threshold_share_create: Duration::ZERO,
-            threshold_share_verify: Duration::ZERO,
-            threshold_combine_per_share: Duration::ZERO,
-            threshold_certificate_verify: Duration::ZERO,
         }
     }
 
@@ -103,10 +79,6 @@ impl CryptoCostModel {
             CryptoOp::MacVerify => self.mac_verify,
             CryptoOp::SignatureCreate => self.signature_create,
             CryptoOp::SignatureVerify => self.signature_verify,
-            CryptoOp::ThresholdShareCreate => self.threshold_share_create,
-            CryptoOp::ThresholdShareVerify => self.threshold_share_verify,
-            CryptoOp::ThresholdCombine => self.threshold_combine_per_share,
-            CryptoOp::ThresholdCertificateVerify => self.threshold_certificate_verify,
         }
     }
 
@@ -157,10 +129,6 @@ impl CryptoCostModel {
             mac_verify: self.mac_verify.mul_f64(factor),
             signature_create: self.signature_create.mul_f64(factor),
             signature_verify: self.signature_verify.mul_f64(factor),
-            threshold_share_create: self.threshold_share_create.mul_f64(factor),
-            threshold_share_verify: self.threshold_share_verify.mul_f64(factor),
-            threshold_combine_per_share: self.threshold_combine_per_share.mul_f64(factor),
-            threshold_certificate_verify: self.threshold_certificate_verify.mul_f64(factor),
         }
     }
 }
@@ -175,7 +143,6 @@ mod tests {
         assert!(m.mac_create < m.signature_create);
         assert!(m.mac_verify < m.signature_verify);
         assert!(m.digest < m.mac_create);
-        assert!(m.threshold_share_create > m.mac_create);
     }
 
     #[test]
@@ -231,7 +198,7 @@ mod tests {
             CryptoOp::Digest,
             CryptoOp::MacCreate,
             CryptoOp::SignatureVerify,
-            CryptoOp::ThresholdCombine,
+            CryptoOp::SignatureCreate,
         ] {
             assert_eq!(m.cost(op), Duration::ZERO);
         }
@@ -242,9 +209,6 @@ mod tests {
         let m = CryptoCostModel::default();
         assert_eq!(m.cost(CryptoOp::MacVerify), m.mac_verify);
         assert_eq!(m.cost(CryptoOp::SignatureCreate), m.signature_create);
-        assert_eq!(
-            m.cost(CryptoOp::ThresholdCertificateVerify),
-            m.threshold_certificate_verify
-        );
+        assert_eq!(m.cost(CryptoOp::Digest), m.digest);
     }
 }

@@ -1,14 +1,12 @@
 //! Deterministic key-material generation for a whole deployment.
 //!
 //! A trusted dealer derives, from the deployment seed: one signing key pair
-//! per replica and per client, one pairwise MAC key per unordered pair of
-//! parties, and the threshold authenticator shared by all replicas. This is
-//! the standard setup assumption of PBFT-style systems ("keys are
-//! distributed out of band").
+//! per replica and per client, and one pairwise MAC key per unordered pair
+//! of parties. This is the standard setup assumption of PBFT-style systems
+//! ("keys are distributed out of band").
 
 use crate::mac::MacKey;
 use crate::signature::{KeyPair, PublicKey};
-use crate::threshold::ThresholdAuthenticator;
 use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use sha2::{Digest as _, Sha256};
 use std::collections::HashMap;
@@ -48,7 +46,6 @@ pub struct DeploymentKeys {
     n: usize,
     replica_signing: Vec<Arc<KeyPair>>,
     replica_public: Vec<PublicKey>,
-    threshold: Arc<ThresholdAuthenticator>,
     client_public: HashMap<ClientId, PublicKey>,
 }
 
@@ -67,17 +64,11 @@ impl DeploymentKeys {
             })
             .collect();
         let replica_public = replica_signing.iter().map(|kp| kp.public_key()).collect();
-        let threshold = Arc::new(ThresholdAuthenticator::new(
-            config.n,
-            config.quorum(),
-            seed ^ 0x7474,
-        ));
         DeploymentKeys {
             seed,
             n: config.n,
             replica_signing,
             replica_public,
-            threshold,
             client_public: HashMap::new(),
         }
     }
@@ -129,7 +120,6 @@ impl DeploymentKeys {
             signing: Arc::clone(&self.replica_signing[replica.index()]),
             replica_public: self.replica_public.clone(),
             mac_with_replicas,
-            threshold: Arc::clone(&self.threshold),
         }
     }
 
@@ -145,11 +135,6 @@ impl DeploymentKeys {
             mac_with_replicas,
         }
     }
-
-    /// The shared threshold authenticator.
-    pub fn threshold(&self) -> Arc<ThresholdAuthenticator> {
-        Arc::clone(&self.threshold)
-    }
 }
 
 /// Key material held by a single replica.
@@ -164,8 +149,6 @@ pub struct ReplicaKeys {
     pub replica_public: Vec<PublicKey>,
     /// Pairwise MAC keys with every replica, indexed by replica index.
     pub mac_with_replicas: Vec<MacKey>,
-    /// Shared threshold authenticator.
-    pub threshold: Arc<ThresholdAuthenticator>,
 }
 
 impl ReplicaKeys {

@@ -2,10 +2,8 @@
 //!
 //! ResilientDB authenticates all communication: client transactions carry
 //! digital signatures, replica-to-replica messages carry either CMAC-AES
-//! message authentication codes or ED25519 signatures (Fig. 7 right), and
-//! SBFT/HotStuff additionally rely on threshold signatures to build
-//! constant-size commit certificates. This crate provides functional
-//! equivalents of each primitive:
+//! message authentication codes or ED25519 signatures (Fig. 7 right). This
+//! crate provides functional equivalents of each primitive:
 //!
 //! * [`hash`] — SHA-256 digests over requests, batches, messages, and ledger
 //!   blocks.
@@ -13,9 +11,6 @@
 //!   keys (stand-in for ResilientDB's CMAC-AES; same abstraction and
 //!   comparable cost).
 //! * [`signature`] — ED25519 digital signatures (via `ed25519-dalek`).
-//! * [`threshold`] — a trusted-dealer `k`-of-`n` threshold authenticator
-//!   producing constant-size combined certificates (stand-in for BLS
-//!   threshold signatures; see DESIGN.md substitution #3).
 //! * [`authenticator`] — a unified per-replica authenticator that applies the
 //!   configured [`rcc_common::CryptoMode`].
 //! * [`keys`] — deterministic key-material generation for whole deployments.
@@ -35,7 +30,6 @@ pub mod keys;
 pub mod mac;
 pub mod pipeline;
 pub mod signature;
-pub mod threshold;
 
 pub use authenticator::{AuthTag, Authenticator};
 pub use cost::{CryptoCostModel, CryptoOp};
@@ -44,4 +38,3 @@ pub use keys::{ClientKeys, DeploymentKeys, ReplicaKeys};
 pub use mac::{MacKey, MacTag};
 pub use pipeline::{VerifyJob, VerifyPool, VerifySource};
 pub use signature::{KeyPair, PublicKey, Signature};
-pub use threshold::{ThresholdAuthenticator, ThresholdCertificate, ThresholdShare};

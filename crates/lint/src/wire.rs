@@ -26,6 +26,10 @@
 //!   `N => Type::Variant …` records tag `N` — the path must follow the
 //!   arrow immediately, so error arms (`tag => Err(…)`) and primitive arms
 //!   (`0 => false`) never contribute.
+//!
+//! In the last two idioms `N` is an integer literal or the name of a
+//! `const NAME: u8 = N;` declared in the same file — a tag that a second
+//! module has to recognise is named once, next to the codec that owns it.
 
 use crate::lexer::{matching_bracket, LexedFile, Token, TokenKind};
 use crate::{Diagnostic, Rule};
@@ -100,6 +104,7 @@ pub fn extract<'a>(files: impl IntoIterator<Item = (&'a Path, &'a LexedFile)>) -
 
 fn extract_file(grammar: &mut WireGrammar, path: &Path, file: &LexedFile) {
     let tokens = &file.tokens;
+    let named = named_tags(tokens);
     for i in 0..tokens.len() {
         if file.in_test.get(i).copied().unwrap_or(false) {
             continue;
@@ -124,13 +129,13 @@ fn extract_file(grammar: &mut WireGrammar, path: &Path, file: &LexedFile) {
             && matches!(i.checked_sub(1).and_then(|p| tokens.get(p)), Some(p) if p.is_ident("fn"))
         {
             if let Some((start, end)) = body_after(tokens, i) {
-                scan_arrow_tags(grammar, path, file, start, end);
+                scan_arrow_tags(grammar, path, file, &named, start, end);
             }
         }
         // match input.u8()? { … }
         if t.is_ident("match") && is_u8_match(tokens, i) {
             if let Some(end) = matching_bracket(tokens, i + 7) {
-                scan_decode_arms(grammar, path, file, i + 8, end);
+                scan_decode_arms(grammar, path, file, &named, i + 8, end);
             }
         }
         // const FRAME_MAGIC: … = …;
@@ -144,6 +149,30 @@ fn extract_file(grammar: &mut WireGrammar, path: &Path, file: &LexedFile) {
             }
         }
     }
+}
+
+/// Every `const NAME: u8 = N;` of the file, as `NAME → N`.
+fn named_tags(tokens: &[Token]) -> BTreeMap<String, u64> {
+    let mut named = BTreeMap::new();
+    for window in tokens.windows(7) {
+        let shape = window[0].is_ident("const")
+            && window[1].kind == TokenKind::Ident
+            && window[2].is_punct(':')
+            && window[3].is_ident("u8")
+            && window[4].is_punct('=')
+            && window[6].is_punct(';');
+        if let (true, Some(value)) = (shape, window[5].int_value()) {
+            named.insert(window[1].text.clone(), value);
+        }
+    }
+    named
+}
+
+/// The tag `token` denotes: a literal, or a name out of [`named_tags`].
+fn tag_value(token: &Token, named: &BTreeMap<String, u64>) -> Option<u64> {
+    token
+        .int_value()
+        .or_else(|| named.get(&token.text).copied())
 }
 
 /// `match` at `i` followed by exactly `input . u8 ( ) ? {`.
@@ -234,6 +263,7 @@ fn scan_arrow_tags(
     grammar: &mut WireGrammar,
     path: &Path,
     file: &LexedFile,
+    named: &BTreeMap<String, u64>,
     start: usize,
     end: usize,
 ) {
@@ -249,7 +279,7 @@ fn scan_arrow_tags(
         let is_arrow_to_literal =
             tokens[k].is_punct('=') && matches!(tokens.get(k + 1), Some(t) if t.is_punct('>'));
         if is_arrow_to_literal {
-            if let Some(tag) = tokens.get(k + 2).and_then(Token::int_value) {
+            if let Some(tag) = tokens.get(k + 2).and_then(|t| tag_value(t, named)) {
                 if let Some((type_name, variant)) = last_path.take() {
                     record(
                         grammar,
@@ -274,12 +304,13 @@ fn scan_decode_arms(
     grammar: &mut WireGrammar,
     path: &Path,
     file: &LexedFile,
+    named: &BTreeMap<String, u64>,
     start: usize,
     end: usize,
 ) {
     let tokens = &file.tokens;
     for k in start..end {
-        let Some(tag) = tokens[k].int_value() else {
+        let Some(tag) = tag_value(&tokens[k], named) else {
             continue;
         };
         let is_arm = matches!(tokens.get(k + 1), Some(t) if t.is_punct('='))
@@ -619,6 +650,37 @@ mod tests {
         let grammar = grammar_of(source);
         assert!(grammar.check().is_empty(), "{:?}", grammar.check());
         assert_eq!(grammar.types["Frame"].encode.len(), 2);
+    }
+
+    #[test]
+    fn named_tags_resolve_to_their_same_file_constant() {
+        let source = r#"
+            pub(crate) const KIND_DATA: u8 = 1;
+            impl Frame {
+                fn kind_tag(&self) -> u8 {
+                    match self {
+                        Frame::Hello { .. } => 0,
+                        Frame::Data { .. } => KIND_DATA,
+                    }
+                }
+                fn decode_frame(input: &mut Reader<'_>) -> Result<Frame, WireError> {
+                    Ok(match input.u8()? {
+                        0 => Frame::Hello { peer: PeerKind::decode(input)? },
+                        KIND_DATA => Frame::Data { bytes: read_bytes(input)? },
+                        tag => return Err(WireError::InvalidTag { context: "Frame", tag }),
+                    })
+                }
+            }
+        "#;
+        let grammar = grammar_of(source);
+        assert!(grammar.check().is_empty(), "{:?}", grammar.check());
+        let data = ("Data".to_string(), 1);
+        assert!(grammar.types["Frame"].encode.contains(&data));
+        assert!(grammar.types["Frame"].decode.contains(&data));
+        // Renumbering the constant moves both sides together; an arm that
+        // names a constant the file does not declare stays invisible.
+        let orphan = grammar_of(&source.replace("pub(crate) const KIND_DATA: u8 = 1;", ""));
+        assert_eq!(orphan.types["Frame"].encode.len(), 1);
     }
 
     #[test]

@@ -282,7 +282,6 @@ fn the_extracted_grammar_covers_the_deployed_protocol() {
         "PeerKind",
         "RccMessage",
         "TransactionKind",
-        "ZyzzyvaMessage",
     ] {
         assert!(
             analysis.grammar.types.contains_key(expected),

@@ -5,14 +5,14 @@
 //!                  [--batch-size B] [--crypto none|mac|pk] [--seed S]
 //!                  [--duration-ms D] [--window W] [--in-process]
 //!                  [--execution-workers W]
-//!                  [--io-threads T] [--max-clients L] [--fleet-sessions F]
+//!                  [--io-threads T] [--max-clients L]
 //!                  [--min-completed Q] [--stats-out FILE]
 //!                  [--telemetry-interval MS] [--telemetry-out FILE]
 //!                  [--dump-events]
 //!                  [--kill R --kill-after-ms K --down-for-ms T]
 //!                  [--chaos wire-mangle|kill-coordinator [--mangle-ppm P]]
 //!     Launch an N-replica localhost cluster (TCP by default) with C
-//!     closed-loop client nodes, optionally kill-and-restart replica R
+//!     closed-loop client sessions, optionally kill-and-restart replica R
 //!     mid-run, verify identical release orders and executed ledgers, and
 //!     exit non-zero on any violation. This is the CI smoke scenario. `--chaos wire-mangle`
 //!     routes every replica's outbound consensus frames through a seeded
@@ -25,10 +25,10 @@
 //!     The client edge: every node multiplexes its client connections onto
 //!     T readiness-sweep I/O threads (default 2) and admits at most L
 //!     clients (default 4096; the excess is rejected so clients fail
-//!     over). `--fleet-sessions F` drives F extra multiplexed closed-loop
-//!     sessions (each holding one connection per replica) through the
-//!     fan-out fleet driver — `--fleet-sessions 256` against 4 replicas is
-//!     the ≥ 1,000-concurrent-connection edge smoke. `--min-completed Q`
+//!     over). The C client sessions (each holding one connection per
+//!     replica) are multiplexed through the fleet driver — `--clients 256`
+//!     against 4 replicas is the ≥ 1,000-concurrent-connection edge smoke.
+//!     `--min-completed Q`
 //!     fails the run when fewer than Q batches completed their reply
 //!     quorum (the CI throughput floor); `--stats-out FILE` writes the
 //!     per-replica transport counters and per-session completion/latency
@@ -50,34 +50,49 @@
 //!     TOML-ish file (see `rcc_network::config`). Runs until the duration
 //!     elapses, or forever when none is given.
 //!
-//! rcc-node client --config FILE --stream S [--instance I] [--window W]
-//!                 --duration-ms D
-//!     Drive one closed-loop client node against the deployment in FILE.
+//! rcc-node client --config FILE --stream S [--window W] --duration-ms D
+//!     Drive one closed-loop client session (workload stream S, homed on
+//!     instance S mod m) against the deployment in FILE.
 //! ```
+//!
+//! Every subcommand rejects a `--flag` it does not define (exit status 2,
+//! usage on stderr) instead of running without it.
 
-use rcc_common::{ClientId, CryptoMode, InstanceId, ReplicaId};
-use rcc_network::cluster::{run_client, ClusterPlan, RestartPlan};
+use rcc_common::{CryptoMode, ReplicaId};
+use rcc_network::cluster::{ClusterPlan, RestartPlan};
 use rcc_network::{
-    parse_deployment, queue_capacity, run_local_cluster, spawn_node, verify_identical_ledgers,
-    verify_identical_orders, EdgeConfig, MangleConfig, NodeConfig, TcpClientChannel, TcpTransport,
-    TransportKind,
+    parse_deployment, queue_capacity, run_fleet, run_local_cluster, spawn_node,
+    verify_identical_ledgers, verify_identical_orders, EdgeConfig, Endpoints, FleetPlan,
+    MangleConfig, NodeConfig, TcpTransport, TransportKind,
 };
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+type Command = fn(&Flags) -> Result<(), String>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("cluster") => cmd_cluster(&args[1..]),
-        Some("replica") => cmd_replica(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
+    let (defined, command): (&[&str], Command) = match args.first().map(String::as_str) {
+        Some("cluster") => (&CLUSTER_FLAGS, cmd_cluster),
+        Some("replica") => (&REPLICA_FLAGS, cmd_replica),
+        Some("client") => (&CLIENT_FLAGS, cmd_client),
         Some("--help" | "-h" | "help") | None => {
             eprint!("{}", USAGE);
             return;
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
+        Some(other) => {
+            eprintln!("rcc-node: unknown subcommand `{other}`\n{USAGE}");
+            std::process::exit(1);
+        }
     };
-    if let Err(message) = result {
+    let flags = match Flags::parse(&args[1..], defined) {
+        Ok(flags) => flags,
+        Err(message) => {
+            eprintln!("rcc-node: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Err(message) = command(&flags) {
         eprintln!("rcc-node: {message}");
         std::process::exit(1);
     }
@@ -86,20 +101,72 @@ fn main() {
 const USAGE: &str = "usage:\n  rcc-node cluster [--replicas N] [--instances M] [--clients C] \
 [--batch-size B] [--crypto none|mac|pk] [--seed S] [--duration-ms D] [--window W] \
 [--in-process] [--execution-workers W] [--io-threads T] [--max-clients L] \
-[--fleet-sessions F] [--min-completed Q] [--stats-out FILE] \
+[--min-completed Q] [--stats-out FILE] \
 [--telemetry-interval MS] [--telemetry-out FILE] [--dump-events] \
 [--kill R --kill-after-ms K --down-for-ms T] \
 [--chaos wire-mangle|kill-coordinator [--mangle-ppm P]]\n  rcc-node replica --config FILE \
 [--duration-ms D] [--telemetry-interval MS] [--dump-events]\n  rcc-node client --config FILE \
---stream S [--instance I] [--window W] --duration-ms D\n";
+--stream S [--window W] --duration-ms D\n";
 
-/// A trivial `--flag value` scanner (no flag takes zero values except
-/// `--in-process`).
+/// The flags each subcommand defines.
+const CLUSTER_FLAGS: [&str; 22] = [
+    "--replicas",
+    "--instances",
+    "--clients",
+    "--batch-size",
+    "--crypto",
+    "--seed",
+    "--duration-ms",
+    "--window",
+    "--in-process",
+    "--execution-workers",
+    "--io-threads",
+    "--max-clients",
+    "--min-completed",
+    "--stats-out",
+    "--telemetry-interval",
+    "--telemetry-out",
+    "--dump-events",
+    "--kill",
+    "--kill-after-ms",
+    "--down-for-ms",
+    "--chaos",
+    "--mangle-ppm",
+];
+const REPLICA_FLAGS: [&str; 4] = [
+    "--config",
+    "--duration-ms",
+    "--telemetry-interval",
+    "--dump-events",
+];
+const CLIENT_FLAGS: [&str; 4] = ["--config", "--stream", "--window", "--duration-ms"];
+/// The flags that take no value; every other flag takes exactly one.
+const SWITCHES: [&str; 2] = ["--in-process", "--dump-events"];
+
+/// A trivial `--flag value` scanner over the flags one subcommand defines.
 struct Flags<'a> {
     args: &'a [String],
 }
 
 impl<'a> Flags<'a> {
+    /// Checks `args` against the subcommand's `defined` flags. A flag the
+    /// subcommand does not know — misspelt, or removed in a later version —
+    /// is an error: the lookups below only ever search for the names they
+    /// are asked for, so it would otherwise be dropped without a word and
+    /// the run would quietly test something else.
+    fn parse(args: &'a [String], defined: &[&str]) -> Result<Flags<'a>, String> {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !defined.contains(&arg.as_str()) {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+            if !SWITCHES.contains(&arg.as_str()) && rest.next().is_none() {
+                return Err(format!("{arg} expects a value"));
+            }
+        }
+        Ok(Flags { args })
+    }
+
     fn get(&self, flag: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -131,8 +198,7 @@ fn crypto_mode(name: &str) -> Result<CryptoMode, String> {
     }
 }
 
-fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     let n = flags.int("--replicas", 4)? as usize;
     let mut system = rcc_common::SystemConfig::new(n)
         .with_instances(flags.int("--instances", 2)? as usize)
@@ -215,7 +281,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             }
             cap
         },
-        fleet_sessions: flags.int("--fleet-sessions", 0)? as usize,
         run_for,
         restart,
         mangle,
@@ -253,13 +318,13 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             mangle.rate_ppm, mangle.seed
         );
     }
-    if plan.fleet_sessions > 0 {
+    if plan.transport == TransportKind::Tcp {
         eprintln!(
-            "rcc-node cluster: {} fleet sessions × {} replicas = {} edge connections, \
+            "rcc-node cluster: {} client sessions × {} replicas = {} edge connections, \
              {} edge I/O threads per node, admission cap {}",
-            plan.fleet_sessions,
+            plan.clients,
             plan.system.n,
-            plan.fleet_sessions * plan.system.n,
+            plan.clients * plan.system.n,
             plan.io_threads,
             plan.max_clients,
         );
@@ -283,8 +348,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             report.transport.peak_clients,
         );
     }
-    // Per-client lines drown the summary past a handful of drivers; the
-    // fleet's sessions are reported in aggregate instead.
+    // Per-client lines drown the summary past a handful of sessions; a
+    // larger fleet is reported in aggregate instead.
     if outcome.clients.len() <= 8 {
         for client in &outcome.clients {
             println!(
@@ -348,12 +413,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
                 report.telemetry.to_table()
             );
         }
-        if !outcome.fleet_telemetry.is_empty() {
-            println!(
-                "telemetry — fleet (final):\n{}",
-                outcome.fleet_telemetry.to_table()
-            );
-        }
+        println!(
+            "telemetry — fleet (final):\n{}",
+            outcome.fleet_telemetry.to_table()
+        );
     }
     if let Some(path) = &telemetry_out {
         let mut body = String::new();
@@ -362,10 +425,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             body.push_str(&report.telemetry.to_jsonl(&label));
             body.push_str(&rcc_telemetry::dump_jsonl(&report.flight, &label));
         }
-        if !outcome.fleet_telemetry.is_empty() {
-            body.push_str(&outcome.fleet_telemetry.to_jsonl("fleet"));
-            body.push_str(&rcc_telemetry::dump_jsonl(&outcome.fleet_flight, "fleet"));
-        }
+        body.push_str(&outcome.fleet_telemetry.to_jsonl("fleet"));
+        body.push_str(&rcc_telemetry::dump_jsonl(&outcome.fleet_flight, "fleet"));
         std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("rcc-node cluster: telemetry snapshots + flight traces written to {path}");
     }
@@ -483,9 +544,8 @@ fn parse_addrs(peers: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-fn cmd_replica(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let file = read_deployment(&flags)?;
+fn cmd_replica(flags: &Flags) -> Result<(), String> {
+    let file = read_deployment(flags)?;
     let replica = file
         .replica
         .ok_or_else(|| "config must set `replica = N`".to_string())?;
@@ -572,12 +632,8 @@ fn cmd_replica(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_client(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let file = read_deployment(&flags)?;
-    let stream = flags.int("--stream", 0)?;
-    let instance =
-        InstanceId(flags.int("--instance", stream % file.system.instances.max(1) as u64)? as u32);
+fn cmd_client(flags: &Flags) -> Result<(), String> {
+    let file = read_deployment(flags)?;
     let window = flags.int("--window", 4)? as usize;
     let duration = Duration::from_millis(
         flags
@@ -586,26 +642,22 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             .parse::<u64>()
             .map_err(|_| "--duration-ms expects an integer".to_string())?,
     );
-    let addrs = parse_addrs(&file.peers)?;
-    let channel = TcpClientChannel::connect(
-        ClientId(stream),
-        &addrs,
-        Instant::now() + Duration::from_secs(10),
-    )
-    .map_err(|e| format!("cannot connect to the cluster: {e}"))?;
-    let keys = rcc_crypto::DeploymentKeys::generate(&file.system).client_keys(ClientId(stream));
-    let outcome = run_client(
-        &file.system,
-        stream,
-        instance,
+    // A one-session fleet: the session dials every replica itself and
+    // re-dials with capped backoff, so replicas that are still starting
+    // (or restart mid-run) cost it time, not the run.
+    let mut plan = FleetPlan::new(
+        file.system,
+        Endpoints::Tcp(parse_addrs(&file.peers)?),
+        1,
         window,
-        channel,
-        &keys,
-        Instant::now() + duration,
+        duration,
     );
-    println!(
-        "client {}: {} submitted, {} completed, {} abandoned",
-        outcome.stream, outcome.submitted, outcome.completed, outcome.abandoned
-    );
+    plan.first_stream = flags.int("--stream", 0)?;
+    for client in run_fleet(&plan) {
+        println!(
+            "client {}: {} submitted, {} completed, {} abandoned",
+            client.stream, client.submitted, client.completed, client.abandoned
+        );
+    }
     Ok(())
 }

@@ -1,30 +1,24 @@
-//! Localhost cluster orchestration: launch `n` replica nodes and a set of
-//! client drivers over either transport, optionally kill-and-restart one
+//! Localhost cluster orchestration: launch `n` replica nodes and the
+//! client fleet over either transport, optionally kill-and-restart one
 //! replica mid-run, and collect verifiable reports.
 //!
 //! This is what the `rcc-node cluster` subcommand, the loopback integration
-//! test, and the CI smoke step share. The driver side wraps the sans-io
-//! [`rcc_workload::Client`] (closed loop, `f + 1` matching replies) around
-//! a [`ClientChannel`]: submissions go to the believed coordinator of the
-//! client's instance, replies are verified against the deployment keys at
-//! the frame boundary, and batches that draw no reply within a timeout are
-//! abandoned while the driver rotates to the instance's next candidate
-//! coordinator (how a real client tracks view changes without a directory
-//! service).
+//! test, and the CI smoke step share. The clients are one
+//! [`crate::fleet`]: every client is a sans-io
+//! [`rcc_workload::DriverSession`] (closed loop, `f + 1` matching replies,
+//! the §III-E failover policy) whose links the fleet sweeps — sockets over
+//! TCP, a polled channel in process.
 
 use crate::event_loop::EdgeConfig;
-use crate::fleet::{run_fleet_observed, FleetPlan};
-use crate::frame::Frame;
+use crate::fleet::{run_fleet_observed, Endpoints, FleetPlan};
 use crate::mangle::{MangleConfig, MangledTransport};
 use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeReport};
-use crate::tcp::{TcpClientChannel, TcpTransport};
+use crate::tcp::TcpTransport;
 use crate::telemetry::{EdgeTelemetry, NodeTelemetry};
-use crate::transport::{queue_capacity, ClientChannel, InProcessNetwork, Transport};
-use rcc_common::codec::Encode;
-use rcc_common::{ClientId, CryptoMode, Digest, InstanceId, ReplicaId, SystemConfig};
-use rcc_crypto::{AuthTag, ClientKeys, DeploymentKeys};
+use crate::transport::{queue_capacity, InProcessNetwork, Transport};
+use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use rcc_telemetry::{FlightEvent, Snapshot};
-use rcc_workload::{DriverSession, SessionConfig};
+use rcc_workload::SessionStats;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
@@ -57,7 +51,11 @@ pub struct ClusterPlan {
     pub system: SystemConfig,
     /// Transport to run over.
     pub transport: TransportKind,
-    /// Number of client nodes; client `c` drives instance `c mod m`.
+    /// Number of client sessions; client `c` drives workload stream `c`
+    /// and is homed on instance `c mod m`. Over TCP each session opens one
+    /// connection per replica, all multiplexed onto the fleet's sweep
+    /// threads — this is how the ≥ 1,000-connection edge smoke is
+    /// generated without a thousand driver threads.
     pub clients: usize,
     /// Closed-loop window of each client node (batches in flight).
     pub client_window: usize,
@@ -79,13 +77,6 @@ pub struct ClusterPlan {
     /// on the CLI). Connections past the cap are rejected with the
     /// zero-digest `ClientReject` sentinel so clients fail over.
     pub max_clients: usize,
-    /// Multiplexed client sessions driven through the fan-out
-    /// [`crate::fleet`] driver, *in addition to* the `clients`
-    /// thread-per-client drivers (TCP only — the fleet dials sockets).
-    /// Each session opens one connection per replica, so this is how the
-    /// ≥ 1,000-connection edge smoke is generated without a thousand
-    /// driver threads.
-    pub fleet_sessions: usize,
     /// Periodic telemetry emission (`--telemetry-interval` on the CLI):
     /// every interval until the run ends, each node's live metric table is
     /// printed to stderr. `None` disables the emitter. A node restarted
@@ -110,22 +101,20 @@ impl ClusterPlan {
             execution_workers: crate::node::DEFAULT_EXECUTION_WORKERS,
             io_threads: crate::event_loop::DEFAULT_IO_THREADS,
             max_clients: crate::event_loop::DEFAULT_MAX_CLIENTS,
-            fleet_sessions: 0,
             telemetry_interval: None,
         }
     }
 
     /// The client-edge acceptance scenario: a 4-replica loopback cluster
-    /// under 256 fleet sessions × 4 replicas = 1,024 concurrent client
+    /// under 256 client sessions × 4 replicas = 1,024 concurrent client
     /// connections, all multiplexed through each node's 2-thread
     /// readiness edge (no per-client threads on either side). Small
     /// batches keep the load about connection *count*, not payload bytes.
     pub fn client_edge_smoke() -> ClusterPlan {
         let mut plan = ClusterPlan::smoke();
         plan.system = plan.system.with_batch_size(10);
-        plan.clients = 0;
+        plan.clients = 256;
         plan.client_window = 2;
-        plan.fleet_sessions = 256;
         plan.run_for = Duration::from_millis(10_000);
         plan
     }
@@ -153,24 +142,6 @@ fn maybe_mangled(
     }
 }
 
-/// Outcome of one client driver.
-#[derive(Clone, Debug)]
-pub struct ClientOutcome {
-    /// The workload stream the client drove.
-    pub stream: u64,
-    /// Batches submitted.
-    pub submitted: u64,
-    /// Batches that collected their `f + 1` matching replies.
-    pub completed: u64,
-    /// Batches abandoned (reply timeout or explicit reject).
-    pub abandoned: u64,
-    /// Median submit-to-quorum latency over completed batches (ms).
-    pub p50_latency_ms: u64,
-    /// 99th-percentile submit-to-quorum latency (ms); the slowest observed
-    /// batch when fewer than 100 completed.
-    pub p99_latency_ms: u64,
-}
-
 /// Outcome of a whole cluster run.
 #[derive(Clone, Debug)]
 pub struct ClusterOutcome {
@@ -182,11 +153,10 @@ pub struct ClusterOutcome {
     ///
     /// [`TransportStats::merged`]: crate::transport::TransportStats::merged
     pub reports: Vec<NodeReport>,
-    /// Per-client statistics.
-    pub clients: Vec<ClientOutcome>,
-    /// Metric snapshot of the fan-out fleet driver (empty when the plan ran
-    /// no fleet sessions): driver-side sweep latency under the
-    /// `edge.sweep_us` catalog name.
+    /// Per-client statistics, in stream order.
+    pub clients: Vec<SessionStats>,
+    /// Metric snapshot of the client fleet: driver-side sweep latency under
+    /// the `edge.sweep_us` catalog name.
     pub fleet_telemetry: Snapshot,
     /// The fleet driver's flight trace (link reconnects), oldest first.
     pub fleet_flight: Vec<FlightEvent>,
@@ -196,104 +166,6 @@ impl ClusterOutcome {
     /// Total batches completed across all clients.
     pub fn completed_batches(&self) -> u64 {
         self.clients.iter().map(|c| c.completed).sum()
-    }
-}
-
-/// Drives one closed-loop client node against a cluster until `deadline`.
-///
-/// This is a thin wall-clock/socket shell around the sans-io
-/// [`DriverSession`] (see `rcc-workload`), which owns the whole §III-E
-/// policy: reply age-out with candidate rotation, drain-to-fallback after
-/// consecutive home failures, periodic home probes, and connection-level
-/// admission rejects (the edge's zero-digest `ClientReject` sentinel),
-/// which fail the session over to another replica.
-pub fn run_client(
-    system: &SystemConfig,
-    stream: u64,
-    home: InstanceId,
-    window: usize,
-    mut channel: impl ClientChannel,
-    keys: &ClientKeys,
-    deadline: Instant,
-) -> ClientOutcome {
-    let mut session = DriverSession::new(system, stream, home, window, SessionConfig::default());
-    let started = Instant::now();
-    let now_ms = |at: Instant| at.duration_since(started).as_millis() as u64;
-    while Instant::now() < deadline {
-        // Fill the window toward the active instance's believed coordinator.
-        for action in session.poll(now_ms(Instant::now())) {
-            let payload = action.batch.encoded();
-            let tag = match system.crypto {
-                CryptoMode::None => AuthTag::None,
-                CryptoMode::Mac => {
-                    AuthTag::Mac(keys.mac_with_replicas[action.candidate.index()].tag(&payload))
-                }
-                CryptoMode::PublicKey => AuthTag::Signature(keys.signing.sign(&payload)),
-            };
-            let frame = Frame::ClientSubmit {
-                client: ClientId(stream),
-                instance: action.instance,
-                payload,
-                tag,
-            };
-            channel.submit(action.candidate, frame.encode_frame());
-        }
-        // Drain replies/acks/rejects.
-        while let Some(bytes) = channel.recv_timeout(Duration::from_millis(5)) {
-            let at = now_ms(Instant::now());
-            match Frame::decode_frame(&bytes) {
-                // Replies from out-of-range replicas or with bad tags fall
-                // through to the ignore arm.
-                Ok(Frame::ClientReply {
-                    replica,
-                    digest,
-                    tag,
-                }) if replica.index() < system.n
-                    && verify_reply(keys, system.crypto, replica, &digest, &tag) =>
-                {
-                    let _ = session.on_reply(at, replica, digest);
-                }
-                Ok(Frame::ClientAccept { digest, .. }) => session.on_accept(digest),
-                Ok(Frame::ClientReject { replica, digest }) => {
-                    if digest == Digest::ZERO {
-                        session.on_connection_refused(at, replica);
-                    } else {
-                        session.on_reject(at, replica, digest);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let stats = session.stats();
-    ClientOutcome {
-        stream,
-        submitted: stats.submitted,
-        completed: stats.completed,
-        abandoned: stats.abandoned,
-        p50_latency_ms: stats.p50_latency_ms,
-        p99_latency_ms: stats.p99_latency_ms,
-    }
-}
-
-/// Verifies a reply frame's tag against the deployment keys (shared with
-/// the fan-out fleet driver in [`crate::fleet`]).
-pub(crate) fn verify_reply(
-    keys: &ClientKeys,
-    mode: CryptoMode,
-    replica: ReplicaId,
-    digest: &Digest,
-    tag: &AuthTag,
-) -> bool {
-    match (mode, tag) {
-        (CryptoMode::None, _) => true,
-        (CryptoMode::Mac, AuthTag::Mac(mac)) => {
-            keys.mac_with_replicas[replica.index()].verify(digest.as_bytes(), mac)
-        }
-        (CryptoMode::PublicKey, AuthTag::Signature(sig)) => {
-            keys.replica_public[replica.index()].verify(digest.as_bytes(), sig)
-        }
-        _ => false,
     }
 }
 
@@ -311,42 +183,6 @@ pub fn run_local_cluster(plan: &ClusterPlan) -> ClusterOutcome {
         TransportKind::InProcess => run_in_process(plan),
         TransportKind::Tcp => run_tcp(plan),
     }
-}
-
-fn client_threads<F>(
-    plan: &ClusterPlan,
-    deadline: Instant,
-    mut make_channel: F,
-) -> Vec<std::thread::JoinHandle<ClientOutcome>>
-where
-    F: FnMut(ClientId) -> Box<dyn ClientChannel>,
-{
-    let keys = DeploymentKeys::generate(&plan.system);
-    (0..plan.clients)
-        .map(|stream| {
-            let system = plan.system.clone();
-            let instance = InstanceId((stream % plan.system.instances.max(1)) as u32);
-            let window = plan.client_window;
-            let channel = make_channel(ClientId(stream as u64));
-            let client_keys = keys.client_keys(ClientId(stream as u64));
-            std::thread::Builder::new()
-                .name(format!("rcc-client-{stream}"))
-                .spawn(move || {
-                    run_client(
-                        &system,
-                        stream as u64,
-                        instance,
-                        window,
-                        channel,
-                        &client_keys,
-                        deadline,
-                    )
-                })
-                // rcc-lint: allow(panic) — orchestration harness: a host
-                // that cannot spawn threads cannot run the scenario.
-                .expect("spawn client thread")
-        })
-        .collect()
 }
 
 /// Drives the optional kill-and-restart timeline, then waits out the run.
@@ -405,13 +241,13 @@ fn sleep_until(at: Instant) {
 
 /// Spawns the plan's periodic telemetry emitter, if it asks for one: every
 /// `telemetry_interval` until `deadline`, each node's live metric table
-/// (and the fleet driver's, when one runs) is printed to stderr. The
+/// and the client fleet's is printed to stderr. The
 /// bundles are cheap clones sharing the live registries, so the emitter
 /// reads what the hot paths record without touching the node threads.
 fn spawn_telemetry_emitter(
     plan: &ClusterPlan,
     nodes: &[Option<NodeHandle>],
-    fleet: Option<EdgeTelemetry>,
+    fleet: EdgeTelemetry,
     started: Instant,
     deadline: Instant,
 ) -> Option<std::thread::JoinHandle<()>> {
@@ -436,12 +272,10 @@ fn spawn_telemetry_emitter(
                     telemetry.snapshot().to_table()
                 );
             }
-            if let Some(fleet) = &fleet {
-                eprintln!(
-                    "telemetry @ {elapsed} ms — fleet:\n{}",
-                    fleet.snapshot().to_table()
-                );
-            }
+            eprintln!(
+                "telemetry @ {elapsed} ms — fleet:\n{}",
+                fleet.snapshot().to_table()
+            );
         })
         // An emitter the host cannot spawn only costs the progress view;
         // the run itself proceeds and still reports final snapshots.
@@ -480,7 +314,7 @@ impl Transport for BoxedTransport {
 fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {
     let n = plan.system.n;
     let hub = InProcessNetwork::new(n, queue_capacity(&plan.system));
-    let mut nodes: Vec<Option<NodeHandle>> = ReplicaId::all(n)
+    let nodes: Vec<Option<NodeHandle>> = ReplicaId::all(n)
         .map(|replica| {
             let node = spawn_node(
                 NodeConfig {
@@ -496,22 +330,11 @@ fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {
             Some(node)
         })
         .collect();
-    let started = Instant::now();
-    let deadline = started + plan.run_for;
-    let hub_for_clients = hub.clone();
-    let clients = client_threads(plan, deadline, move |id| {
-        Box::new(hub_for_clients.client(id))
-    });
-    let emitter = spawn_telemetry_emitter(plan, &nodes, None, started, deadline);
-    let hub_for_restart = hub.clone();
     let mangle = plan.mangle;
-    let killed = run_timeline(plan, started, &mut nodes, move |replica| {
-        maybe_mangled(hub_for_restart.transport(replica), mangle, replica)
-    });
-    if let Some(thread) = emitter {
-        let _ = thread.join();
-    }
-    finish(nodes, clients, killed)
+    let endpoints = Endpoints::InProcess(hub.clone());
+    run_with_clients(plan, nodes, endpoints, move |replica| {
+        maybe_mangled(hub.transport(replica), mangle, replica)
+    })
 }
 
 fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
@@ -534,7 +357,7 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
         max_clients: plan.max_clients,
         ..EdgeConfig::default()
     };
-    let mut nodes: Vec<Option<NodeHandle>> = listeners
+    let nodes: Vec<Option<NodeHandle>> = listeners
         .into_iter()
         .enumerate()
         .map(|(index, listener)| {
@@ -563,49 +386,8 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
             Some(node)
         })
         .collect();
-    let started = Instant::now();
-    let deadline = started + plan.run_for;
-    let connect_deadline = Instant::now() + Duration::from_secs(5);
-    let addrs_for_clients = addrs.clone();
-    let clients = client_threads(plan, deadline, move |id| {
-        Box::new(
-            TcpClientChannel::connect(id, &addrs_for_clients, connect_deadline)
-                // rcc-lint: allow(panic) — orchestration harness: clients
-                // that cannot reach localhost replicas end the scenario.
-                .expect("client connects to localhost cluster"),
-        )
-    });
-    // The multiplexed fan-out fleet (if any) drives its sessions from a
-    // handful of sweep threads — this is where the ≥ 1,000-connection
-    // load against the readiness edge comes from.
-    let fleet_telemetry = EdgeTelemetry::new();
-    let fleet = (plan.fleet_sessions > 0).then(|| {
-        let mut fleet_plan = FleetPlan::new(
-            plan.system.clone(),
-            addrs.clone(),
-            plan.fleet_sessions,
-            plan.client_window,
-            plan.run_for,
-        );
-        // Offset fleet streams past the thread-per-client drivers so
-        // stream ids (and thus reply routes) never collide.
-        fleet_plan.first_stream = plan.clients as u64;
-        let telemetry = fleet_telemetry.clone();
-        std::thread::Builder::new()
-            .name("rcc-fleet".to_string())
-            .spawn(move || run_fleet_observed(&fleet_plan, &telemetry))
-            // rcc-lint: allow(panic) — orchestration harness: a fleet the
-            // host cannot spawn ends the scenario.
-            .expect("spawn fleet driver")
-    });
-    let emitter = spawn_telemetry_emitter(
-        plan,
-        &nodes,
-        (plan.fleet_sessions > 0).then(|| fleet_telemetry.clone()),
-        started,
-        deadline,
-    );
-    let killed = run_timeline(plan, started, &mut nodes, move |replica| {
+    let endpoints = Endpoints::Tcp(addrs.clone());
+    run_with_clients(plan, nodes, endpoints, move |replica| {
         // Re-bind the replica's fixed address. Closing leaves connections
         // in TIME_WAIT briefly, so retry with backoff.
         let addr = addrs[replica.index()];
@@ -636,44 +418,61 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
             plan.mangle,
             replica,
         )
-    });
+    })
+}
+
+/// Runs the plan's clients and timeline against the spawned `nodes`, then
+/// shuts everything down. `respawn` builds a fresh transport for a
+/// restarted replica.
+fn run_with_clients<R>(
+    plan: &ClusterPlan,
+    mut nodes: Vec<Option<NodeHandle>>,
+    endpoints: Endpoints,
+    respawn: R,
+) -> ClusterOutcome
+where
+    R: FnMut(ReplicaId) -> Box<dyn Transport>,
+{
+    let started = Instant::now();
+    let deadline = started + plan.run_for;
+    let fleet_plan = FleetPlan::new(
+        plan.system.clone(),
+        endpoints,
+        plan.clients,
+        plan.client_window,
+        plan.run_for,
+    );
+    let fleet_telemetry = EdgeTelemetry::new();
+    let fleet = {
+        let telemetry = fleet_telemetry.clone();
+        std::thread::Builder::new()
+            .name("rcc-fleet".to_string())
+            .spawn(move || run_fleet_observed(&fleet_plan, &telemetry))
+            // rcc-lint: allow(panic) — orchestration harness: a fleet the
+            // host cannot spawn ends the scenario.
+            .expect("spawn fleet driver")
+    };
+    let emitter = spawn_telemetry_emitter(plan, &nodes, fleet_telemetry.clone(), started, deadline);
+    let killed = run_timeline(plan, started, &mut nodes, respawn);
     if let Some(thread) = emitter {
         let _ = thread.join();
     }
-    let mut outcome = finish(nodes, clients, killed);
-    if let Some(thread) = fleet {
-        let stats = thread
-            .join()
-            // rcc-lint: allow(panic) — orchestration harness: re-raise a
-            // fleet driver's panic instead of reporting a partial outcome.
-            .expect("fleet driver panicked");
-        outcome
-            .clients
-            .extend(stats.into_iter().map(|s| ClientOutcome {
-                stream: s.stream,
-                submitted: s.submitted,
-                completed: s.completed,
-                abandoned: s.abandoned,
-                p50_latency_ms: s.p50_latency_ms,
-                p99_latency_ms: s.p99_latency_ms,
-            }));
-        outcome.fleet_telemetry = fleet_telemetry.snapshot();
-        outcome.fleet_flight = fleet_telemetry.flight_events();
+    let clients = fleet
+        .join()
+        // rcc-lint: allow(panic) — orchestration harness: re-raise a fleet
+        // driver's panic instead of reporting a partial outcome.
+        .expect("fleet driver panicked");
+    let reports = finish(nodes, killed);
+    ClusterOutcome {
+        reports,
+        clients,
+        fleet_telemetry: fleet_telemetry.snapshot(),
+        fleet_flight: fleet_telemetry.flight_events(),
     }
-    outcome
 }
 
-fn finish(
-    nodes: Vec<Option<NodeHandle>>,
-    clients: Vec<std::thread::JoinHandle<ClientOutcome>>,
-    killed: Option<NodeReport>,
-) -> ClusterOutcome {
-    let client_outcomes: Vec<ClientOutcome> = clients
-        .into_iter()
-        // rcc-lint: allow(panic) — orchestration harness: re-raise a
-        // client driver's panic instead of reporting a partial outcome.
-        .map(|thread| thread.join().expect("client thread panicked"))
-        .collect();
+/// Shuts every node down and collects the final reports.
+fn finish(nodes: Vec<Option<NodeHandle>>, killed: Option<NodeReport>) -> Vec<NodeReport> {
     let mut reports: Vec<NodeReport> = nodes
         .into_iter()
         .map(|handle| {
@@ -704,10 +503,5 @@ fn finish(
             report.flight = flight;
         }
     }
-    ClusterOutcome {
-        reports,
-        clients: client_outcomes,
-        fleet_telemetry: Snapshot::default(),
-        fleet_flight: Vec::new(),
-    }
+    reports
 }

@@ -60,7 +60,10 @@
 //! overflow drops the frame and increments the dropped-frame counter
 //! surfaced through [`crate::transport::TransportStats`].
 
-use crate::frame::{Frame, PeerKind, MAX_FRAME_BYTES};
+use crate::frame::{
+    peek_kind, Frame, PeerKind, KIND_CLIENT_REJECT, KIND_CLIENT_REPLY, KIND_CLIENT_SUBMIT,
+    MAX_FRAME_BYTES,
+};
 use crate::telemetry::EdgeTelemetry;
 use crate::transport::TransportStats;
 use rcc_common::{ClientId, Digest, ReplicaId};
@@ -94,14 +97,6 @@ const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 const SWEEP_READ_BUDGET: usize = 64 * 1024;
 /// Bound of each I/O thread's command mailbox (registrations + replies).
 const EDGE_MAILBOX_CAPACITY: usize = 16 * 1024;
-
-/// Frame kind-byte offset and values, peeked without a full decode so the
-/// hot path never re-parses reply traffic. Must match `Frame::kind_tag`
-/// (`frame.rs`); the frame round-trip tests pin that mapping.
-const KIND_OFFSET: usize = 3;
-const KIND_CLIENT_SUBMIT: u8 = 2;
-const KIND_CLIENT_REPLY: u8 = 3;
-const KIND_CLIENT_REJECT: u8 = 4;
 
 /// Tuning of one replica's client edge.
 #[derive(Clone, Copy, Debug)]
@@ -637,8 +632,8 @@ impl IoThread {
                 // fits the outbound queue (the gauge tracks consensus
                 // progress, not queue occupancy).
                 if matches!(
-                    frame.get(KIND_OFFSET),
-                    Some(&KIND_CLIENT_REPLY) | Some(&KIND_CLIENT_REJECT)
+                    peek_kind(&frame),
+                    Some(KIND_CLIENT_REPLY | KIND_CLIENT_REJECT)
                 ) {
                     entry.inflight = entry.inflight.saturating_sub(1);
                 }
@@ -781,7 +776,7 @@ impl IoThread {
                     }
                 },
                 Peer::Client(_) | Peer::Anonymous => {
-                    if frame.get(KIND_OFFSET) == Some(&KIND_CLIENT_SUBMIT) {
+                    if peek_kind(&frame) == Some(KIND_CLIENT_SUBMIT) {
                         entry.inflight = entry.inflight.saturating_add(1);
                     }
                     self.forward(entry, frame);
@@ -883,8 +878,11 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let shutdown = AtomicBool::new(false);
-        crate::tcp::read_frame(stream, &shutdown).unwrap()
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).unwrap();
+        let mut frame = vec![0u8; u32::from_be_bytes(len) as usize];
+        stream.read_exact(&mut frame).unwrap();
+        frame
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Fan-out fleet driver: thousands of client sessions over a handful of
+//! The client driver: one client session or thousands, over a handful of
 //! threads.
 //!
-//! The thread-per-client harness in [`crate::cluster`] cannot *generate*
-//! the load the readiness-driven edge is built to *absorb* — a thousand
-//! closed-loop clients as a thousand OS threads exhausts the same thread
-//! budget on the driving side. This module is the mirror image of
-//! [`crate::event_loop`]: each driver thread owns a chunk of sans-io
-//! [`DriverSession`]s (the §III-E policy from `rcc-workload`) and sweeps
-//! their nonblocking connections ([`NbConn`], one per session per replica)
-//! the same way the edge sweeps its accepted sockets. `sessions × n`
-//! connections, `ceil(sessions / sessions_per_thread)` threads.
+//! Every client this crate runs — `rcc-node cluster --clients N`, `rcc-node
+//! client`, in-process clusters, the 1,024-connection edge smoke — is a
+//! sans-io [`DriverSession`] (the §III-E policy from `rcc-workload`) swept
+//! here. A thousand closed-loop clients as a thousand OS threads would
+//! exhaust on the driving side the very thread budget the readiness-driven
+//! edge saves on the serving side, so this module is the mirror image of
+//! [`crate::event_loop`]: each driver thread owns a chunk of sessions and
+//! sweeps their links the way the edge sweeps its accepted sockets. Over
+//! TCP a session holds one nonblocking connection ([`NbConn`]) per replica
+//! — `sessions × n` connections, `ceil(sessions / sessions_per_thread)`
+//! threads; in process it polls one [`InProcessClientChannel`].
 //!
 //! Failure handling is delegated to the session: dead or refused
 //! connections surface as [`DriverSession::on_connection_refused`] (the
@@ -18,10 +20,10 @@
 //! another replica and still completes its batches — the property the
 //! admission-control regression test pins down.
 
-use crate::cluster::verify_reply;
 use crate::event_loop::{NbConn, DEFAULT_CONN_QUEUE};
 use crate::frame::{Frame, PeerKind};
 use crate::telemetry::EdgeTelemetry;
+use crate::transport::{ClientChannel, InProcessClientChannel, InProcessNetwork};
 use rcc_common::codec::Encode;
 use rcc_common::{ClientId, CryptoMode, Digest, InstanceId, ReplicaId, SystemConfig};
 use rcc_crypto::{AuthTag, ClientKeys, DeploymentKeys};
@@ -49,21 +51,33 @@ const SWEEP_READ_BUDGET: usize = 16 * 1024;
 /// Idle park between passes that made no progress.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
+/// How a fleet's sessions reach the replicas.
+#[derive(Clone, Debug)]
+pub enum Endpoints {
+    /// Replica listener addresses, indexed by replica id: every session
+    /// dials one nonblocking socket per replica.
+    Tcp(Vec<SocketAddr>),
+    /// The hub of an in-process deployment: every session polls one
+    /// channel that merges all replicas' replies.
+    InProcess(InProcessNetwork),
+}
+
 /// Everything needed to drive a fleet of client sessions at a cluster.
 #[derive(Clone, Debug)]
 pub struct FleetPlan {
     /// The deployment (n, f, m, batching, crypto mode, seed) — must match
     /// the replicas'.
     pub system: SystemConfig,
-    /// Replica addresses, indexed by replica id.
-    pub replica_addrs: Vec<SocketAddr>,
+    /// Where the replicas are.
+    pub endpoints: Endpoints,
     /// Number of client sessions; session `s` drives workload stream
-    /// `first_stream + s` and is homed on instance `stream mod m`. Each
-    /// session holds one connection per replica, so the cluster-wide
-    /// connection count is `sessions × n`.
+    /// `first_stream + s` and is homed on instance `stream mod m`. Over
+    /// TCP each session holds one connection per replica, so the
+    /// cluster-wide connection count is `sessions × n`.
     pub sessions: usize,
-    /// First workload stream id (offset past any other drivers sharing the
-    /// cluster, so stream ids — and thus reply routes — never collide).
+    /// First workload stream id (offset past any other driver process
+    /// sharing the cluster, so stream ids — and thus reply routes — never
+    /// collide).
     pub first_stream: u64,
     /// Closed-loop window of each session (batches in flight).
     pub window: usize,
@@ -79,14 +93,14 @@ impl FleetPlan {
     /// A fleet plan with the default thread chunking and session knobs.
     pub fn new(
         system: SystemConfig,
-        replica_addrs: Vec<SocketAddr>,
+        endpoints: Endpoints,
         sessions: usize,
         window: usize,
         run_for: Duration,
     ) -> FleetPlan {
         FleetPlan {
             system,
-            replica_addrs,
+            endpoints,
             sessions,
             first_stream: 0,
             window,
@@ -95,17 +109,11 @@ impl FleetPlan {
             session: SessionConfig::default(),
         }
     }
-
-    /// Number of driver threads the plan will spawn.
-    pub fn driver_threads(&self) -> usize {
-        self.sessions
-            .div_ceil(self.sessions_per_thread.max(1))
-            .max(1)
-    }
 }
 
 /// One session's nonblocking connection to one replica, with re-dial state.
 struct Link {
+    addr: SocketAddr,
     conn: Option<NbConn>,
     next_dial_ms: u64,
     backoff_ms: u64,
@@ -116,8 +124,9 @@ struct Link {
 }
 
 impl Link {
-    fn down() -> Link {
+    fn down(addr: SocketAddr) -> Link {
         Link {
+            addr,
             conn: None,
             next_dial_ms: 0,
             backoff_ms: DIAL_BACKOFF_FLOOR_MS,
@@ -133,11 +142,43 @@ impl Link {
     }
 }
 
-/// One fleet session: the sans-io policy plus its per-replica links.
+/// A session's way to the replicas.
+enum Links {
+    /// One socket per replica, indexed by replica id.
+    Tcp(Vec<Link>),
+    /// One channel into the hub; there is no connection to lose or re-dial.
+    InProcess(InProcessClientChannel),
+}
+
+impl Links {
+    /// Puts `frame` on the link to `to`. `false` when there is no live
+    /// link: the batch ages out and the session rotates, the same recovery
+    /// as a submission lost on the wire.
+    fn send(&mut self, to: ReplicaId, frame: Vec<u8>) -> bool {
+        match self {
+            Links::Tcp(links) => match links.get_mut(to.index()).and_then(|l| l.conn.as_mut()) {
+                Some(conn) => {
+                    // A full outbound queue drops the submission; the
+                    // session ages it out and regenerates fresh work, same
+                    // as any lost frame.
+                    let _ = conn.enqueue(&frame);
+                    true
+                }
+                None => false,
+            },
+            Links::InProcess(channel) => {
+                channel.submit(to, frame);
+                true
+            }
+        }
+    }
+}
+
+/// One fleet session: the sans-io policy plus its links.
 struct FleetSession {
     session: DriverSession,
     keys: ClientKeys,
-    links: Vec<Link>,
+    links: Links,
 }
 
 /// Runs the whole fleet and returns every session's final statistics.
@@ -183,27 +224,23 @@ pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<Se
                             plan.session,
                         ),
                         keys: keys.client_keys(ClientId(stream)),
-                        links: (0..plan.replica_addrs.len())
-                            .map(|_| Link::down())
-                            .collect(),
+                        links: match &plan.endpoints {
+                            Endpoints::Tcp(addrs) => {
+                                Links::Tcp(addrs.iter().map(|&addr| Link::down(addr)).collect())
+                            }
+                            Endpoints::InProcess(hub) => {
+                                Links::InProcess(hub.client(ClientId(stream)))
+                            }
+                        },
                     }
                 })
                 .collect();
             let system = plan.system.clone();
-            let addrs = plan.replica_addrs.clone();
             let telemetry = telemetry.clone();
             std::thread::Builder::new()
                 .name(format!("rcc-fleet-{index}"))
                 .spawn(move || {
-                    drive_chunk(
-                        system,
-                        addrs,
-                        sessions,
-                        started,
-                        deadline,
-                        index as u32,
-                        telemetry,
-                    )
+                    drive_chunk(system, sessions, started, deadline, index as u32, telemetry)
                 })
                 // rcc-lint: allow(panic) — load-generation harness: a host
                 // that cannot spawn the driver threads cannot run the
@@ -219,12 +256,11 @@ pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<Se
         .collect()
 }
 
-/// Sweeps one chunk of sessions until `deadline`: re-dial down links
-/// (budgeted), flush/fill every connection, dispatch decoded frames into
-/// the sessions, put each session's fresh submissions on the wire.
+/// Sweeps one chunk of sessions until `deadline`: move whatever is ready on
+/// every session's links into the session, then put the session's fresh
+/// submissions on the wire.
 fn drive_chunk(
     system: SystemConfig,
-    addrs: Vec<SocketAddr>,
     mut sessions: Vec<FleetSession>,
     started: Instant,
     deadline: Instant,
@@ -237,15 +273,33 @@ fn drive_chunk(
         let mut progressed = false;
         let mut dials = 0usize;
         for entry in &mut sessions {
-            progressed |= sweep_session(
-                &system,
-                &addrs,
-                entry,
-                now_ms,
-                &mut dials,
-                thread_index,
-                &telemetry,
-            );
+            progressed |= match &mut entry.links {
+                Links::Tcp(links) => sweep_sockets(
+                    &system,
+                    links,
+                    &mut entry.session,
+                    &entry.keys,
+                    now_ms,
+                    &mut dials,
+                    thread_index,
+                    &telemetry,
+                ),
+                Links::InProcess(channel) => {
+                    let mut received = false;
+                    while let Some(bytes) = channel.recv_timeout(Duration::ZERO) {
+                        // Only the TCP edge sends the connection-level
+                        // reject, so there is no refusal to act on here.
+                        dispatch(&system, &mut entry.session, &entry.keys, &bytes, now_ms);
+                        received = true;
+                    }
+                    received
+                }
+            };
+            let stream = entry.session.stream();
+            for action in entry.session.poll(now_ms) {
+                let frame = encode_submit(&system, &entry.keys, stream, &action);
+                progressed |= entry.links.send(action.candidate, frame);
+            }
         }
         if progressed {
             // Idle passes park below instead of polluting the low buckets.
@@ -259,31 +313,32 @@ fn drive_chunk(
     sessions.iter().map(|s| s.session.stats()).collect()
 }
 
-/// One sweep pass over one session. Returns `true` when anything moved.
-fn sweep_session(
+/// One sweep pass over one session's sockets: re-dial down links
+/// (budgeted), flush/fill every connection, dispatch decoded frames into
+/// the session. Returns `true` when anything moved.
+#[allow(clippy::too_many_arguments)]
+fn sweep_sockets(
     system: &SystemConfig,
-    addrs: &[SocketAddr],
-    entry: &mut FleetSession,
+    links: &mut [Link],
+    session: &mut DriverSession,
+    keys: &ClientKeys,
     now_ms: u64,
     dials: &mut usize,
     thread_index: u32,
     telemetry: &EdgeTelemetry,
 ) -> bool {
     let mut progressed = false;
-    // Index-based: the body mutates `entry.links[replica]` *and* calls
-    // `entry.session` methods, which an `iter_mut` borrow would forbid.
-    #[allow(clippy::needless_range_loop)]
-    for replica in 0..entry.links.len() {
+    for (replica, link) in links.iter_mut().enumerate() {
         // Re-dial down links, bounded per pass so a dead replica cannot
         // stall the whole chunk behind serial connect timeouts.
-        if entry.links[replica].conn.is_none() {
-            if now_ms < entry.links[replica].next_dial_ms || *dials >= DIALS_PER_PASS {
+        if link.conn.is_none() {
+            if now_ms < link.next_dial_ms || *dials >= DIALS_PER_PASS {
                 continue;
             }
             *dials += 1;
-            match dial(entry.session.stream(), addrs[replica]) {
+            match dial(session.stream(), link.addr) {
                 Ok(conn) => {
-                    if entry.links[replica].ever_connected {
+                    if link.ever_connected {
                         telemetry.event(
                             thread_index,
                             FlightEventKind::Reconnect {
@@ -291,80 +346,50 @@ fn sweep_session(
                             },
                         );
                     }
-                    entry.links[replica].conn = Some(conn);
-                    entry.links[replica].backoff_ms = DIAL_BACKOFF_FLOOR_MS;
-                    entry.links[replica].ever_connected = true;
+                    link.conn = Some(conn);
+                    link.backoff_ms = DIAL_BACKOFF_FLOOR_MS;
+                    link.ever_connected = true;
                     progressed = true;
                 }
                 Err(_) => {
-                    entry.links[replica].fail(now_ms);
-                    entry
-                        .session
-                        .on_connection_refused(now_ms, ReplicaId(replica as u32));
+                    link.fail(now_ms);
+                    session.on_connection_refused(now_ms, ReplicaId(replica as u32));
                     continue;
                 }
             }
         }
         let mut refused = false;
-        let mut frames = Vec::new();
-        if let Some(conn) = entry.links[replica].conn.as_mut() {
+        if let Some(conn) = link.conn.as_mut() {
             progressed |= conn.flush();
             if conn.fill(SWEEP_READ_BUDGET) > 0 {
                 progressed = true;
             }
             while let Some(bytes) = conn.next_frame() {
-                frames.push(bytes);
+                refused |= dispatch(system, session, keys, &bytes, now_ms);
             }
-            if conn.is_dead() {
-                refused = true;
-            }
-        }
-        for bytes in frames {
-            dispatch(
-                system,
-                &mut entry.session,
-                &entry.keys,
-                &bytes,
-                now_ms,
-                &mut refused,
-            );
+            refused |= conn.is_dead();
         }
         if refused {
             // Either the edge turned the connection away at admission (the
             // zero-digest reject sentinel) or the link died: the session
             // rotates off this replica and the link re-dials with backoff.
-            entry.links[replica].fail(now_ms);
-            entry
-                .session
-                .on_connection_refused(now_ms, ReplicaId(replica as u32));
+            link.fail(now_ms);
+            session.on_connection_refused(now_ms, ReplicaId(replica as u32));
             progressed = true;
         }
-    }
-    let stream = entry.session.stream();
-    for action in entry.session.poll(now_ms) {
-        let frame = encode_submit(system, &entry.keys, stream, &action);
-        let replica = action.candidate.index();
-        if let Some(Some(conn)) = entry.links.get_mut(replica).map(|l| l.conn.as_mut()) {
-            // A full outbound queue drops the submission; the session ages
-            // it out and regenerates fresh work, same as any lost frame.
-            let _ = conn.enqueue(&frame);
-            progressed = true;
-        }
-        // No live link: the batch ages out and the session rotates — same
-        // recovery as a submission lost on the wire.
     }
     progressed
 }
 
-/// Decodes and applies one frame from a replica connection.
+/// Decodes and applies one client-bound frame. Returns `true` when it was
+/// the edge's connection-level admission reject.
 fn dispatch(
     system: &SystemConfig,
     session: &mut DriverSession,
     keys: &ClientKeys,
     bytes: &[u8],
     now_ms: u64,
-    refused: &mut bool,
-) {
+) -> bool {
     match Frame::decode_frame(bytes) {
         // Replies from out-of-range replicas or with bad tags fall through
         // to the ignore arm.
@@ -383,12 +408,32 @@ fn dispatch(
                 // Connection-level admission reject: the edge closes this
                 // connection right after; fail the whole link over now
                 // rather than waiting for the EOF.
-                *refused = true;
-            } else {
-                session.on_reject(now_ms, replica, digest);
+                return true;
             }
+            session.on_reject(now_ms, replica, digest);
         }
         _ => {}
+    }
+    false
+}
+
+/// Verifies a reply frame's tag against the deployment keys.
+fn verify_reply(
+    keys: &ClientKeys,
+    mode: CryptoMode,
+    replica: ReplicaId,
+    digest: &Digest,
+    tag: &AuthTag,
+) -> bool {
+    match (mode, tag) {
+        (CryptoMode::None, _) => true,
+        (CryptoMode::Mac, AuthTag::Mac(mac)) => {
+            keys.mac_with_replicas[replica.index()].verify(digest.as_bytes(), mac)
+        }
+        (CryptoMode::PublicKey, AuthTag::Signature(sig)) => {
+            keys.replica_public[replica.index()].verify(digest.as_bytes(), sig)
+        }
+        _ => false,
     }
 }
 

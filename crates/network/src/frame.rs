@@ -40,6 +40,19 @@ pub const WIRE_VERSION: u8 = 1;
 /// prefix on a TCP stream cannot make a receiver allocate gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Kind bytes of the frames the client edge routes on. The edge peeks them
+/// with [`peek_kind`] instead of decoding reply traffic a second time;
+/// [`Frame::encode_frame`] and [`Frame::decode_frame`] use the same names.
+pub(crate) const KIND_CLIENT_SUBMIT: u8 = 2;
+pub(crate) const KIND_CLIENT_REPLY: u8 = 3;
+pub(crate) const KIND_CLIENT_REJECT: u8 = 4;
+
+/// The kind byte of an encoded frame (it follows the magic and the
+/// version), or `None` when `frame` is too short to carry one.
+pub(crate) fn peek_kind(frame: &[u8]) -> Option<u8> {
+    frame.get(FRAME_MAGIC.len() + 1).copied()
+}
+
 /// The identity a connection announces in its [`Frame::Hello`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PeerKind {
@@ -128,9 +141,9 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 0,
             Frame::Replica { .. } => 1,
-            Frame::ClientSubmit { .. } => 2,
-            Frame::ClientReply { .. } => 3,
-            Frame::ClientReject { .. } => 4,
+            Frame::ClientSubmit { .. } => KIND_CLIENT_SUBMIT,
+            Frame::ClientReply { .. } => KIND_CLIENT_REPLY,
+            Frame::ClientReject { .. } => KIND_CLIENT_REJECT,
             Frame::ClientAccept { .. } => 5,
         }
     }
@@ -217,18 +230,18 @@ impl Frame {
                 payload: read_bytes(&mut input)?,
                 tag: AuthTag::decode(&mut input)?,
             },
-            2 => Frame::ClientSubmit {
+            KIND_CLIENT_SUBMIT => Frame::ClientSubmit {
                 client: ClientId::decode(&mut input)?,
                 instance: InstanceId::decode(&mut input)?,
                 payload: read_bytes(&mut input)?,
                 tag: AuthTag::decode(&mut input)?,
             },
-            3 => Frame::ClientReply {
+            KIND_CLIENT_REPLY => Frame::ClientReply {
                 replica: ReplicaId::decode(&mut input)?,
                 digest: Digest::decode(&mut input)?,
                 tag: AuthTag::decode(&mut input)?,
             },
-            4 => Frame::ClientReject {
+            KIND_CLIENT_REJECT => Frame::ClientReject {
                 replica: ReplicaId::decode(&mut input)?,
                 digest: Digest::decode(&mut input)?,
             },

@@ -21,10 +21,13 @@
 //!   `TimerId` seam, verifies/authenticates at the frame boundary, and
 //!   sends every released batch's digest back to its submitting client
 //!   (`f + 1` matching replies, §III-A).
+//! * [`fleet`] — the client driver: `rcc_workload::DriverSession`s swept
+//!   over nonblocking sockets or an in-process channel, one session or
+//!   thousands per thread.
 //! * [`cluster`] — launch an n-replica localhost cluster (either
-//!   transport) with closed-loop client drivers, optionally
-//!   kill-and-restart a replica mid-run, and verify identical release
-//!   orders across the survivors; [`config`] — the TOML-ish deployment
+//!   transport) with a client fleet, optionally kill-and-restart a
+//!   replica mid-run, and verify identical release orders across the
+//!   survivors; [`config`] — the TOML-ish deployment
 //!   file the `rcc-node` binary reads.
 //!
 //! The binary target (`cargo run -p rcc-network --bin rcc-node`) exposes
@@ -49,14 +52,14 @@ pub mod transport;
 pub use cluster::{run_local_cluster, ClusterOutcome, ClusterPlan, RestartPlan, TransportKind};
 pub use config::{parse_deployment, DeploymentFile};
 pub use event_loop::{ClientEdge, EdgeConfig, NbConn, DEFAULT_IO_THREADS, DEFAULT_MAX_CLIENTS};
-pub use fleet::{run_fleet, FleetPlan};
+pub use fleet::{run_fleet, Endpoints, FleetPlan};
 pub use frame::{Frame, PeerKind, MAX_FRAME_BYTES, WIRE_VERSION};
 pub use mangle::{ByteMangler, MangleConfig, MangleStats, MangledTransport};
 pub use node::{
     spawn_node, verify_identical_ledgers, verify_identical_orders, NodeConfig, NodeError,
     NodeHandle, NodeReport, DEFAULT_EXECUTION_WORKERS,
 };
-pub use tcp::{TcpClientChannel, TcpTransport};
+pub use tcp::TcpTransport;
 pub use telemetry::{EdgeTelemetry, NodeTelemetry, EDGE_FLIGHT_CAPACITY, NODE_FLIGHT_CAPACITY};
 pub use transport::{queue_capacity, ClientChannel, InProcessNetwork, Transport, TransportStats};
 

@@ -7,13 +7,20 @@
 //! only thread that ever touches it, so the sans-io core needs no locks:
 //!
 //! ```text
-//!   listener ──► reader threads ──┐                  ┌──► writer thread → R0
-//!   (ingress)    (one per conn)   ├─► inbox ─► mailbox ──► writer thread → R1
-//!   client conns ────────────────┘    (mpsc)   thread  └──► … (bounded queues)
-//!                                                │
-//!                    wall-clock timers ◄─────────┤ SetTimer/CancelTimer
-//!                    (BTreeMap deadline heap)    │ Commit → client replies
+//!   listener ─► client edge ─────────┐                  ┌──► writer thread → R0
+//!   (accept)    (T sweep threads for │                  │
+//!                all client conns)   ├─► inbox ─► mailbox ──► writer thread → R1
+//!                 └► peer readers ───┘   (mpsc)   thread  └──► … (bounded queues)
+//!                    (one per replica link)         │
+//!                       wall-clock timers ◄─────────┤ SetTimer/CancelTimer
+//!                       (BTreeMap deadline heap)    │ Commit → client replies
 //! ```
+//!
+//! Over TCP every accepted socket enters the readiness-driven
+//! [`crate::event_loop::ClientEdge`]; a connection that announces itself as
+//! a replica is handed back out to a blocking reader of its own (see
+//! `tcp.rs`). In process there is no ingress stage: senders push straight
+//! into the inbox.
 //!
 //! The mailbox loop alternates between draining inbound frames and firing
 //! due wall-clock timers through the existing

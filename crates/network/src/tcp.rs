@@ -25,12 +25,12 @@
 //!   the ordered thread-per-peer path.
 //!
 //! Stream framing: `[u32 big-endian length][frame bytes]`, length capped at
-//! [`MAX_FRAME_BYTES`]; the frame bytes themselves carry the magic/version
+//! [`crate::frame::MAX_FRAME_BYTES`]; the frame bytes themselves carry the magic/version
 //! header of [`crate::frame`].
 
 use crate::event_loop::{ClientEdge, EdgeConfig, ReplicaHandoff};
-use crate::frame::{Frame, PeerKind, MAX_FRAME_BYTES};
-use crate::transport::{ClientChannel, Transport, TransportStats};
+use crate::frame::{Frame, PeerKind};
+use crate::transport::{Transport, TransportStats};
 use rcc_common::{ClientId, ReplicaId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Writes one length-prefixed frame to a stream.
 pub fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
@@ -46,53 +46,6 @@ pub fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> 
     stream.write_all(&len.to_be_bytes())?;
     stream.write_all(frame)?;
     Ok(())
-}
-
-/// Fills `buf` completely, resuming across read timeouts without ever
-/// losing already-consumed bytes. This is the load-bearing difference from
-/// `read_exact`: streams carry a short read timeout so reader threads can
-/// observe `shutdown`, and a plain `read_exact` that times out mid-frame
-/// has already consumed a *partial* length prefix or body — retrying it
-/// from scratch would permanently desynchronize the stream, silently
-/// garbling every subsequent frame. Returns `Interrupted` on shutdown.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> std::io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::Relaxed) {
-            return Err(std::io::ErrorKind::Interrupted.into());
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one length-prefixed frame from a stream, rejecting absurd lengths.
-/// Blocks until a whole frame arrives, a real I/O error occurs, or
-/// `shutdown` is raised (surfaced as `Interrupted`).
-pub fn read_frame(stream: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    read_full(stream, &mut len_bytes, shutdown)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut frame = vec![0u8; len];
-    read_full(stream, &mut frame, shutdown)?;
-    Ok(frame)
 }
 
 fn configure(stream: &TcpStream) {
@@ -427,232 +380,5 @@ impl Drop for TcpTransport {
         self.shutdown.store(true, Ordering::Relaxed);
         // Threads not joined here exit within one poll interval; `shutdown`
         // joins them properly.
-    }
-}
-
-/// First re-dial delay after a client's connection to a replica dies.
-const REDIAL_BACKOFF_FLOOR: Duration = Duration::from_millis(50);
-/// Re-dial backoff cap: a dead replica is probed at most twice a second.
-const REDIAL_BACKOFF_CAP: Duration = Duration::from_millis(500);
-/// Connect timeout of a single re-dial attempt (kept short — a re-dial
-/// happens inline in `submit` and must not stall the client's driver loop).
-const REDIAL_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Connect timeout of one initial dial attempt in
-/// [`TcpClientChannel::connect`]. Short on purpose: a down replica must
-/// cost the connecting client a fraction of a second, not the OS's
-/// multi-second connect timeout — failover (§III-E) starts at connect.
-const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Bound on a client's merged reply inbox (replies from all replicas).
-/// Sized for hundreds of in-flight reply quorums; replies are ~100 B each.
-const CLIENT_INBOX_CAPACITY: usize = 4096;
-
-/// Dials one replica, announces the client, and spawns the reader thread
-/// that merges that connection's replies into the shared inbox.
-fn dial_replica(
-    id: ClientId,
-    addr: SocketAddr,
-    connect_timeout: Duration,
-    inbox_tx: &std::sync::mpsc::SyncSender<Vec<u8>>,
-    shutdown: &Arc<AtomicBool>,
-) -> std::io::Result<(TcpStream, JoinHandle<()>)> {
-    let mut stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-    configure(&stream);
-    let hello = Frame::Hello {
-        peer: PeerKind::Client(id),
-    }
-    .encode_frame();
-    write_frame(&mut stream, &hello)?;
-    let mut reader = stream.try_clone()?;
-    let inbox_tx = inbox_tx.clone();
-    let shutdown_flag = Arc::clone(shutdown);
-    let thread = std::thread::spawn(move || {
-        while !shutdown_flag.load(Ordering::Relaxed) {
-            match read_frame(&mut reader, &shutdown_flag) {
-                Ok(frame) => match inbox_tx.try_send(frame) {
-                    // A full inbox drops the reply: the client driver polls
-                    // its inbox continuously, so a sustained backlog means
-                    // the session is already stalled and the aged-out batch
-                    // will be regenerated anyway. Blocking here instead
-                    // would wedge `shutdown` joining this reader.
-                    Ok(()) | Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => break,
-                },
-                Err(_) => break,
-            }
-        }
-    });
-    Ok((stream, thread))
-}
-
-/// A client node's TCP connections to every replica of a cluster.
-///
-/// A connection that dies (the replica was killed or restarted) is re-dialed
-/// with capped backoff on subsequent `submit`s to that replica, so a client
-/// session survives replica restarts instead of writing into the void for
-/// the rest of its life.
-pub struct TcpClientChannel {
-    id: ClientId,
-    addrs: Vec<SocketAddr>,
-    streams: Vec<Option<TcpStream>>,
-    /// Per-replica re-dial state: earliest next attempt and current backoff.
-    redial_at: Vec<Instant>,
-    backoff: Vec<Duration>,
-    inbox: Receiver<Vec<u8>>,
-    inbox_tx: std::sync::mpsc::SyncSender<Vec<u8>>,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl TcpClientChannel {
-    /// Dials every replica, announces the client, and starts reader
-    /// threads that merge replies into one inbox.
-    ///
-    /// Fail-fast semantics: each dial attempt is bounded by a short
-    /// connect timeout, and as soon as **at least one** replica is
-    /// connected the channel is returned — unreachable replicas are left
-    /// to the capped-backoff background re-dial that `submit` already
-    /// performs, instead of blocking the caller for a full OS connect
-    /// timeout per down replica. Only when *no* replica answers does the
-    /// constructor keep retrying (with capped backoff, covering the
-    /// cluster-startup race) until `deadline`, then surface the last
-    /// error.
-    pub fn connect(
-        id: ClientId,
-        replica_addrs: &[SocketAddr],
-        deadline: Instant,
-    ) -> std::io::Result<TcpClientChannel> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Replies are a digest plus a tag (~100 B); this bound holds far
-        // more than any reply quorum in flight while keeping a dead client
-        // from accumulating unread replies without limit.
-        let (inbox_tx, inbox_rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(CLIENT_INBOX_CAPACITY);
-        let mut streams: Vec<Option<TcpStream>> = (0..replica_addrs.len()).map(|_| None).collect();
-        let mut threads = Vec::new();
-        let mut last_error: Option<std::io::Error> = None;
-        let mut round_backoff = REDIAL_BACKOFF_FLOOR;
-        loop {
-            for (index, addr) in replica_addrs.iter().enumerate() {
-                if streams[index].is_some() {
-                    continue;
-                }
-                match dial_replica(id, *addr, CONNECT_ATTEMPT_TIMEOUT, &inbox_tx, &shutdown) {
-                    Ok((stream, thread)) => {
-                        streams[index] = Some(stream);
-                        threads.push(thread);
-                    }
-                    Err(e) => last_error = Some(e),
-                }
-            }
-            if streams.iter().any(Option::is_some) {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(
-                    last_error.unwrap_or_else(|| std::io::ErrorKind::AddrNotAvailable.into())
-                );
-            }
-            std::thread::sleep(
-                round_backoff.min(deadline.saturating_duration_since(Instant::now())),
-            );
-            round_backoff = (round_backoff * 2).min(REDIAL_BACKOFF_CAP);
-        }
-        let now = Instant::now();
-        Ok(TcpClientChannel {
-            id,
-            addrs: replica_addrs.to_vec(),
-            redial_at: vec![now; streams.len()],
-            backoff: vec![REDIAL_BACKOFF_FLOOR; streams.len()],
-            streams,
-            inbox: inbox_rx,
-            inbox_tx,
-            shutdown,
-            threads,
-        })
-    }
-
-    /// Stops the reader threads and closes the connections.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.streams.clear();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-    }
-
-    /// One capped-backoff reconnect attempt toward a replica whose
-    /// connection previously died. Returns `true` when a live stream is in
-    /// place afterwards.
-    fn try_redial(&mut self, index: usize) -> bool {
-        let now = Instant::now();
-        if now < self.redial_at[index] {
-            return false;
-        }
-        match dial_replica(
-            self.id,
-            self.addrs[index],
-            REDIAL_CONNECT_TIMEOUT,
-            &self.inbox_tx,
-            &self.shutdown,
-        ) {
-            Ok((stream, thread)) => {
-                self.streams[index] = Some(stream);
-                self.backoff[index] = REDIAL_BACKOFF_FLOOR;
-                // Reap reader threads of long-dead connections while we are
-                // here, so restart-heavy sessions do not accumulate handles.
-                self.threads.retain(|thread| !thread.is_finished());
-                self.threads.push(thread);
-                true
-            }
-            Err(_) => {
-                self.redial_at[index] = now + self.backoff[index];
-                self.backoff[index] = (self.backoff[index] * 2).min(REDIAL_BACKOFF_CAP);
-                false
-            }
-        }
-    }
-}
-
-impl ClientChannel for TcpClientChannel {
-    fn id(&self) -> ClientId {
-        self.id
-    }
-
-    fn replica_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn submit(&mut self, to: ReplicaId, frame: Vec<u8>) {
-        let index = to.index();
-        if index >= self.streams.len() {
-            return;
-        }
-        if self.streams[index].is_none() && !self.try_redial(index) {
-            return;
-        }
-        let failed = match &mut self.streams[index] {
-            Some(stream) => write_frame(stream, &frame).is_err(),
-            None => false,
-        };
-        if failed {
-            // The replica is down (killed, restarting): drop the connection
-            // and schedule a re-dial; this submission is lost (best effort,
-            // the driver ages it out) but the session recovers once the
-            // replica is back.
-            self.streams[index] = None;
-            self.redial_at[index] = Instant::now() + self.backoff[index];
-            self.backoff[index] = (self.backoff[index] * 2).min(REDIAL_BACKOFF_CAP);
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        self.inbox.recv_timeout(timeout).ok()
-    }
-}
-
-impl Drop for TcpClientChannel {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
     }
 }

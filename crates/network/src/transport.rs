@@ -110,21 +110,6 @@ pub trait ClientChannel: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Vec<u8>>;
 }
 
-impl ClientChannel for Box<dyn ClientChannel> {
-    fn id(&self) -> ClientId {
-        (**self).id()
-    }
-    fn replica_count(&self) -> usize {
-        (**self).replica_count()
-    }
-    fn submit(&mut self, to: ReplicaId, frame: Vec<u8>) {
-        (**self).submit(to, frame)
-    }
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        (**self).recv_timeout(timeout)
-    }
-}
-
 /// Sizes a per-peer outbound queue so a primary can keep its full
 /// out-of-order pipeline in flight to every peer: for each of the `m`
 /// instances it may coordinate, `out_of_order_window` proposals plus the
@@ -141,7 +126,7 @@ type SharedClients = Arc<Mutex<BTreeMap<u64, SyncSender<Vec<u8>>>>>;
 /// per replica and one [`InProcessClientChannel`] per client node. Kept by
 /// the launcher; a replica can be "restarted" by asking for a fresh
 /// transport under the same id (the stale inbox is unhooked atomically).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct InProcessNetwork {
     n: usize,
     capacity: usize,

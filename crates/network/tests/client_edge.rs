@@ -5,23 +5,21 @@
 //! failover rather than a stall.
 //!
 //! The ≥ 1,000-connection acceptance run lives in the release-build CI
-//! `client-edge` job (`rcc-node cluster --fleet-sessions 256`); these
+//! `client-edge` job (`rcc-node cluster --clients 256`); these
 //! debug-build tests exercise the same machinery at a scale that stays
 //! honest on a single-core test runner.
 
-use rcc_common::{ClientId, InstanceId, ReplicaId, SystemConfig};
-use rcc_crypto::DeploymentKeys;
-use rcc_network::cluster::run_client;
+use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use rcc_network::tcp::write_frame;
 use rcc_network::transport::queue_capacity;
 use rcc_network::{
-    run_local_cluster, spawn_node, verify_identical_orders, ClusterPlan, EdgeConfig, Frame,
-    NodeConfig, NodeReport, PeerKind, TcpClientChannel, TcpTransport,
+    run_fleet, run_local_cluster, spawn_node, verify_identical_orders, ClusterPlan, EdgeConfig,
+    Endpoints, FleetPlan, Frame, NodeConfig, NodeReport, PeerKind, TcpTransport,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serializes the two cluster tests: each spins up a full 4-node cluster,
 /// and the thread-count sample below must not see the other test's nodes.
@@ -37,7 +35,7 @@ fn current_thread_count() -> Option<usize> {
     })
 }
 
-/// A scaled-down [`ClusterPlan::client_edge_smoke`]: 64 fleet sessions
+/// A scaled-down [`ClusterPlan::client_edge_smoke`]: 64 client sessions
 /// × 4 replicas = 256 concurrent client connections against a loopback
 /// cluster whose nodes each serve them from a 2-thread readiness edge.
 /// While the run is live, a sampler thread records the process's peak
@@ -48,7 +46,7 @@ fn current_thread_count() -> Option<usize> {
 fn fleet_connections_multiplex_over_a_fixed_thread_pool() {
     let _gate = CLUSTER_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut plan = ClusterPlan::client_edge_smoke();
-    plan.fleet_sessions = 64;
+    plan.clients = 64;
     plan.run_for = Duration::from_millis(4_000);
     plan.execution_workers = 2;
 
@@ -74,7 +72,7 @@ fn fleet_connections_multiplex_over_a_fixed_thread_pool() {
     sampler.join().expect("sampler thread");
 
     verify_identical_orders(&outcome.reports).expect("identical release orders");
-    assert_eq!(outcome.clients.len(), 64, "one outcome per fleet session");
+    assert_eq!(outcome.clients.len(), 64, "one outcome per client session");
     assert!(
         outcome.completed_batches() > 0,
         "no fleet session completed a reply quorum"
@@ -167,20 +165,14 @@ fn a_client_rejected_at_the_cap_fails_over_and_still_commits() {
     // Let an edge sweep admit the dummy before the real client dials.
     std::thread::sleep(Duration::from_millis(500));
 
-    let keys = DeploymentKeys::generate(&system);
-    let client_keys = keys.client_keys(ClientId(0));
-    let channel =
-        TcpClientChannel::connect(ClientId(0), &addrs, Instant::now() + Duration::from_secs(5))
-            .expect("client connects (three replicas have room)");
-    let outcome = run_client(
-        &system,
-        0,
-        InstanceId(0),
+    // A one-session fleet: stream 0, homed on instance 0.
+    let outcome = run_fleet(&FleetPlan::new(
+        system,
+        Endpoints::Tcp(addrs),
+        1,
         2,
-        channel,
-        &client_keys,
-        Instant::now() + Duration::from_secs(10),
-    );
+        Duration::from_secs(10),
+    ))[0];
     drop(dummy);
     let reports: Vec<NodeReport> = nodes
         .into_iter()

@@ -13,7 +13,6 @@ use rcc_core::RccMessage;
 use rcc_crypto::{AuthTag, MacTag, Signature};
 use rcc_network::{ByteMangler, Frame, MangleConfig, PeerKind, WIRE_VERSION};
 use rcc_protocols::pbft::PbftMessage;
-use rcc_protocols::zyzzyva::ZyzzyvaMessage;
 use rcc_storage::Checkpoint;
 
 fn digest(rng: &mut SplitMix64) -> Digest {
@@ -113,31 +112,6 @@ fn pbft_message(rng: &mut SplitMix64, variant: u64) -> PbftMessage {
         _ => PbftMessage::NewView {
             view: rng.next_u64(),
             preprepares: prepared(rng),
-        },
-    }
-}
-
-fn zyzzyva_message(rng: &mut SplitMix64, variant: u64) -> ZyzzyvaMessage {
-    match variant % 3 {
-        0 => ZyzzyvaMessage::OrderRequest {
-            view: rng.next_u64(),
-            round: rng.next_u64(),
-            digest: digest(rng),
-            history: digest(rng),
-            batch: batch(rng),
-        },
-        1 => ZyzzyvaMessage::CommitCertificate {
-            view: rng.next_u64(),
-            round: rng.next_u64(),
-            digest: digest(rng),
-            backers: (0..rng.next_below(5))
-                .map(|_| ReplicaId(rng.next_u64() as u32))
-                .collect(),
-        },
-        _ => ZyzzyvaMessage::LocalCommit {
-            view: rng.next_u64(),
-            round: rng.next_u64(),
-            digest: digest(rng),
         },
     }
 }
@@ -292,20 +266,6 @@ fn pbft_messages_round_trip_under_fuzzing() {
             PbftMessage::decode_all,
             |m: &PbftMessage| m.encoded(),
             "PbftMessage",
-        );
-    }
-}
-
-#[test]
-fn zyzzyva_messages_round_trip_under_fuzzing() {
-    let mut rng = SplitMix64::new(2);
-    for variant in 0..SAMPLES {
-        let message = zyzzyva_message(&mut rng, variant);
-        check_value_bytes(
-            message.encoded(),
-            ZyzzyvaMessage::decode_all,
-            |m: &ZyzzyvaMessage| m.encoded(),
-            "ZyzzyvaMessage",
         );
     }
 }

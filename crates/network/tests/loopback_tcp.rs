@@ -32,7 +32,6 @@ fn plan(transport: TransportKind, run_ms: u64) -> ClusterPlan {
         mangle: None,
         io_threads: 2,
         max_clients: 4096,
-        fleet_sessions: 0,
         telemetry_interval: None,
     }
 }
@@ -163,9 +162,18 @@ fn tcp_cluster_deposes_a_killed_coordinator_and_recovers() {
 }
 
 /// The in-process transport drives the same node/cluster machinery without
-/// sockets (fast enough to run a plain smoke in every test pass).
+/// sockets (fast enough to run a plain smoke in every test pass); the
+/// clients are the same fleet sessions, polling the hub's channels.
 #[test]
 fn in_process_cluster_commits_identically() {
     let outcome = run_local_cluster(&plan(TransportKind::InProcess, 1_500));
     assert_healthy(&outcome);
+    assert_eq!(outcome.clients.len(), 2, "one outcome per client session");
+    for client in &outcome.clients {
+        assert!(
+            client.completed > 0,
+            "client {} completed nothing over its in-process link",
+            client.stream
+        );
+    }
 }

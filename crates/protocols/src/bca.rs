@@ -71,9 +71,9 @@ pub struct CommittedSlot {
     pub digest: Digest,
     /// The accepted batch.
     pub batch: Batch,
-    /// `true` when the acceptance is speculative (Zyzzyva's fast path) and
-    /// may still be rolled back by a view change; RCC and the baselines only
-    /// execute speculative slots optimistically and reconcile on conflict.
+    /// `true` when the acceptance is speculative (a single-round fast path)
+    /// and may still be rolled back by a view change; RCC and the baselines
+    /// only execute speculative slots optimistically and reconcile on conflict.
     pub speculative: bool,
     /// The view in which the slot committed.
     pub view: View,
@@ -178,7 +178,7 @@ pub trait ByzantineCommitAlgorithm {
     /// The protocol's message type.
     type Message: Clone + std::fmt::Debug + WireMessage;
 
-    /// A short human-readable protocol name ("PBFT", "Zyzzyva", …).
+    /// A short human-readable protocol name ("PBFT", "RCC", …).
     fn name(&self) -> &'static str;
 
     /// The replica running this state machine.

@@ -2,25 +2,18 @@
 //!
 //! RCC is a *paradigm*: it turns any primary-backup consensus protocol into a
 //! concurrent consensus protocol (design goal D3 of the paper). This crate
-//! provides the protocols the paper builds on and compares against, all
-//! implemented as deterministic, I/O-free state machines:
+//! provides the one protocol this reproduction deploys, simulates and
+//! benchmarks, implemented as a deterministic, I/O-free state machine:
 //!
 //! * [`pbft`] — PBFT's preprepare-prepare-commit algorithm with view changes
 //!   and checkpoints (Example III.1; the default BCA of RCC and the
 //!   strongest out-of-order baseline).
-//! * [`zyzzyva`] — Zyzzyva's speculative single-round fast path with the
-//!   client-driven commit-certificate slow path that makes it fragile under
-//!   failures.
 //!
-//! Planned (tracked in ROADMAP.md, not yet implemented): `sbft` (SBFT's
-//! collector-based linear state exchange built on threshold certificates),
-//! `hotstuff` (the event-based, chained HotStuff with rotating leaders and no
-//! out-of-order processing), and an `any` module providing a
-//! runtime-selectable wrapper so the simulator and benchmark harness can pick
-//! a protocol by name.
+//! Further BCAs (speculative, collector-based, chained) are deferred in
+//! ROADMAP.md until a campaign or deployment calls for them.
 //!
-//! The [`bca`] module defines the [`bca::ByzantineCommitAlgorithm`] trait all
-//! of them implement, the [`bca::Action`] vocabulary they emit, and the
+//! The [`bca`] module defines the [`bca::ByzantineCommitAlgorithm`] trait a
+//! BCA implements, the [`bca::Action`] vocabulary it emits, and the
 //! assumptions (A1–A4 in Section III-B of the paper) the RCC layer relies
 //! on. The [`harness`] module is a deterministic in-memory cluster driver
 //! shared by all protocol tests and by `rcc-core`; the `rcc-sim` crate
@@ -35,10 +28,8 @@ pub mod bca;
 pub mod harness;
 pub mod pbft;
 pub mod quorum;
-pub mod zyzzyva;
 
 pub use bca::{Action, ByzantineCommitAlgorithm, CommittedSlot, FailureReason, TimerId};
 pub use harness::Cluster;
 pub use pbft::Pbft;
 pub use quorum::QuorumTracker;
-pub use zyzzyva::Zyzzyva;

@@ -38,8 +38,8 @@ pub struct OrderedBatch {
     pub digest: Digest,
     /// The batch payload.
     pub batch: Batch,
-    /// `true` when the acceptance was speculative (e.g. Zyzzyva's fast
-    /// path).
+    /// `true` when the acceptance was speculative (a BCA's single-round
+    /// fast path).
     pub speculative: bool,
     /// The view the slot committed in.
     pub view: View,

@@ -20,6 +20,9 @@
 //! * [`fault`] — seed-replayable fault scripts: crashes, partitions (two-
 //!   and one-way), Byzantine silent primaries, the Section-IV throttling
 //!   attack, clock skew, slowloris links, and wire-level chaos.
+//! * [`metrics`] — the virtual-time bucketed throughput series (Fig. 10
+//!   timelines, windowed throughput) — the one quantity a telemetry
+//!   registry cannot hold; everything else is measured in [`telemetry`].
 //! * [`adversary`] — the adaptive coordinator-hunting adversary: observes
 //!   [`rcc_common::InstanceStatus`] and concentrates its `f` corruptions on
 //!   whichever replica coordinates the most instances, re-acquiring after
@@ -42,6 +45,7 @@
 pub mod adversary;
 pub mod cpu;
 pub mod fault;
+pub mod metrics;
 pub mod network;
 pub mod sim;
 pub mod telemetry;
@@ -68,6 +72,7 @@ pub mod workload {
 pub use adversary::{AdversaryAttack, AdversaryPolicy, AdversarySpec, Retarget};
 pub use cpu::CpuModel;
 pub use fault::{FaultEvent, FaultKind, FaultScript};
+pub use metrics::ThroughputMeter;
 pub use network::{LinkParams, NetworkModel};
 pub use rng::SplitMix64;
 pub use sim::{ClientModel, SimConfig, SimReport, Simulation};

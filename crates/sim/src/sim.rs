@@ -40,14 +40,14 @@
 use crate::adversary::{AdversaryAttack, AdversaryPolicy, AdversarySpec, Retarget};
 use crate::cpu::CpuModel;
 use crate::fault::{FaultEvent, FaultKind, FaultScript};
+use crate::metrics::ThroughputMeter;
 use crate::network::NetworkModel;
 use crate::rng::SplitMix64;
 use crate::telemetry::SimTelemetry;
-use rcc_common::metrics::{LatencyHistogram, ReplicaCounters, ThroughputMeter};
 use rcc_common::{Digest, Duration, InstanceStatus, ReplicaId, Round, SystemConfig, Time};
 use rcc_crypto::CryptoCostModel;
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm, TimerId, WireMessage};
-use rcc_telemetry::{FlightEvent, FlightEventKind, Snapshot};
+use rcc_telemetry::{FlightEvent, FlightEventKind, HistogramSnapshot, Snapshot};
 use rcc_workload::{Client, ClientMode, InstanceAssignment, ReplyOutcome};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -157,7 +157,10 @@ impl SimConfig {
     }
 }
 
-/// Everything measured by one simulation run.
+/// Everything measured by one simulation run. The counters, the peak and
+/// the latency distribution are read out of the run's telemetry handles
+/// when it ends — the same numbers [`SimReport::telemetry`] holds under
+/// their `sim.*` names.
 #[derive(Clone, Debug)]
 pub struct SimReport {
     /// Client transactions that reached the `f + 1` commit quorum (no-op
@@ -167,11 +170,12 @@ pub struct SimReport {
     pub committed_batches: u64,
     /// Quorum-committed transaction throughput as a bucketed time series.
     pub throughput: ThroughputMeter,
-    /// Client-perceived latency (submission → `f + 1` replicas committed) of
-    /// batches submitted inside the measurement window.
-    pub latency: LatencyHistogram,
-    /// Per-replica resource counters.
-    pub per_replica: Vec<ReplicaCounters>,
+    /// Client-perceived latency (submission → quorum-completing reply at
+    /// the client) of batches submitted inside the measurement window, in
+    /// virtual microseconds: the `sim.latency_us` histogram. Percentiles
+    /// are bucket upper bounds (8 sub-buckets per power of two, so at most
+    /// 12.5 % above the sample); the mean is exact.
+    pub latency: HistogramSnapshot,
     /// Events processed by the simulation loop.
     pub events_processed: u64,
     /// Messages delivered between replicas.
@@ -215,11 +219,6 @@ impl SimReport {
     pub fn throughput_over(&self, start: Time, end: Time) -> f64 {
         self.throughput.throughput_over(start, end)
     }
-
-    /// Average quorum-committed throughput (txn/s) over the whole run.
-    pub fn average_throughput(&self) -> f64 {
-        self.throughput.average_throughput()
-    }
 }
 
 /// An in-flight (submitted, not yet quorum-committed) batch.
@@ -261,7 +260,6 @@ struct SimNode<P: ByzantineCommitAlgorithm> {
     silenced: bool,
     timers: BTreeMap<TimerId, Time>,
     pump_pending: bool,
-    counters: ReplicaCounters,
 }
 
 /// One explicit client node: the workload/reply state machine from
@@ -364,7 +362,6 @@ pub struct Simulation<P: ByzantineCommitAlgorithm> {
     blocked: BTreeSet<(ReplicaId, ReplicaId)>,
     /// The adaptive adversary, when configured.
     adversary: Option<AdversaryRuntime>,
-    adversary_strikes: u64,
     /// Wire-chaos rate in events per million messages (0 = clean wire).
     mangle_ppm: u32,
     /// Dedicated random stream for wire chaos; untouched (and therefore
@@ -376,16 +373,7 @@ pub struct Simulation<P: ByzantineCommitAlgorithm> {
     jitter_rng: SplitMix64,
     inflight: BTreeMap<Digest, PendingBatch>,
     throughput: ThroughputMeter,
-    latency: LatencyHistogram,
-    committed_transactions: u64,
-    committed_batches: u64,
     events_processed: u64,
-    messages_delivered: u64,
-    bytes_delivered: u64,
-    suspicions: u64,
-    view_changes: u64,
-    client_handoffs: u64,
-    peak_retained_log: u64,
     /// Set when an event surfaced a failure-handling transition (suspicion
     /// or view change): the client assignment is refreshed before the next
     /// event so drains and σ-spaced returns happen at failure boundaries,
@@ -396,7 +384,8 @@ pub struct Simulation<P: ByzantineCommitAlgorithm> {
     /// never scheduled before it.
     now: Time,
     /// Pre-registered metric handles plus the flight recorder; its virtual
-    /// clock follows `now`.
+    /// clock follows `now`. Everything the run counts is recorded here,
+    /// once, and read back into the [`SimReport`] at the end.
     telemetry: SimTelemetry,
     /// Each replica's last observed stable checkpoint round, for edge-
     /// detecting `checkpoint-stabilized` flight events.
@@ -438,7 +427,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                 silenced: false,
                 timers: BTreeMap::new(),
                 pump_pending: false,
-                counters: ReplicaCounters::default(),
             })
             .collect();
         // One explicit client node per consensus instance, homed on it by the
@@ -469,7 +457,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         });
         let mut sim = Simulation {
             adversary,
-            adversary_strikes: 0,
             mangle_ppm: 0,
             mangle_rng: SplitMix64::new(seed).fork(0xC4A0),
             mangle_recent: Vec::new(),
@@ -485,16 +472,7 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             blocked: BTreeSet::new(),
             inflight: BTreeMap::new(),
             throughput: ThroughputMeter::new(Duration::from_millis(50)),
-            latency: LatencyHistogram::new(),
-            committed_transactions: 0,
-            committed_batches: 0,
             events_processed: 0,
-            messages_delivered: 0,
-            bytes_delivered: 0,
-            suspicions: 0,
-            view_changes: 0,
-            client_handoffs: 0,
-            peak_retained_log: 0,
             client_refresh_due: false,
             trace: 0x9E37_79B9_7F4A_7C15,
             now: Time::ZERO,
@@ -587,7 +565,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             // report (only that replica's state can have grown this event).
             if let Some(node) = touched {
                 let retained = self.nodes[node.index()].bca.retained_log_entries();
-                self.peak_retained_log = self.peak_retained_log.max(retained);
                 self.telemetry.peak_retained_log.set_max(retained);
                 // Edge-detect §III-D checkpoint stabilization on the touched
                 // replica for the flight recorder.
@@ -608,24 +585,24 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                 }
             }
         }
+        let telemetry = &self.telemetry;
         let report = SimReport {
-            committed_transactions: self.committed_transactions,
-            committed_batches: self.committed_batches,
+            committed_transactions: telemetry.committed_txns.value(),
+            committed_batches: telemetry.committed_batches.value(),
             throughput: self.throughput,
-            latency: self.latency,
-            per_replica: self.nodes.iter().map(|n| n.counters).collect(),
+            latency: telemetry.latency_us.snapshot(),
             events_processed: self.events_processed,
-            messages_delivered: self.messages_delivered,
-            bytes_delivered: self.bytes_delivered,
-            suspicions: self.suspicions,
-            view_changes: self.view_changes,
-            client_handoffs: self.client_handoffs,
-            adversary_strikes: self.adversary_strikes,
-            peak_retained_log: self.peak_retained_log,
+            messages_delivered: telemetry.messages.value(),
+            bytes_delivered: telemetry.bytes.value(),
+            suspicions: telemetry.suspicions.value(),
+            view_changes: telemetry.view_changes.value(),
+            client_handoffs: telemetry.client_handoffs.value(),
+            adversary_strikes: telemetry.adversary_strikes.value(),
+            peak_retained_log: telemetry.peak_retained_log.value(),
             trace_fingerprint: self.trace,
             horizon: self.config.horizon,
-            telemetry: self.telemetry.snapshot(),
-            flight: self.telemetry.flight_events(),
+            telemetry: telemetry.snapshot(),
+            flight: telemetry.flight_events(),
         };
         (report, self.nodes.into_iter().map(|n| n.bca).collect())
     }
@@ -676,18 +653,10 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         if self.nodes[to.index()].crashed || self.blocked.contains(&(from, to)) {
             return;
         }
-        self.messages_delivered += 1;
-        self.bytes_delivered += bytes as u64;
         self.telemetry.messages.inc();
         self.telemetry.bytes.add(bytes as u64);
         let idx = to.index();
-        self.nodes[idx].counters.messages_received += 1;
-        self.nodes[idx].counters.bytes_received += bytes as u64;
-
         let crypto_mode = self.config.system.crypto;
-        if crypto_mode != rcc_common::CryptoMode::None {
-            self.nodes[idx].counters.crypto_operations += 1;
-        }
         // Sequential consensus-path work: parse, authenticate the frame,
         // protocol bookkeeping. Batch verification of the payload's client
         // signatures is handed to the worker pool, whose lane overlaps the
@@ -795,7 +764,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
     fn refresh_clients(&mut self) {
         let observations = self.observe_instances();
         for handoff in self.assignment.update(&observations) {
-            self.client_handoffs += 1;
             self.telemetry.client_handoffs.inc();
             self.telemetry.event(
                 handoff.client as u32,
@@ -852,8 +820,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                 let jitter =
                     Duration::from_nanos(self.jitter_rng.next_below(link.jitter.as_nanos()));
                 let arrival = at + link.serialization_delay(request_bytes) + link.latency + jitter;
-                self.nodes[idx].counters.messages_received += 1;
-                self.nodes[idx].counters.bytes_received += request_bytes as u64;
                 // Coordinator-side cost: assemble and digest the proposal on
                 // the sequential path, then verify the clients' signatures on
                 // the worker pool. The proposal cannot be broadcast before
@@ -884,7 +850,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     break;
                 }
                 self.nodes[idx].busy_until = t_cpu;
-                self.nodes[idx].counters.batches_proposed += 1;
                 self.inflight.insert(
                     digest,
                     PendingBatch {
@@ -957,9 +922,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     let cost =
                         self.scaled(idx, self.config.costs.outgoing_message_cost(crypto_mode, 1));
                     t_cpu += cost;
-                    if crypto_mode != rcc_common::CryptoMode::None {
-                        self.nodes[idx].counters.crypto_operations += 1;
-                    }
                     self.enqueue_send(node, t_cpu, to, message);
                 }
                 Action::Broadcast { message } => {
@@ -971,9 +933,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                             .outgoing_message_cost(crypto_mode, recipients),
                     );
                     t_cpu += cost;
-                    if crypto_mode != rcc_common::CryptoMode::None {
-                        self.nodes[idx].counters.crypto_operations += recipients as u64;
-                    }
                     for to in ReplicaId::all(self.config.system.n) {
                         if to != node {
                             self.enqueue_send(node, t_cpu, to, message.clone());
@@ -1018,13 +977,9 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     let start = t_cpu.max(self.nodes[idx].worker_busy);
                     let executed = start + cost;
                     self.nodes[idx].worker_busy = executed;
-                    self.nodes[idx].counters.slots_accepted += 1;
-                    self.nodes[idx].counters.transactions_executed +=
-                        slot.batch.effective_transactions() as u64;
                     self.record_commit(node, executed, slot.digest, &slot.batch);
                 }
                 Action::SuspectPrimary { primary, .. } => {
-                    self.suspicions += 1;
                     self.telemetry.suspicions.inc();
                     self.telemetry.event(
                         node.0,
@@ -1047,7 +1002,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     self.client_refresh_due = true;
                 }
                 Action::ViewChanged { view, new_primary } => {
-                    self.view_changes += 1;
                     self.telemetry.view_changes.inc();
                     self.suspected_since_change.clear();
                     self.telemetry.event(
@@ -1074,8 +1028,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             return;
         }
         let bytes = message.wire_size();
-        self.nodes[idx].counters.messages_sent += 1;
-        self.nodes[idx].counters.bytes_sent += bytes as u64;
         let link = *self.config.network.link(from, to);
         let mut serialization = link.serialization_delay(bytes);
         // Slowloris: traffic toward a slow-linked receiver serializes
@@ -1258,8 +1210,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         if new_committer {
             let idx = node.index();
             let reply_bytes = self.config.system.wire.client_reply_bytes;
-            self.nodes[idx].counters.messages_sent += 1;
-            self.nodes[idx].counters.bytes_sent += reply_bytes as u64;
             let link = self.config.network.client;
             let egress = self.nodes[idx].egress_busy.max(t) + link.serialization_delay(reply_bytes);
             self.nodes[idx].egress_busy = egress;
@@ -1267,8 +1217,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             reply_at = egress + link.latency + jitter;
         }
         if completed_quorum {
-            self.committed_transactions += transactions;
-            self.committed_batches += 1;
             self.telemetry.committed_txns.add(transactions);
             self.telemetry.committed_batches.inc();
             self.throughput.record(t, transactions);
@@ -1276,7 +1224,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                 // Client-perceived latency: the quorum-completing *reply's*
                 // arrival at the client, not the replica-side release.
                 let latency = reply_at.saturating_since(submitted);
-                self.latency.record(latency);
                 self.telemetry.latency_us.record(latency.as_nanos() / 1_000);
             }
         }
@@ -1402,7 +1349,6 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         at: Time,
         runtime: &mut AdversaryRuntime,
     ) {
-        self.adversary_strikes += 1;
         self.telemetry.adversary_strikes.inc();
         let idx = target.index();
         match attack {

@@ -30,13 +30,13 @@ fn measured_throughput(report: &SimReport) -> f64 {
 /// derived metrics (formatted, so float formatting is part of the contract).
 fn snapshot(report: &SimReport) -> String {
     format!(
-        "fp={:016x} txns={} batches={} tput={:.3} p50={}ns p99={}ns events={} msgs={} bytes={} susp={} vc={}",
+        "fp={:016x} txns={} batches={} tput={:.3} p50={}us p99={}us events={} msgs={} bytes={} susp={} vc={}",
         report.trace_fingerprint,
         report.committed_transactions,
         report.committed_batches,
         measured_throughput(report),
-        report.latency.percentile(0.5).as_nanos(),
-        report.latency.percentile(0.99).as_nanos(),
+        report.latency.percentile(0.5),
+        report.latency.percentile(0.99),
         report.events_processed,
         report.messages_delivered,
         report.bytes_delivered,
@@ -54,13 +54,26 @@ fn same_seed_same_config_is_bit_identical() {
         "simulation must make progress"
     );
     assert_eq!(snapshot(&a), snapshot(&b));
-    // The per-replica counters are part of the trace too.
-    for (x, y) in a.per_replica.iter().zip(b.per_replica.iter()) {
-        assert_eq!(x.messages_sent, y.messages_sent);
-        assert_eq!(x.bytes_sent, y.bytes_sent);
-        assert_eq!(x.batches_proposed, y.batches_proposed);
-        assert_eq!(x.slots_accepted, y.slots_accepted);
-    }
+    // Every counter, gauge and histogram bucket is part of the trace too.
+    assert_eq!(a.telemetry, b.telemetry);
+}
+
+#[test]
+fn report_latency_is_the_registry_histogram() {
+    // The report has no second latency collector: its percentiles and mean
+    // are the `sim.latency_us` histogram's, in virtual microseconds.
+    let report = simulate_rcc_over_pbft(wan_config(4, 4, 42));
+    assert!(report.latency.count > 0, "the run must complete batches");
+    assert_eq!(
+        report.telemetry.histogram("sim.latency_us"),
+        Some(&report.latency)
+    );
+    // WAN round trips put every sample well above a millisecond, and a
+    // bucket upper bound can exceed its sample by at most 12.5 %.
+    let p50 = report.latency.percentile(0.5);
+    let p99 = report.latency.percentile(0.99);
+    assert!(1_000 < p50 && p50 <= p99);
+    assert!(report.latency.mean() <= p99 as f64);
 }
 
 #[test]

@@ -163,7 +163,7 @@ sleep 1
 CLIENT_PIDS=()
 for stream in $(seq 0 $((CLIENTS - 1))); do
     "$BINARY" client --config "$CLIENT_CONFIG" --stream "$stream" \
-        --instance "$((stream % INSTANCES))" --window "$WINDOW" \
+        --window "$WINDOW" \
         --duration-ms "$DURATION_MS" >"$WORKDIR/client-$stream.log" 2>&1 &
     CLIENT_PIDS+=("$!")
 done

@@ -46,8 +46,6 @@ pub use rcc_common as common;
 pub use rcc_core as core;
 pub use rcc_crypto as crypto;
 pub use rcc_execution as execution;
-pub use rcc_mirbft as mirbft;
-pub use rcc_model as model;
 pub use rcc_network as network;
 pub use rcc_protocols as protocols;
 pub use rcc_sim as sim;
