@@ -11,6 +11,7 @@ use crate::ids::{InstanceId, Round};
 use crate::transaction::ClientRequest;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifies a batch by the instance that proposed it and the round
 /// (per-instance sequence number) it was proposed in.
@@ -35,24 +36,61 @@ impl fmt::Display for BatchId {
 }
 
 /// A batch of client requests proposed in a single consensus slot.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// Besides its requests a batch carries a private memo of its own digest,
+/// which `rcc_crypto::digest_batch` fills on first use so that a node hashes
+/// a payload once however many layers ask for the digest. The memo is local
+/// state, never input: the codec neither writes nor reads it (a decoded
+/// batch starts without one, so a digest is never trusted from the wire),
+/// `==` ignores it, and `Clone` carries it along. It is a [`OnceLock`]
+/// because `&Batch` crosses worker-pool threads.
+///
+/// `requests` is public, so nothing stops a caller from changing a batch
+/// after it was hashed; don't. Debug builds recompute and compare on every
+/// memo hit to catch it.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Batch {
     /// The requests contained in the batch, in proposal order.
     pub requests: Vec<ClientRequest>,
+    digest: OnceLock<Digest>,
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Self) -> bool {
+        self.requests == other.requests
+    }
+}
+
+impl Eq for Batch {}
+
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The memo is not part of the value: two equal batches print alike.
+        f.debug_struct("Batch")
+            .field("requests", &self.requests)
+            .finish()
+    }
 }
 
 impl Batch {
     /// Creates a batch from a list of requests.
     pub fn new(requests: Vec<ClientRequest>) -> Self {
-        Batch { requests }
+        Batch {
+            requests,
+            digest: OnceLock::new(),
+        }
     }
 
     /// Creates a batch containing a single no-op request for `instance` in
     /// `round`.
     pub fn noop(instance: InstanceId, round: Round) -> Self {
-        Batch {
-            requests: vec![ClientRequest::noop(instance, round)],
-        }
+        Batch::new(vec![ClientRequest::noop(instance, round)])
+    }
+
+    /// The digest memo, for `rcc_crypto::digest_batch` (which owns the hash
+    /// function) to fill and read; every other caller wants that function.
+    pub fn digest_memo(&self) -> &OnceLock<Digest> {
+        &self.digest
     }
 
     /// Number of requests in the batch.
@@ -88,14 +126,18 @@ impl Batch {
             .sum::<usize>()
     }
 
-    /// The canonical bytes hashed when computing the batch digest.
+    /// The canonical bytes hashed when computing the batch digest: the
+    /// request count, then each request's canonical bytes behind their
+    /// length, appended in place.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size());
         out.extend_from_slice(&(self.requests.len() as u64).to_be_bytes());
         for request in &self.requests {
-            let bytes = request.canonical_bytes();
-            out.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
-            out.extend_from_slice(&bytes);
+            let length_at = out.len();
+            out.extend_from_slice(&[0u8; 8]);
+            request.write_canonical_bytes(&mut out);
+            let length = (out.len() - length_at - 8) as u64;
+            out[length_at..length_at + 8].copy_from_slice(&length.to_be_bytes());
         }
         out
     }
@@ -153,6 +195,61 @@ mod tests {
         let a = Batch::new(vec![request(1, 0), request(2, 0)]);
         let b = Batch::new(vec![request(2, 0), request(1, 0)]);
         assert_ne!(a.canonical_bytes(), b.canonical_bytes());
+    }
+
+    #[test]
+    fn canonical_bytes_known_answer() {
+        // Captured from the encoder that allocated per request: the count,
+        // then each request as [length][client][sequence][kind][fields].
+        use crate::transaction::TransactionKind;
+        let write = Transaction::new(TransactionKind::YcsbWrite {
+            key: 3,
+            value: vec![0xaa, 0xbb],
+        });
+        let batch = Batch::new(vec![
+            ClientRequest::new(ClientId(1), 2, write),
+            ClientRequest::noop(InstanceId(1), 5),
+        ]);
+        let hex: String = batch
+            .canonical_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "0000000000000002\
+             000000000000001b\
+             0000000000000001000000000000000202\
+             0000000000000003aabb\
+             0000000000000011\
+             fffffffffffffffe000000000000000500"
+        );
+        // One allocation: the size estimate covers the real bytes.
+        assert!(batch.canonical_bytes().len() <= batch.wire_size());
+        for request in &batch.requests {
+            let mut appended = vec![0xff];
+            request.write_canonical_bytes(&mut appended);
+            assert_eq!(appended[1..], request.canonical_bytes()[..]);
+        }
+    }
+
+    #[test]
+    fn the_digest_memo_is_not_part_of_the_value() {
+        use crate::codec::{Decode, Encode};
+        let memo = Digest::from_bytes([9; 32]);
+        let hashed = Batch::new(vec![request(1, 0)]);
+        assert_eq!(hashed.digest_memo().get(), None);
+        assert_eq!(hashed.digest_memo().set(memo), Ok(()));
+
+        // Clone carries it, `==` and `Debug` ignore it, the codec drops it.
+        assert_eq!(hashed.clone().digest_memo().get(), Some(&memo));
+        let fresh = Batch::new(vec![request(1, 0)]);
+        assert_eq!(hashed, fresh);
+        assert_eq!(format!("{hashed:?}"), format!("{fresh:?}"));
+        assert_eq!(hashed.encoded(), fresh.encoded());
+        let decoded = Batch::decode_all(&hashed.encoded()).expect("decodes");
+        assert_eq!(decoded, hashed);
+        assert_eq!(decoded.digest_memo().get(), None);
     }
 
     #[test]

@@ -550,9 +550,7 @@ impl Encode for Batch {
 
 impl Decode for Batch {
     fn decode(input: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Batch {
-            requests: Vec::decode(input)?,
-        })
+        Ok(Batch::new(Vec::decode(input)?))
     }
 }
 

@@ -227,6 +227,12 @@ impl ClientRequest {
     /// The canonical bytes hashed when computing digests over requests.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size());
+        self.write_canonical_bytes(&mut out);
+        out
+    }
+
+    /// Appends [`ClientRequest::canonical_bytes`] to `out`.
+    pub(crate) fn write_canonical_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.client.0.to_be_bytes());
         out.extend_from_slice(&self.id.sequence.to_be_bytes());
         match &self.transaction.kind {
@@ -272,7 +278,6 @@ impl ClientRequest {
             }
             TransactionKind::NoOp => out.push(0),
         }
-        out
     }
 }
 

@@ -2,6 +2,11 @@
 
 use rcc_common::{Batch, ClientRequest, Digest};
 use sha2::{Digest as _, Sha256};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Batch digests this process computed (memo hits excluded). A statistic
+/// for tests that pin "one hash per node per batch"; it publishes nothing.
+static COMPUTED_BATCH_DIGESTS: AtomicU64 = AtomicU64::new(0);
 
 /// Hashes arbitrary bytes into a [`Digest`].
 pub fn digest_bytes(bytes: &[u8]) -> Digest {
@@ -17,8 +22,31 @@ pub fn digest_request(request: &ClientRequest) -> Digest {
 
 /// Hashes a batch of client requests (the digest carried by proposals and
 /// certified by commit quorums).
+///
+/// The first call on a batch computes the digest and memoises it on the
+/// batch; later calls on that batch or its clones are served from the memo.
+/// A decoded batch carries no memo, so what arrives on the wire is always
+/// hashed once by its receiver.
 pub fn digest_batch(batch: &Batch) -> Digest {
-    digest_bytes(&batch.canonical_bytes())
+    let memo = batch.digest_memo();
+    if let Some(&digest) = memo.get() {
+        debug_assert_eq!(
+            digest,
+            digest_bytes(&batch.canonical_bytes()),
+            "batch mutated after it was hashed"
+        );
+        return digest;
+    }
+    *memo.get_or_init(|| {
+        COMPUTED_BATCH_DIGESTS.fetch_add(1, Ordering::Relaxed);
+        digest_bytes(&batch.canonical_bytes())
+    })
+}
+
+/// How many batch digests this process has computed so far, not counting
+/// the calls [`digest_batch`] served from a batch's memo.
+pub fn computed_batch_digests() -> u64 {
+    COMPUTED_BATCH_DIGESTS.load(Ordering::Relaxed)
 }
 
 /// Hashes the concatenation of a parent digest and a payload digest; used for
@@ -65,6 +93,87 @@ mod tests {
         let b1 = Batch::new(vec![r1.clone(), r2.clone()]);
         let b2 = Batch::new(vec![r2, r1]);
         assert_ne!(digest_batch(&b1), digest_batch(&b2));
+    }
+
+    /// 102 requests of every YCSB kind plus a transfer and a no-op, from
+    /// one `SplitMix64` stream.
+    fn seeded_batch(seed: u64) -> Batch {
+        use rcc_common::{InstanceId, SplitMix64, TransactionKind};
+        let mut rng = SplitMix64::new(seed);
+        let bytes = |rng: &mut SplitMix64, most: u64| -> Vec<u8> {
+            (0..rng.next_below(most))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        };
+        let mut requests: Vec<ClientRequest> = (0..100u64)
+            .map(|sequence| {
+                let key = rng.next_below(500_000);
+                let kind = match rng.next_below(4) {
+                    0 => TransactionKind::YcsbRead { key },
+                    1 => TransactionKind::YcsbWrite {
+                        key,
+                        value: bytes(&mut rng, 48),
+                    },
+                    2 => TransactionKind::YcsbReadModifyWrite {
+                        key,
+                        delta: bytes(&mut rng, 16),
+                    },
+                    _ => TransactionKind::YcsbScan {
+                        start: key,
+                        count: rng.next_below(64) as u32,
+                    },
+                };
+                ClientRequest::new(
+                    ClientId(rng.next_below(8)),
+                    sequence,
+                    Transaction::new(kind),
+                )
+            })
+            .collect();
+        requests.push(ClientRequest::new(
+            ClientId(9),
+            100,
+            Transaction::transfer(3, 4, 10, 5),
+        ));
+        requests.push(ClientRequest::noop(InstanceId(2), 17));
+        Batch::new(requests)
+    }
+
+    #[test]
+    fn a_seeded_batch_digest_equals_the_one_captured_before_memoisation() {
+        let batch = seeded_batch(7);
+        assert_eq!(batch.canonical_bytes().len(), 4358);
+        assert_eq!(
+            digest_batch(&batch).to_string(),
+            "f83dc08fd068f041629f629283f3be1b78e0e53233ced8fb3a503362ac5bf458"
+        );
+    }
+
+    #[test]
+    fn the_digest_is_computed_once_and_travels_with_clones_only() {
+        use rcc_common::codec::{Decode, Encode};
+        let batch = seeded_batch(11);
+        assert_eq!(batch.digest_memo().get(), None);
+        let digest = digest_batch(&batch);
+        assert_eq!(digest, digest_bytes(&batch.canonical_bytes()));
+        assert_eq!(batch.digest_memo().get(), Some(&digest));
+        assert_eq!(batch.clone().digest_memo().get(), Some(&digest));
+        assert_eq!(digest_batch(&batch.clone()), digest);
+        // What comes off the wire is hashed by whoever received it.
+        let decoded = Batch::decode_all(&batch.encoded()).expect("decodes");
+        assert_eq!(decoded.digest_memo().get(), None);
+        assert_eq!(digest_batch(&decoded), digest);
+        assert!(computed_batch_digests() >= 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mutated after it was hashed")]
+    fn mutating_a_hashed_batch_trips_the_debug_assertion() {
+        let mut batch = seeded_batch(3);
+        digest_batch(&batch);
+        batch.requests.pop();
+        digest_batch(&batch);
     }
 
     #[test]

@@ -331,10 +331,20 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     }
     let outcome = run_local_cluster(&plan);
     for report in &outcome.reports {
+        // How many frames shared each socket write to a peer (TCP only: in
+        // process nothing is written).
+        let peer_frames = report.telemetry.counter("transport.peer_frames");
+        let coalescing = match report.telemetry.counter("transport.peer_writes") {
+            Some(writes) if writes > 0 => format!(
+                ", {:.2} frames per peer write",
+                peer_frames.unwrap_or(0) as f64 / writes as f64
+            ),
+            _ => String::new(),
+        };
         println!(
             "{}: executed {} batches (window from round {}), {} replies, \
              {} suspicions, {} view changes, {} auth failures, {} decode failures, \
-             {} dropped frames, {} rejected connections, peak {} clients",
+             {} dropped frames, {} rejected connections, peak {} clients{coalescing}",
             report.replica,
             report.executed_batches,
             report.execution_window_start,

@@ -309,6 +309,9 @@ impl Transport for BoxedTransport {
     fn stats(&self) -> crate::transport::TransportStats {
         self.0.stats()
     }
+    fn edge_telemetry(&self) -> Option<EdgeTelemetry> {
+        self.0.edge_telemetry()
+    }
 }
 
 fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {

@@ -68,7 +68,7 @@ use crate::telemetry::EdgeTelemetry;
 use crate::transport::TransportStats;
 use rcc_common::{ClientId, Digest, ReplicaId};
 use rcc_telemetry::FlightEventKind;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -129,37 +129,83 @@ impl Default for EdgeConfig {
 /// stream is poisoned and the connection must be dropped — there is no
 /// way to resynchronize a length-prefixed stream past a bad prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OversizeFrame;
+pub(crate) struct OversizeFrame;
 
-/// Splits one `[u32 BE length][frame]` record off the front of `buf`.
-/// `Ok(None)` means the buffer holds only a partial record;
-/// [`OversizeFrame`] means the caller must drop the connection.
-pub fn split_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, OversizeFrame> {
-    if buf.len() < 4 {
-        return Ok(None);
+/// Appends one `[u32 BE length][frame]` record to a write buffer. Frames
+/// packed back to back leave in one write and still arrive as themselves.
+pub(crate) fn pack_frame(buf: &mut Vec<u8>, frame: &[u8]) {
+    buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+    buf.extend_from_slice(frame);
+}
+
+/// The bytes read off one stream that are not yet parsed into frames.
+///
+/// Frames are parsed with a cursor, and the parsed prefix is dropped once
+/// per read ([`FrameReader::extend`]) rather than once per frame: a read
+/// that carries a hundred votes moves the buffer's tail once, not a hundred
+/// times.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    buf: Vec<u8>,
+    parsed: usize,
+}
+
+impl FrameReader {
+    /// Starts from bytes somebody else already read off the stream.
+    pub(crate) fn new(residue: Vec<u8>) -> FrameReader {
+        FrameReader {
+            buf: residue,
+            parsed: 0,
+        }
     }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(OversizeFrame);
+
+    /// Appends freshly read bytes behind the unparsed ones.
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.parsed);
+        self.parsed = 0;
+        self.buf.extend_from_slice(bytes);
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
+
+    /// Splits the next `[u32 BE length][frame]` record off. `Ok(None)`
+    /// means only a partial record is left; [`OversizeFrame`] means the
+    /// caller must drop the connection.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, OversizeFrame> {
+        let rest = &self.buf[self.parsed..];
+        let Some(prefix) = rest.get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(OversizeFrame);
+        }
+        let Some(frame) = rest.get(4..4 + len) else {
+            return Ok(None);
+        };
+        self.parsed += 4 + len;
+        Ok(Some(frame.to_vec()))
     }
-    let frame = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
-    Ok(Some(frame))
+
+    /// The bytes no frame was parsed from yet.
+    pub(crate) fn into_unparsed(mut self) -> Vec<u8> {
+        self.buf.drain(..self.parsed);
+        self.buf
+    }
 }
 
 /// A nonblocking framed connection: the per-connection read/write state
 /// machine both the server edge and the fan-out client driver
-/// (`crate::fleet`) run. Reads accumulate into a buffer that
+/// (`crate::fleet`) run. Reads accumulate into a `FrameReader` that
 /// [`NbConn::next_frame`] parses with the `tcp.rs` length-prefix framing;
-/// writes drain a bounded queue of pre-encoded frames, surviving partial
-/// writes via an offset cursor.
+/// writes pack a bounded number of pre-encoded frames into one buffer, which
+/// `flush` hands to the socket whole (one `write` for everything queued, not
+/// one per frame), surviving partial writes via an offset cursor.
 pub struct NbConn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
-    wqueue: VecDeque<Vec<u8>>,
+    rbuf: FrameReader,
+    /// Queued frames, packed, waiting for `wpending` to drain.
+    wqueued: Vec<u8>,
+    wqueued_frames: usize,
+    /// The buffer being written; `woffset` bytes of it already were.
     wpending: Vec<u8>,
     woffset: usize,
     queue_limit: usize,
@@ -174,8 +220,9 @@ impl NbConn {
         let _ = stream.set_nodelay(true);
         Ok(NbConn {
             stream,
-            rbuf: Vec::new(),
-            wqueue: VecDeque::new(),
+            rbuf: FrameReader::default(),
+            wqueued: Vec::new(),
+            wqueued_frames: 0,
             wpending: Vec::new(),
             woffset: 0,
             queue_limit: queue_limit.max(1),
@@ -193,13 +240,11 @@ impl NbConn {
     /// frame is dropped — when the connection is dead or the bounded
     /// queue is full; the caller owns counting that drop.
     pub fn enqueue(&mut self, frame: &[u8]) -> bool {
-        if self.dead || self.wqueue.len() >= self.queue_limit {
+        if self.dead || self.wqueued_frames >= self.queue_limit {
             return false;
         }
-        let mut buf = Vec::with_capacity(frame.len() + 4);
-        buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-        buf.extend_from_slice(frame);
-        self.wqueue.push_back(buf);
+        pack_frame(&mut self.wqueued, frame);
+        self.wqueued_frames += 1;
         true
     }
 
@@ -212,13 +257,13 @@ impl NbConn {
         let mut progressed = false;
         loop {
             if self.woffset >= self.wpending.len() {
-                match self.wqueue.pop_front() {
-                    Some(next) => {
-                        self.wpending = next;
-                        self.woffset = 0;
-                    }
-                    None => break,
+                if self.wqueued.is_empty() {
+                    break;
                 }
+                self.wpending.clear();
+                std::mem::swap(&mut self.wpending, &mut self.wqueued);
+                self.woffset = 0;
+                self.wqueued_frames = 0;
             }
             match self.stream.write(&self.wpending[self.woffset..]) {
                 Ok(0) => {
@@ -245,13 +290,13 @@ impl NbConn {
 
     /// Whether everything queued has reached the socket.
     pub fn write_idle(&self) -> bool {
-        self.woffset >= self.wpending.len() && self.wqueue.is_empty()
+        self.woffset >= self.wpending.len() && self.wqueued.is_empty()
     }
 
     /// Frames currently waiting in the outbound queue (the edge telemetry's
     /// per-connection occupancy gauge reads this during sweeps).
     pub fn queued_frames(&self) -> usize {
-        self.wqueue.len()
+        self.wqueued_frames
     }
 
     /// Reads whatever the socket has ready, up to `budget` bytes (the
@@ -271,7 +316,7 @@ impl NbConn {
                     break;
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&scratch[..n]);
+                    self.rbuf.extend(&scratch[..n]);
                     total += n;
                     if n < scratch.len() {
                         break;
@@ -294,7 +339,7 @@ impl NbConn {
     /// Parses the next complete frame out of the read buffer, if one
     /// accumulated. An oversized length prefix poisons the connection.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
-        match split_frame(&mut self.rbuf) {
+        match self.rbuf.next_frame() {
             Ok(frame) => frame,
             Err(OversizeFrame) => {
                 self.dead = true;
@@ -308,7 +353,7 @@ impl NbConn {
     /// the blocking thread-per-peer reader without losing data that
     /// arrived behind the hello.
     pub fn into_parts(self) -> (TcpStream, Vec<u8>) {
-        (self.stream, self.rbuf)
+        (self.stream, self.rbuf.into_unparsed())
     }
 }
 
@@ -886,6 +931,49 @@ mod tests {
     }
 
     #[test]
+    fn the_frame_reader_splits_records_however_the_reads_fall() {
+        let frames: Vec<Vec<u8>> = (0..200usize).map(|i| vec![i as u8; (i * 7) % 90]).collect();
+        let mut stream = Vec::new();
+        for frame in &frames {
+            pack_frame(&mut stream, frame);
+        }
+        // Whole stream in one read, then in reads of every awkward size.
+        for chunk in [stream.len(), 1, 3, 4, 5, 64, 1_000] {
+            let mut reader = FrameReader::default();
+            let mut got = Vec::new();
+            for bytes in stream.chunks(chunk) {
+                reader.extend(bytes);
+                while let Some(frame) = reader.next_frame().expect("well-formed") {
+                    got.push(frame);
+                }
+            }
+            assert_eq!(got, frames, "reads of {chunk} bytes");
+            assert!(reader.into_unparsed().is_empty());
+        }
+        // What was read past the last whole record is handed on untouched.
+        let mut reader = FrameReader::new(stream[..10].to_vec());
+        assert_eq!(reader.next_frame(), Ok(Some(frames[0].clone())));
+        assert_eq!(reader.next_frame(), Ok(None));
+        assert_eq!(reader.into_unparsed(), stream[4..10]);
+    }
+
+    #[test]
+    fn one_flush_hands_the_socket_everything_queued() {
+        let (client, mut server) = pair();
+        let mut conn = NbConn::new(client, 8).unwrap();
+        for frame in [&b"accept"[..], b"reply-0", b"reply-1", b"reply-2"] {
+            assert!(conn.enqueue(frame));
+        }
+        assert_eq!(conn.queued_frames(), 4);
+        assert!(conn.flush());
+        assert!(conn.write_idle());
+        assert_eq!(conn.queued_frames(), 0);
+        for frame in [&b"accept"[..], b"reply-0", b"reply-1", b"reply-2"] {
+            assert_eq!(read_one_frame(&mut server), frame);
+        }
+    }
+
+    #[test]
     fn nb_conn_round_trips_frames_across_partial_reads() {
         let (client, server) = pair();
         let mut tx = NbConn::new(client, 8).unwrap();
@@ -1061,14 +1149,14 @@ mod tests {
         crate::tcp::write_frame(&mut peer, &hello).unwrap();
         crate::tcp::write_frame(&mut peer, &trailing).unwrap();
         assert_eq!(inbox.recv_timeout(Duration::from_secs(5)).unwrap(), hello);
-        let (_stream, mut residue) = handoffs.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (_stream, residue) = handoffs.recv_timeout(Duration::from_secs(5)).unwrap();
         // The residue may hold the trailing frame (if the sweep's read
         // grabbed both) or be empty (if the hello arrived alone); when
         // present it must parse exactly.
         if !residue.is_empty() {
-            let frame = split_frame(&mut residue).unwrap().unwrap();
-            assert_eq!(frame, trailing);
-            assert!(residue.is_empty());
+            let mut residue = FrameReader::new(residue);
+            assert_eq!(residue.next_frame(), Ok(Some(trailing)));
+            assert!(residue.into_unparsed().is_empty());
         }
         assert_eq!(edge.active_clients(), 0, "peer links hold no client slot");
         shutdown.store(true, Ordering::Relaxed);

@@ -40,6 +40,10 @@ pub const WIRE_VERSION: u8 = 1;
 /// prefix on a TCP stream cannot make a receiver allocate gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Kind byte of [`Frame::Replica`], which has a second encoder
+/// ([`Frame::encode_replica`]).
+const KIND_REPLICA: u8 = 1;
+
 /// Kind bytes of the frames the client edge routes on. The edge peeks them
 /// with [`peek_kind`] instead of decoding reply traffic a second time;
 /// [`Frame::encode_frame`] and [`Frame::decode_frame`] use the same names.
@@ -140,7 +144,7 @@ impl Frame {
     fn kind_tag(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 0,
-            Frame::Replica { .. } => 1,
+            Frame::Replica { .. } => KIND_REPLICA,
             Frame::ClientSubmit { .. } => KIND_CLIENT_SUBMIT,
             Frame::ClientReply { .. } => KIND_CLIENT_REPLY,
             Frame::ClientReject { .. } => KIND_CLIENT_REJECT,
@@ -198,6 +202,23 @@ impl Frame {
         out
     }
 
+    /// The bytes `Frame::Replica { from, payload, tag }.encode_frame()` would
+    /// produce, from a borrowed payload and into a buffer sized once: what a
+    /// broadcast calls per recipient, so the payload is copied into each
+    /// frame and nowhere else.
+    pub fn encode_replica(from: ReplicaId, payload: &[u8], tag: &AuthTag) -> Vec<u8> {
+        // Header, sender, length prefix, and the largest tag (a signature:
+        // one kind byte and 64 bytes).
+        let mut out = Vec::with_capacity(4 + 4 + 4 + payload.len() + 65);
+        out.extend_from_slice(&FRAME_MAGIC);
+        out.push(WIRE_VERSION);
+        out.push(KIND_REPLICA);
+        from.encode(&mut out);
+        write_bytes(&mut out, payload);
+        tag.encode(&mut out);
+        out
+    }
+
     /// Decodes a frame, rejecting bad magic, version skew, unknown kinds,
     /// truncation, and trailing bytes.
     pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
@@ -225,7 +246,7 @@ impl Frame {
                     }
                 },
             },
-            1 => Frame::Replica {
+            KIND_REPLICA => Frame::Replica {
                 from: ReplicaId::decode(&mut input)?,
                 payload: read_bytes(&mut input)?,
                 tag: AuthTag::decode(&mut input)?,
@@ -307,6 +328,30 @@ mod tests {
             let back = Frame::decode_frame(&bytes).expect("decode");
             assert_eq!(back, frame);
             assert_eq!(back.encode_frame(), bytes, "canonical");
+        }
+    }
+
+    #[test]
+    fn the_borrowed_replica_encoder_writes_the_same_bytes_in_one_allocation() {
+        let tags = [
+            AuthTag::None,
+            AuthTag::Mac(rcc_crypto::MacTag([5; 32])),
+            AuthTag::Signature(rcc_crypto::KeyPair::from_seed([3; 32]).sign(b"m")),
+        ];
+        for tag in tags {
+            for payload in [vec![], vec![7u8; 3], vec![9u8; 5_400]] {
+                let bytes = Frame::encode_replica(ReplicaId(2), &payload, &tag);
+                assert!(
+                    bytes.len() <= 4 + 4 + 4 + payload.len() + 65,
+                    "never regrown"
+                );
+                let owned = Frame::Replica {
+                    from: ReplicaId(2),
+                    payload,
+                    tag,
+                };
+                assert_eq!(bytes, owned.encode_frame());
+            }
         }
     }
 

@@ -481,14 +481,14 @@ impl<T: Transport> Node<T> {
     fn absorb(&mut self, actions: Vec<Action<RccMessage<PbftMessage>>>) {
         for action in actions {
             match action {
-                Action::Send { to, message } => self.send(to, message.encoded()),
+                Action::Send { to, message } => self.send(to, &message.encoded()),
                 Action::Broadcast { message } => {
                     // One serialisation for the whole fan-out; only the tag
                     // differs per recipient.
                     let payload = message.encoded();
                     for to in ReplicaId::all(self.config.system.n) {
                         if to != self.config.replica {
-                            self.send(to, payload.clone());
+                            self.send(to, &payload);
                         }
                     }
                 }
@@ -558,14 +558,10 @@ impl<T: Transport> Node<T> {
 
     /// Tags an encoded consensus envelope for `to` and hands the frame to
     /// the transport.
-    fn send(&mut self, to: ReplicaId, payload: Vec<u8>) {
-        let tag = self.verify.authenticator().tag_for_replica(to, &payload);
-        let frame = Frame::Replica {
-            from: self.config.replica,
-            payload,
-            tag,
-        };
-        self.transport.send_to_replica(to, frame.encode_frame());
+    fn send(&mut self, to: ReplicaId, payload: &[u8]) {
+        let tag = self.verify.authenticator().tag_for_replica(to, payload);
+        let frame = Frame::encode_replica(self.config.replica, payload, &tag);
+        self.transport.send_to_replica(to, frame);
     }
 
     /// Sends the released batch's certified digest back to the client node

@@ -11,6 +11,13 @@
 //!   primary can keep its full `out_of_order_window` pipeline in flight).
 //!   Frames on one connection are delivered in order; a full queue drops
 //!   the frame (consensus recovers via state sync/retransmission).
+//! * **One write per wake-up.** A writer that wakes to a backlog packs
+//!   every queued frame (until the buffer passes 64 KiB) into one buffer and
+//!   issues one `write_all`: on a `TCP_NODELAY` socket each write is a
+//!   syscall and a segment, and under load that is most of what a vote
+//!   costs. There is no timer: an idle link writes a lone frame the moment
+//!   it arrives. Frames share writes, never bytes — the receiver parses the
+//!   same `[len][frame]` records either way.
 //! * **Reconnect-on-drop.** A writer that loses its connection reconnects
 //!   with capped backoff and resumes draining its queue. Frames being
 //!   written at the moment of failure are lost — exactly the loss model
@@ -28,10 +35,13 @@
 //! [`crate::frame::MAX_FRAME_BYTES`]; the frame bytes themselves carry the magic/version
 //! header of [`crate::frame`].
 
-use crate::event_loop::{ClientEdge, EdgeConfig, ReplicaHandoff};
+use crate::event_loop::{
+    pack_frame, ClientEdge, EdgeConfig, FrameReader, OversizeFrame, ReplicaHandoff,
+};
 use crate::frame::{Frame, PeerKind};
 use crate::transport::{Transport, TransportStats};
 use rcc_common::{ClientId, ReplicaId};
+use rcc_telemetry::Counter;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,12 +50,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Writes one length-prefixed frame to a stream.
+/// Once a peer writer's buffer holds this many bytes it stops draining its
+/// queue and writes; what is still queued goes out with the next write. One
+/// frame may carry the buffer past the mark.
+const COALESCE_BYTES: usize = 64 * 1024;
+
+/// Writes one length-prefixed frame to a stream, in one write.
 pub fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
-    let len = frame.len() as u32;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(frame)?;
-    Ok(())
+    let mut buf = Vec::with_capacity(4 + frame.len());
+    pack_frame(&mut buf, frame);
+    stream.write_all(&buf)
 }
 
 fn configure(stream: &TcpStream) {
@@ -190,7 +204,12 @@ impl TcpTransport {
             }));
         }
 
-        // Egress: one bounded queue + writer thread per peer.
+        // Egress: one bounded queue + writer thread per peer. The writers
+        // count into the edge's registry, which is the transport's.
+        let written = PeerWrites {
+            writes: edge.telemetry().counter("transport.peer_writes"),
+            frames: edge.telemetry().counter("transport.peer_frames"),
+        };
         let mut peers = Vec::with_capacity(peer_addrs.len());
         for (index, addr) in peer_addrs.iter().enumerate() {
             if index == me.index() {
@@ -200,8 +219,9 @@ impl TcpTransport {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(capacity.max(1));
             let addr = *addr;
             let shutdown = Arc::clone(&shutdown);
+            let written = written.clone();
             threads.push(std::thread::spawn(move || {
-                write_connection(me, addr, rx, &shutdown);
+                write_connection(me, addr, rx, &shutdown, &written);
             }));
             peers.push(Some(tx));
         }
@@ -231,7 +251,7 @@ impl TcpTransport {
 /// frame is lost in the handoff.
 fn read_replica_frames(
     stream: TcpStream,
-    mut buf: Vec<u8>,
+    residue: Vec<u8>,
     shutdown: &AtomicBool,
     inbox: &SyncSender<Vec<u8>>,
 ) {
@@ -242,10 +262,11 @@ fn read_replica_frames(
     }
     configure(&stream);
     let mut stream = stream;
+    let mut buf = FrameReader::new(residue);
     let mut scratch = [0u8; 16 * 1024];
     loop {
         loop {
-            match crate::event_loop::split_frame(&mut buf) {
+            match buf.next_frame() {
                 Ok(Some(frame)) => match inbox.try_send(frame) {
                     // A full inbox drops the frame (bounded back-pressure);
                     // consensus recovers lost messages via state sync.
@@ -254,7 +275,7 @@ fn read_replica_frames(
                 },
                 Ok(None) => break,
                 // Oversized length prefix: the stream is poisoned.
-                Err(crate::event_loop::OversizeFrame) => return,
+                Err(OversizeFrame) => return,
             }
         }
         if shutdown.load(Ordering::Relaxed) {
@@ -262,7 +283,7 @@ fn read_replica_frames(
         }
         match stream.read(&mut scratch) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
+            Ok(n) => buf.extend(&scratch[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut
@@ -275,15 +296,28 @@ fn read_replica_frames(
     }
 }
 
+/// What the peer writers of one transport put on their sockets: `frames`
+/// over `writes` is how many frames shared a write.
+#[derive(Clone)]
+struct PeerWrites {
+    writes: Counter,
+    frames: Counter,
+}
+
 /// Writer side of one outbound peer link: connect (with capped backoff),
-/// announce ourselves, drain the queue; on any write failure, reconnect and
-/// keep draining. Frames passed to a dead connection are lost by design.
+/// announce ourselves, then wait for a frame, drain whatever else the queue
+/// holds by then into `buf` and write it all at once; on any write failure,
+/// reconnect and keep draining. Frames passed to a dead connection are lost
+/// by design.
 fn write_connection(
     me: ReplicaId,
     addr: SocketAddr,
     queue: Receiver<Vec<u8>>,
     shutdown: &AtomicBool,
+    written: &PeerWrites,
 ) {
+    // Allocated once per link, not per write.
+    let mut buf = Vec::with_capacity(COALESCE_BYTES);
     let mut backoff = Duration::from_millis(10);
     while !shutdown.load(Ordering::Relaxed) {
         let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
@@ -306,10 +340,20 @@ fn write_connection(
                 return;
             }
             match queue.recv_timeout(Duration::from_millis(200)) {
-                Ok(frame) => {
-                    if write_frame(&mut stream, &frame).is_err() {
+                Ok(first) => {
+                    buf.clear();
+                    pack_frame(&mut buf, &first);
+                    let mut frames = 1;
+                    while buf.len() < COALESCE_BYTES {
+                        let Ok(next) = queue.try_recv() else { break };
+                        pack_frame(&mut buf, &next);
+                        frames += 1;
+                    }
+                    if stream.write_all(&buf).is_err() {
                         break; // reconnect
                     }
+                    written.writes.inc();
+                    written.frames.add(frames);
                 }
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,

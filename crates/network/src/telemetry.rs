@@ -20,7 +20,7 @@
 //! `docs/OBSERVABILITY.md`.
 
 use rcc_telemetry::{
-    FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry, Snapshot,
+    Counter, FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry, Snapshot,
     TelemetryClock, WallClock,
 };
 
@@ -130,6 +130,12 @@ impl EdgeTelemetry {
     /// Nanoseconds since the edge's telemetry epoch (for sweep timing).
     pub(crate) fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
+    }
+
+    /// A counter in this bundle's registry, for what the owning transport
+    /// counts beside the edge (its peer writers).
+    pub(crate) fn counter(&self, name: &str) -> Counter {
+        self.registry.counter(name)
     }
 
     /// Records one structured flight event at the current wall time.
