@@ -38,3 +38,7 @@ pub use keys::{ClientKeys, DeploymentKeys, ReplicaKeys};
 pub use mac::{MacKey, MacTag};
 pub use pipeline::{VerifyJob, VerifyPool, VerifySource};
 pub use signature::{KeyPair, PublicKey, Signature};
+
+/// Which SHA-256 compression kernel runs under every digest and MAC on this
+/// host: `"x86-sha"` or `"portable"`, chosen by CPU capability alone.
+pub use sha2::backend as hash_backend;

@@ -14,7 +14,8 @@
 //! * **Wire-format conformance** — every tagged type's encode and decode
 //!   sides must agree, tags must be unique, and the human-readable
 //!   `docs/WIRE_FORMAT.md` must match what the code actually does.
-//! * **Hygiene** — every crate forbids `unsafe`, and channels outside
+//! * **Hygiene** — every crate forbids `unsafe` except the one audited
+//!   seam (the SHA-NI call in `third_party/sha2`), and channels outside
 //!   tests are bounded (`sync_channel`) so back-pressure is explicit.
 //!
 //! The analyzer is dependency-free by design: the build environment has no
@@ -53,8 +54,11 @@ pub enum Rule {
     /// `mpsc::channel()` outside tests: unbounded queues hide back-pressure
     /// until a replica dies of memory exhaustion.
     UnboundedChannel,
-    /// A crate root missing `#![forbid(unsafe_code)]`.
+    /// A crate root missing `#![forbid(unsafe_code)]` (`deny` on the one
+    /// seam crate's root).
     ForbidUnsafe,
+    /// An `unsafe` keyword anywhere but the one annotated seam.
+    Unsafe,
     /// A malformed or unreasoned suppression annotation.
     AllowSyntax,
     /// A wire-format type whose encode and decode tag maps disagree.
@@ -69,12 +73,13 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in severity-agnostic catalog order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 10] = [
         Rule::HashCollection,
         Rule::WallClock,
         Rule::Panic,
         Rule::UnboundedChannel,
         Rule::ForbidUnsafe,
+        Rule::Unsafe,
         Rule::AllowSyntax,
         Rule::WireSymmetry,
         Rule::WireUniqueTags,
@@ -89,6 +94,7 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::UnboundedChannel => "unbounded-channel",
             Rule::ForbidUnsafe => "forbid-unsafe",
+            Rule::Unsafe => "unsafe",
             Rule::AllowSyntax => "allow-syntax",
             Rule::WireSymmetry => "wire-symmetry",
             Rule::WireUniqueTags => "wire-unique-tags",
@@ -103,11 +109,16 @@ impl Rule {
 
     /// Whether a line annotation may suppress this rule. Only the per-line
     /// source rules are suppressible; structural rules (missing forbid,
-    /// wire drift) have no meaningful single-line escape hatch.
+    /// wire drift) have no meaningful single-line escape hatch. `unsafe`
+    /// is suppressible once, in the seam file only ([`rules`]).
     pub fn suppressible(self) -> bool {
         matches!(
             self,
-            Rule::HashCollection | Rule::WallClock | Rule::Panic | Rule::UnboundedChannel
+            Rule::HashCollection
+                | Rule::WallClock
+                | Rule::Panic
+                | Rule::UnboundedChannel
+                | Rule::Unsafe
         )
     }
 }

@@ -26,7 +26,8 @@ RULES:
     hash-collection, wall-clock    determinism of the replicated layers
     panic                          panic-freedom of the deployment path
     unbounded-channel              bounded channels outside tests
-    forbid-unsafe, allow-syntax    hygiene
+    forbid-unsafe, unsafe, allow-syntax
+                                   hygiene
     wire-symmetry, wire-unique-tags, wire-doc-drift
                                    wire-format conformance
 

@@ -3,7 +3,8 @@
 //!
 //! Rules are matched on the lexed token stream ([`crate::lexer`]), so text
 //! inside strings and comments can never trigger them, and anything inside
-//! a `#[test]` / `#[cfg(test)]` item is exempt by construction.
+//! a `#[test]` / `#[cfg(test)]` item is exempt by construction (from every
+//! rule but `unsafe`, which has no reason to spare a test).
 //!
 //! # Suppressions
 //!
@@ -36,6 +37,10 @@ pub struct FileScope {
     pub channel_discipline: bool,
     /// The file is a crate root and must carry `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
+    /// The file is the workspace's one sanctioned `unsafe` site: one
+    /// annotated `unsafe` is allowed in it, and as a crate root it carries
+    /// `#![deny(unsafe_code)]` where every other root carries `forbid`.
+    pub unsafe_seam: bool,
 }
 
 /// `.method()` names that panic on the error/none case.
@@ -75,25 +80,53 @@ pub fn check_file(path: &Path, file: &LexedFile, scope: &FileScope) -> Vec<Diagn
 
     scan_tokens(path, file, scope, &mut findings);
 
-    if scope.crate_root && !has_forbid_unsafe(&file.tokens) {
-        findings.push(diag(
-            path,
-            file,
-            1,
-            Rule::ForbidUnsafe,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_owned(),
-        ));
+    if scope.crate_root
+        && !has_unsafe_code_lint(&file.tokens, "forbid")
+        && !(scope.unsafe_seam && has_unsafe_code_lint(&file.tokens, "deny"))
+    {
+        let message = if scope.unsafe_seam {
+            "the unsafe seam's crate root is missing `#![deny(unsafe_code)]`"
+        } else {
+            "crate root is missing `#![forbid(unsafe_code)]` (`deny` will not do: \
+             an inner `allow` overrides it)"
+        };
+        findings.push(diag(path, file, 1, Rule::ForbidUnsafe, message.to_owned()));
     }
 
-    findings.retain(|d| !suppressed.contains(&(d.rule, d.line)));
     findings.sort();
+    // An annotation silences `unsafe` once, and only in the seam file: the
+    // seam is one block, so the first annotated site in source order is it
+    // and every other `unsafe` stands, annotated or not.
+    let mut seam_open = scope.unsafe_seam;
+    findings.retain(|d| {
+        if !suppressed.contains(&(d.rule, d.line)) {
+            return true;
+        }
+        d.rule == Rule::Unsafe && !std::mem::replace(&mut seam_open, false)
+    });
     findings
 }
 
 fn scan_tokens(path: &Path, file: &LexedFile, scope: &FileScope, findings: &mut Vec<Diagnostic>) {
     let tokens = &file.tokens;
     for (i, token) in tokens.iter().enumerate() {
-        if file.in_test.get(i).copied().unwrap_or(false) || token.kind != TokenKind::Ident {
+        if token.kind != TokenKind::Ident {
+            continue;
+        }
+        // Checked before the test mask: `forbid(unsafe_code)` does not spare
+        // a crate's tests either.
+        if token.text == "unsafe" {
+            findings.push(diag(
+                path,
+                file,
+                token.line,
+                Rule::Unsafe,
+                "`unsafe` outside the workspace's one audited block (the SHA-NI call in \
+                 `third_party/sha2`); an annotation allows it only there, and only once"
+                    .to_owned(),
+            ));
+        }
+        if file.in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
         let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
@@ -204,13 +237,13 @@ fn path_prefix_is(tokens: &[Token], i: usize, prefix: &str) -> bool {
         && tokens[i - 3].is_ident(prefix)
 }
 
-/// Looks for the inner attribute `#![forbid(unsafe_code)]` token sequence.
-fn has_forbid_unsafe(tokens: &[Token]) -> bool {
+/// Looks for the inner attribute `#![<level>(unsafe_code)]` token sequence.
+fn has_unsafe_code_lint(tokens: &[Token], level: &str) -> bool {
     tokens.windows(8).any(|w| {
         w[0].is_punct('#')
             && w[1].is_punct('!')
             && w[2].is_punct('[')
-            && w[3].is_ident("forbid")
+            && w[3].is_ident(level)
             && w[4].is_punct('(')
             && w[5].is_ident("unsafe_code")
             && w[6].is_punct(')')
@@ -309,6 +342,7 @@ mod tests {
         panic_free: true,
         channel_discipline: true,
         crate_root: false,
+        unsafe_seam: false,
     };
 
     #[test]
@@ -506,5 +540,67 @@ mod tests {
             },
         );
         assert!(present.is_empty());
+    }
+
+    const SEAM: FileScope = FileScope {
+        deterministic: false,
+        panic_free: false,
+        channel_discipline: false,
+        crate_root: true,
+        unsafe_seam: true,
+    };
+
+    #[test]
+    fn unsafe_is_found_in_test_code_and_never_in_prose() {
+        let bare = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+        assert_eq!(
+            rules_of(&check(bare, FileScope::default())),
+            vec![Rule::Unsafe]
+        );
+        let in_test = "
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() { unsafe { core::hint::unreachable_unchecked() } }
+            }
+        ";
+        assert_eq!(rules_of(&check(in_test, ALL_SCOPES)), vec![Rule::Unsafe]);
+        // The lint name, prose and strings are not the keyword.
+        let lookalikes = "
+            #![forbid(unsafe_code)]
+            // unsafe in a comment
+            fn f() -> &'static str { \"unsafe\" }
+        ";
+        assert!(check(lookalikes, ALL_SCOPES).is_empty());
+    }
+
+    #[test]
+    fn an_annotation_lifts_the_first_unsafe_of_the_seam_file_only() {
+        let annotated = "
+            #![deny(unsafe_code)]
+            fn f() {
+                // rcc-lint: allow(unsafe) — the feature-checked kernel call.
+                unsafe { kernel() };
+            }
+            fn g() {
+                // rcc-lint: allow(unsafe) — just as well reasoned.
+                unsafe { other() };
+            }
+        ";
+        let diags = check(annotated, SEAM);
+        assert_eq!(rules_of(&diags), vec![Rule::Unsafe]);
+        assert_eq!(diags[0].line, 9);
+        // Outside the seam file the annotation lifts nothing.
+        assert_eq!(
+            rules_of(&check(annotated, ALL_SCOPES)),
+            vec![Rule::Unsafe, Rule::Unsafe]
+        );
+        // It covers one keyword, not one line.
+        let nested = "
+            #![deny(unsafe_code)]
+            // rcc-lint: allow(unsafe) — the outer block only.
+            fn f() { unsafe { unsafe { kernel() } } }
+        ";
+        assert_eq!(rules_of(&check(nested, SEAM)), vec![Rule::Unsafe]);
     }
 }

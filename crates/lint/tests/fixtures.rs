@@ -20,6 +20,7 @@ const DETERMINISTIC: FileScope = FileScope {
     panic_free: false,
     channel_discipline: true,
     crate_root: false,
+    unsafe_seam: false,
 };
 
 const DEPLOYMENT: FileScope = FileScope {
@@ -27,6 +28,7 @@ const DEPLOYMENT: FileScope = FileScope {
     panic_free: true,
     channel_discipline: true,
     crate_root: false,
+    unsafe_seam: false,
 };
 
 #[test]
@@ -110,6 +112,7 @@ fn test_modules_are_exempt_everywhere() {
         panic_free: true,
         channel_discipline: true,
         crate_root: false,
+        unsafe_seam: false,
     };
     assert!(rules_found(source, everything).is_empty());
 }
@@ -208,6 +211,91 @@ fn forbid_unsafe_is_required_on_crate_roots_only() {
     assert_eq!(rules_found("pub mod a;", scope), vec![Rule::ForbidUnsafe]);
     assert!(rules_found("#![forbid(unsafe_code)]\npub mod a;", scope).is_empty());
     assert!(rules_found("pub mod a;", FileScope::default()).is_empty());
+}
+
+/// Findings for `source` as if it were the file at workspace path `rel`,
+/// under the scope the workspace policy gives that path.
+fn rules_found_at(rel: &str, source: &str) -> Vec<Rule> {
+    let path = Path::new(rel);
+    check_file(path, &lex(source), &rcc_lint::workspace::scope_for(path))
+        .into_iter()
+        .map(|d| d.rule)
+        .collect()
+}
+
+const SHA2_ROOT: &str = "third_party/sha2/src/lib.rs";
+
+#[test]
+fn the_hash_kernel_seam_is_one_annotated_unsafe_in_one_file() {
+    let seam = r#"
+        #![deny(unsafe_code)]
+        fn try_compress() {
+            // rcc-lint: allow(unsafe) — fixture: the feature-checked call.
+            unsafe { compress() };
+        }
+    "#;
+    assert!(rules_found_at(SHA2_ROOT, seam).is_empty());
+
+    // A second `unsafe` in the seam file is a finding, annotated or not.
+    let second = r#"
+        fn elsewhere() {
+            // rcc-lint: allow(unsafe) — fixture: one too many.
+            unsafe { load() };
+        }
+    "#;
+    assert_eq!(
+        rules_found_at(SHA2_ROOT, &format!("{seam}{second}")),
+        vec![Rule::Unsafe]
+    );
+    let bare = "fn elsewhere() { unsafe { load() }; }";
+    assert_eq!(
+        rules_found_at(SHA2_ROOT, &format!("{seam}{bare}")),
+        vec![Rule::Unsafe]
+    );
+
+    // The same annotated block anywhere else is a finding: another crate,
+    // another vendored crate, another file of the seam's own crate, a test.
+    let annotated = r#"
+        fn f() {
+            // rcc-lint: allow(unsafe) — fixture: reasoned, but not the seam.
+            unsafe { compress() };
+        }
+    "#;
+    for rel in [
+        "crates/crypto/src/hash.rs",
+        "crates/network/src/tcp.rs",
+        "third_party/hmac/src/lib.rs",
+        "third_party/sha2/src/x86.rs",
+        "src/lib.rs",
+    ] {
+        let source = format!("#![forbid(unsafe_code)]\n{annotated}");
+        assert_eq!(rules_found_at(rel, &source), vec![Rule::Unsafe], "{rel}");
+    }
+    let in_a_test = format!("#[cfg(test)]\nmod tests {{ {annotated} }}");
+    assert_eq!(
+        rules_found_at("crates/crypto/src/hash.rs", &in_a_test),
+        vec![Rule::Unsafe]
+    );
+}
+
+#[test]
+fn only_the_seam_root_may_deny_where_the_rest_forbid() {
+    let deny = "#![deny(unsafe_code)]\npub mod a;";
+    assert!(rules_found_at(SHA2_ROOT, deny).is_empty());
+    assert!(rules_found_at(SHA2_ROOT, "#![forbid(unsafe_code)]\npub mod a;").is_empty());
+    // `deny` on any other root is a finding …
+    for rel in [
+        "crates/crypto/src/lib.rs",
+        "third_party/hmac/src/lib.rs",
+        "src/lib.rs",
+    ] {
+        assert_eq!(rules_found_at(rel, deny), vec![Rule::ForbidUnsafe], "{rel}");
+    }
+    // … and the seam's root with neither attribute is one too.
+    assert_eq!(
+        rules_found_at(SHA2_ROOT, "pub mod a;"),
+        vec![Rule::ForbidUnsafe]
+    );
 }
 
 #[test]

@@ -358,6 +358,9 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
             report.transport.peak_clients,
         );
     }
+    // Wall-clock figures depend on it, so every log says which SHA-256
+    // kernel its numbers were taken on.
+    println!("hash backend: {}", rcc_crypto::hash_backend());
     // Per-client lines drown the summary past a handful of sessions; a
     // larger fleet is reported in aggregate instead.
     if outcome.clients.len() <= 8 {

@@ -13,9 +13,10 @@
 //!
 //! # Readiness model
 //!
-//! The workspace forbids `unsafe` everywhere (`rcc-lint` gates
-//! `#![forbid(unsafe_code)]` on every crate root) and vendors no FFI
-//! bindings, so `epoll(7)`/`poll(2)` cannot be called directly. The edge
+//! The workspace forbids `unsafe` everywhere but the SHA-NI call in
+//! `third_party/sha2` (`rcc-lint` gates `#![forbid(unsafe_code)]` on every
+//! other crate root, this one included) and vendors no FFI bindings, so
+//! `epoll(7)`/`poll(2)` cannot be called directly. The edge
 //! is therefore a **level-triggered readiness sweep in safe Rust**: every
 //! connection's socket is nonblocking, and each I/O thread repeatedly
 //! sweeps its connections — one nonblocking `read`/`write` per connection

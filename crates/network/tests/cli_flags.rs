@@ -3,6 +3,9 @@
 //! or removed since the command line was written — used to be dropped
 //! without a word: a CI gate invoked with a stale flag ran with the
 //! defaults and tested something else.
+//!
+//! The last test is the one place a `cluster` run's summary is read from
+//! outside the process: it must name the SHA-256 kernel the run used.
 
 use std::process::{Command, Output};
 
@@ -71,4 +74,34 @@ fn defined_flags_get_past_the_check() {
     let output = rcc_node(&["cluster", "--clients"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("--clients expects a value"));
+}
+
+#[test]
+fn a_cluster_run_says_which_hash_kernel_it_ran_on() {
+    // Wall-clock numbers depend on the host's SHA extensions, so the
+    // summary must carry the backend line CI greps for.
+    let output = rcc_node(&[
+        "cluster",
+        "--in-process",
+        "--replicas",
+        "4",
+        "--instances",
+        "2",
+        "--clients",
+        "2",
+        "--duration-ms",
+        "300",
+    ]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "stdout:\n{stdout}");
+    let backend = rcc_crypto::hash_backend();
+    assert!(["x86-sha", "portable"].contains(&backend), "{backend}");
+    assert_eq!(
+        stdout
+            .lines()
+            .filter(|line| *line == format!("hash backend: {backend}"))
+            .count(),
+        1,
+        "stdout:\n{stdout}"
+    );
 }
