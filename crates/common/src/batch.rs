@@ -5,13 +5,23 @@
 //! batch. With the paper's default of 100 transactions per batch, a proposal
 //! is about 5400 B on the wire and a client reply about 1748 B; the remaining
 //! consensus messages are about 250 B (Section V-B).
+//!
+//! A [`Batch`] is an immutable value whose clones share one allocation. A
+//! node builds a batch once, when it decodes it (or, in a test or generator,
+//! when it calls [`Batch::new`]); the consensus slot, the commit handed up to
+//! the replica, the state-sync log, the orderer, the execution log, a
+//! view-change vote and every message that carries the batch then hold a
+//! handle on that one [`Requests`] list, not a copy of it. The list is freed
+//! when the last handle goes, which on a replica is the checkpoint pruning
+//! its logs.
 
 use crate::digest::Digest;
 use crate::ids::{InstanceId, Round};
 use crate::transaction::ClientRequest;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::OnceLock;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a batch by the instance that proposed it and the round
 /// (per-instance sequence number) it was proposed in.
@@ -35,49 +45,124 @@ impl fmt::Display for BatchId {
     }
 }
 
+/// The requests of a [`Batch`], in proposal order: an immutable list that
+/// every clone of the batch shares.
+///
+/// It reads as the slice it dereferences to — indexing, `len`, `iter`,
+/// `for request in &batch.requests`, `==`, `Debug` and the wire encoding are
+/// the slice's — and it offers no `&mut` access and no constructor outside
+/// [`Batch::new`], so what a batch holds when it is built is what every
+/// holder of a handle sees for as long as the batch lives.
+#[derive(Clone)]
+pub struct Requests(Arc<Shared>);
+
+/// What the handles of one batch share: the list, and beside it the memo of
+/// the list's digest, so a memo can never sit with other requests than the
+/// ones it was computed from.
+#[derive(Clone)]
+struct Shared {
+    list: Vec<ClientRequest>,
+    digest: OnceLock<Digest>,
+}
+
+impl Deref for Requests {
+    type Target = [ClientRequest];
+
+    fn deref(&self) -> &[ClientRequest] {
+        &self.0.list
+    }
+}
+
+impl<'a> IntoIterator for &'a Requests {
+    type Item = &'a ClientRequest;
+    type IntoIter = std::slice::Iter<'a, ClientRequest>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Takes the requests out by value. Unless this is the last handle on the
+/// list, that copies every request: it is for set-up code (a generator
+/// flattening batches into requests), not for anything that runs per batch.
+impl IntoIterator for Requests {
+    type Item = ClientRequest;
+    type IntoIter = std::vec::IntoIter<ClientRequest>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::unwrap_or_clone(self.0).list.into_iter()
+    }
+}
+
+impl PartialEq for Requests {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || **self == **other
+    }
+}
+
+impl Eq for Requests {}
+
+impl fmt::Debug for Requests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A batch of client requests proposed in a single consensus slot.
 ///
-/// Besides its requests a batch carries a private memo of its own digest,
+/// A batch is immutable and its clones share one allocation: `clone()` takes
+/// a reference count, allocates nothing and copies no request, whatever the
+/// batch size. That is what lets every layer of a node keep "its" batch by
+/// value.
+///
+/// Beside its requests a batch carries a private memo of its own digest,
 /// which `rcc_crypto::digest_batch` fills on first use so that a node hashes
 /// a payload once however many layers ask for the digest. The memo is local
 /// state, never input: the codec neither writes nor reads it (a decoded
 /// batch starts without one, so a digest is never trusted from the wire),
-/// `==` ignores it, and `Clone` carries it along. It is a [`OnceLock`]
-/// because `&Batch` crosses worker-pool threads.
+/// `==` ignores it, and a clone sees it because it lives with the requests
+/// in the shared allocation. It is a [`OnceLock`] because `&Batch` crosses
+/// worker-pool threads.
 ///
-/// `requests` is public, so nothing stops a caller from changing a batch
-/// after it was hashed; don't. Debug builds recompute and compare on every
-/// memo hit to catch it.
-#[derive(Clone, Serialize, Deserialize)]
+/// A filled memo is the digest of the batch's requests for as long as the
+/// batch lives, because nothing can change them. `requests` is public for
+/// reading:
+///
+/// ```
+/// use rcc_common::{Batch, ClientRequest, InstanceId};
+/// let batch = Batch::new(vec![ClientRequest::noop(InstanceId(0), 0)]);
+/// assert_eq!(batch.requests.len(), 1);
+/// assert!(batch.requests.iter().all(ClientRequest::is_noop));
+/// ```
+///
+/// but [`Requests`] gives out no `&mut`, so neither of these compiles:
+///
+/// ```compile_fail,E0596
+/// use rcc_common::{Batch, ClientRequest, InstanceId};
+/// let mut batch = Batch::new(vec![ClientRequest::noop(InstanceId(0), 0)]);
+/// batch.requests.reverse();
+/// ```
+///
+/// ```compile_fail,E0599
+/// use rcc_common::{Batch, ClientRequest, InstanceId};
+/// let mut batch = Batch::new(vec![ClientRequest::noop(InstanceId(0), 0)]);
+/// batch.requests.push(ClientRequest::noop(InstanceId(0), 1));
+/// batch.requests.pop();
+/// ```
+#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Batch {
     /// The requests contained in the batch, in proposal order.
-    pub requests: Vec<ClientRequest>,
-    digest: OnceLock<Digest>,
-}
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        self.requests == other.requests
-    }
-}
-
-impl Eq for Batch {}
-
-impl fmt::Debug for Batch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The memo is not part of the value: two equal batches print alike.
-        f.debug_struct("Batch")
-            .field("requests", &self.requests)
-            .finish()
-    }
+    pub requests: Requests,
 }
 
 impl Batch {
     /// Creates a batch from a list of requests.
     pub fn new(requests: Vec<ClientRequest>) -> Self {
         Batch {
-            requests,
-            digest: OnceLock::new(),
+            requests: Requests(Arc::new(Shared {
+                list: requests,
+                digest: OnceLock::new(),
+            })),
         }
     }
 
@@ -90,7 +175,15 @@ impl Batch {
     /// The digest memo, for `rcc_crypto::digest_batch` (which owns the hash
     /// function) to fill and read; every other caller wants that function.
     pub fn digest_memo(&self) -> &OnceLock<Digest> {
-        &self.digest
+        &self.requests.0.digest
+    }
+
+    /// `true` when both handles are on the same requests list: one is a
+    /// clone of the other, so nothing was copied between them. Equal batches
+    /// built separately (two decodes of the same bytes) are `==` but not
+    /// `ptr_eq`.
+    pub fn ptr_eq(&self, other: &Batch) -> bool {
+        Arc::ptr_eq(&self.requests.0, &other.requests.0)
     }
 
     /// Number of requests in the batch.
@@ -250,6 +343,20 @@ mod tests {
         let decoded = Batch::decode_all(&hashed.encoded()).expect("decodes");
         assert_eq!(decoded, hashed);
         assert_eq!(decoded.digest_memo().get(), None);
+    }
+
+    #[test]
+    fn requests_read_as_the_slice_and_iterate_by_value() {
+        let list = vec![request(1, 0), request(2, 0)];
+        let batch = Batch::new(list.clone());
+        assert_eq!(batch.requests[..], list[..]);
+        assert_eq!(format!("{:?}", batch.requests), format!("{list:?}"));
+        assert_ne!(Batch::new(vec![request(1, 0)]), batch);
+
+        // By value: a shared list is copied out, the last handle is moved out.
+        let clone = batch.clone();
+        assert_eq!(clone.requests.into_iter().collect::<Vec<_>>(), list);
+        assert_eq!(batch.requests.into_iter().collect::<Vec<_>>(), list);
     }
 
     #[test]

@@ -1331,6 +1331,32 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_its_preprepare_and_its_commit_share_one_batch() {
+        let mut cluster = cluster(4);
+        let proposed = batch(1);
+        let actions = cluster.propose(ReplicaId(0), proposed.clone());
+        cluster.run_to_quiescence();
+        let broadcast = actions
+            .iter()
+            .find_map(|action| match action {
+                Action::Broadcast {
+                    message: PbftMessage::PrePrepare { batch, .. },
+                } => Some(batch),
+                _ => None,
+            })
+            .expect("the primary broadcast a PrePrepare");
+        assert!(broadcast.ptr_eq(&proposed));
+        // The harness delivers messages as values, so the backups hold
+        // handles on the primary's allocation too.
+        for r in 0..4 {
+            let replica = ReplicaId(r);
+            let slot = cluster.node(replica).slots[&0].batch.as_ref();
+            assert!(slot.expect("slot 0 keeps its batch").ptr_eq(&proposed));
+            assert!(cluster.committed(replica)[0].batch.ptr_eq(&proposed));
+        }
+    }
+
+    #[test]
     fn out_of_order_slots_commit_and_prefix_advances() {
         let mut cluster = cluster(4);
         for i in 0..5 {
