@@ -218,34 +218,6 @@ impl Batch {
             .map(ClientRequest::wire_size)
             .sum::<usize>()
     }
-
-    /// The canonical bytes hashed when computing the batch digest: the
-    /// request count, then each request's canonical bytes behind their
-    /// length, appended in place.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_size());
-        out.extend_from_slice(&(self.requests.len() as u64).to_be_bytes());
-        for request in &self.requests {
-            let length_at = out.len();
-            out.extend_from_slice(&[0u8; 8]);
-            request.write_canonical_bytes(&mut out);
-            let length = (out.len() - length_at - 8) as u64;
-            out[length_at..length_at + 8].copy_from_slice(&length.to_be_bytes());
-        }
-        out
-    }
-}
-
-/// A batch that has been accepted (committed) by a consensus instance in a
-/// particular round, together with the digest certified by the protocol.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct CertifiedBatch {
-    /// Which instance and round accepted the batch.
-    pub id: BatchId,
-    /// The digest certified by the commit quorum.
-    pub digest: Digest,
-    /// The batch payload.
-    pub batch: Batch,
 }
 
 #[cfg(test)]
@@ -278,52 +250,12 @@ mod tests {
 
     #[test]
     fn wire_size_grows_with_requests() {
+        use crate::codec::Encode;
         let small = Batch::new(vec![request(1, 0)]);
         let large = Batch::new((0..100).map(|i| request(i, 0)).collect());
         assert!(large.wire_size() > 50 * small.wire_size());
-    }
-
-    #[test]
-    fn canonical_bytes_are_order_sensitive() {
-        let a = Batch::new(vec![request(1, 0), request(2, 0)]);
-        let b = Batch::new(vec![request(2, 0), request(1, 0)]);
-        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
-    }
-
-    #[test]
-    fn canonical_bytes_known_answer() {
-        // Captured from the encoder that allocated per request: the count,
-        // then each request as [length][client][sequence][kind][fields].
-        use crate::transaction::TransactionKind;
-        let write = Transaction::new(TransactionKind::YcsbWrite {
-            key: 3,
-            value: vec![0xaa, 0xbb],
-        });
-        let batch = Batch::new(vec![
-            ClientRequest::new(ClientId(1), 2, write),
-            ClientRequest::noop(InstanceId(1), 5),
-        ]);
-        let hex: String = batch
-            .canonical_bytes()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            hex,
-            "0000000000000002\
-             000000000000001b\
-             0000000000000001000000000000000202\
-             0000000000000003aabb\
-             0000000000000011\
-             fffffffffffffffe000000000000000500"
-        );
-        // One allocation: the size estimate covers the real bytes.
-        assert!(batch.canonical_bytes().len() <= batch.wire_size());
-        for request in &batch.requests {
-            let mut appended = vec![0xff];
-            request.write_canonical_bytes(&mut appended);
-            assert_eq!(appended[1..], request.canonical_bytes()[..]);
-        }
+        // The estimate covers the encoding, so `encode` reserves once.
+        assert!(large.encoded().len() <= large.wire_size());
     }
 
     #[test]

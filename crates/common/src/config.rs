@@ -7,7 +7,7 @@
 //! authentication mode used for replica-to-replica messages.
 
 use crate::error::{Error, Result};
-use crate::ids::{InstanceId, ReplicaId};
+use crate::ids::ReplicaId;
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
 
@@ -28,46 +28,6 @@ pub enum CryptoMode {
     /// throughput experiments.
     #[default]
     Mac,
-}
-
-/// Wire sizes used for bandwidth accounting, taken from Section V-B of the
-/// paper (sizes for a 100-transaction batch in ResilientDB).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-pub struct WireCosts {
-    /// Size of one client transaction on the wire, in bytes (the paper uses
-    /// 512 B transactions in the analytical model).
-    pub transaction_bytes: usize,
-    /// Fixed framing overhead of a proposal message, in bytes.
-    pub proposal_overhead_bytes: usize,
-    /// Size of a non-proposal consensus message (PREPARE, COMMIT, votes,
-    /// FAILURE, …), in bytes.
-    pub consensus_message_bytes: usize,
-    /// Size of the reply sent to a client for a whole batch, in bytes.
-    pub client_reply_bytes: usize,
-}
-
-impl Default for WireCosts {
-    fn default() -> Self {
-        // ResilientDB with 100 txn/batch: proposal 5400 B, reply 1748 B,
-        // other messages 250 B. A 100-txn proposal at 5400 B implies roughly
-        // 52 B of consensus-visible payload per transaction plus framing;
-        // the analytical model of Fig. 1 instead uses full 512 B client
-        // transactions. Both are representable: the workload generator sets
-        // `transaction_bytes` appropriately per experiment.
-        WireCosts {
-            transaction_bytes: 52,
-            proposal_overhead_bytes: 200,
-            consensus_message_bytes: 250,
-            client_reply_bytes: 1748,
-        }
-    }
-}
-
-impl WireCosts {
-    /// Size in bytes of a proposal carrying `batch_size` transactions.
-    pub fn proposal_bytes(&self, batch_size: usize) -> usize {
-        self.proposal_overhead_bytes + batch_size * self.transaction_bytes
-    }
 }
 
 /// Configuration of a single deployment.
@@ -113,13 +73,8 @@ pub struct SystemConfig {
     /// Timeout a replica waits for the recovery leader to propose a valid
     /// stop-operation before suspecting the leader itself.
     pub recovery_leader_timeout: Duration,
-    /// Base delay of the exponentially growing rebroadcast of FAILURE
-    /// messages during unreliable communication.
-    pub failure_rebroadcast_base: Duration,
     /// Message authentication mode for replica-to-replica traffic.
     pub crypto: CryptoMode,
-    /// Wire-size accounting constants.
-    pub wire: WireCosts,
     /// Seed for all deterministic randomness derived from this configuration
     /// (workload generation, unpredictable-ordering tie-breaks in tests).
     pub seed: u64,
@@ -147,9 +102,7 @@ impl SystemConfig {
             unpredictable_ordering: false,
             failure_detection_timeout: Duration::from_millis(500),
             recovery_leader_timeout: Duration::from_millis(500),
-            failure_rebroadcast_base: Duration::from_millis(100),
             crypto: CryptoMode::Mac,
-            wire: WireCosts::default(),
             seed: DEFAULT_SEED,
         }
     }
@@ -258,11 +211,6 @@ impl SystemConfig {
     pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> {
         ReplicaId::all(self.n)
     }
-
-    /// Iterator over all RCC instance identifiers in the deployment.
-    pub fn instance_ids(&self) -> impl Iterator<Item = InstanceId> {
-        InstanceId::all(self.instances)
-    }
 }
 
 /// A stable arbitrary default seed so that configurations are reproducible
@@ -328,15 +276,5 @@ mod tests {
             assert_eq!(c.f, f, "f for n = {n}");
             assert!(c.n > 3 * c.f);
         }
-    }
-
-    #[test]
-    fn proposal_wire_size_scales_with_batch() {
-        let w = WireCosts::default();
-        assert!(w.proposal_bytes(400) > w.proposal_bytes(100));
-        assert_eq!(
-            w.proposal_bytes(100),
-            w.proposal_overhead_bytes + 100 * w.transaction_bytes
-        );
     }
 }

@@ -47,7 +47,7 @@ pub mod transaction;
 
 pub use batch::{Batch, BatchId};
 pub use codec::{Decode, Encode, Reader, WireError};
-pub use config::{CryptoMode, SystemConfig, WireCosts};
+pub use config::{CryptoMode, SystemConfig};
 pub use digest::Digest;
 pub use error::{Error, Result};
 pub use ids::{ClientId, InstanceId, ReplicaId, Round, View};

@@ -102,11 +102,6 @@ impl Duration {
         self.0
     }
 
-    /// Microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000

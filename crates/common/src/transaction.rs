@@ -223,62 +223,6 @@ impl ClientRequest {
     pub fn wire_size(&self) -> usize {
         24 + self.transaction.payload_size()
     }
-
-    /// The canonical bytes hashed when computing digests over requests.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_size());
-        self.write_canonical_bytes(&mut out);
-        out
-    }
-
-    /// Appends [`ClientRequest::canonical_bytes`] to `out`.
-    pub(crate) fn write_canonical_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.client.0.to_be_bytes());
-        out.extend_from_slice(&self.id.sequence.to_be_bytes());
-        match &self.transaction.kind {
-            TransactionKind::YcsbRead { key } => {
-                out.push(1);
-                out.extend_from_slice(&key.to_be_bytes());
-            }
-            TransactionKind::YcsbWrite { key, value } => {
-                out.push(2);
-                out.extend_from_slice(&key.to_be_bytes());
-                out.extend_from_slice(value);
-            }
-            TransactionKind::YcsbReadModifyWrite { key, delta } => {
-                out.push(3);
-                out.extend_from_slice(&key.to_be_bytes());
-                out.extend_from_slice(delta);
-            }
-            TransactionKind::YcsbScan { start, count } => {
-                out.push(4);
-                out.extend_from_slice(&start.to_be_bytes());
-                out.extend_from_slice(&count.to_be_bytes());
-            }
-            TransactionKind::Transfer {
-                from,
-                to,
-                min_balance,
-                amount,
-            } => {
-                out.push(5);
-                out.extend_from_slice(&from.to_be_bytes());
-                out.extend_from_slice(&to.to_be_bytes());
-                out.extend_from_slice(&min_balance.to_be_bytes());
-                out.extend_from_slice(&amount.to_be_bytes());
-            }
-            TransactionKind::Deposit { account, amount } => {
-                out.push(6);
-                out.extend_from_slice(&account.to_be_bytes());
-                out.extend_from_slice(&amount.to_be_bytes());
-            }
-            TransactionKind::BalanceQuery { account } => {
-                out.push(7);
-                out.extend_from_slice(&account.to_be_bytes());
-            }
-            TransactionKind::NoOp => out.push(0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -325,15 +269,6 @@ mod tests {
         assert!(a.is_noop() && b.is_noop());
         assert_ne!(a.id, b.id, "no-ops of different instances must not collide");
         assert_eq!(a.assigned_instance, Some(InstanceId(0)));
-    }
-
-    #[test]
-    fn canonical_bytes_distinguish_different_requests() {
-        let r1 = ClientRequest::new(ClientId(1), 0, Transaction::transfer(0, 1, 500, 200));
-        let r2 = ClientRequest::new(ClientId(1), 1, Transaction::transfer(0, 1, 500, 200));
-        let r3 = ClientRequest::new(ClientId(2), 0, Transaction::transfer(0, 1, 500, 200));
-        assert_ne!(r1.canonical_bytes(), r2.canonical_bytes());
-        assert_ne!(r1.canonical_bytes(), r3.canonical_bytes());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! SHA-256 digests over the workspace's canonical byte encodings.
+//! SHA-256 digests over the workspace's wire encodings.
 
-use rcc_common::{Batch, ClientRequest, Digest};
+use rcc_common::codec::Encode;
+use rcc_common::{Batch, Digest};
 use sha2::{Digest as _, Sha256};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,13 +16,13 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
     Digest::from_bytes(hasher.finalize().into())
 }
 
-/// Hashes a client request.
-pub fn digest_request(request: &ClientRequest) -> Digest {
-    digest_bytes(&request.canonical_bytes())
-}
-
 /// Hashes a batch of client requests (the digest carried by proposals and
-/// certified by commit quorums).
+/// certified by commit quorums): SHA-256 of the batch's wire encoding, so
+/// the digest covers every byte of the batch that a message carries and a
+/// request field cannot travel without being vouched for. The codec is
+/// injective (fixed-width integers, length prefixes, decoders that reject
+/// any re-encoding but the canonical one), so equal digests mean equal
+/// batches.
 ///
 /// The first call on a batch computes the digest and memoises it on the
 /// batch; later calls on that batch or its clones are served from the memo,
@@ -31,7 +32,7 @@ pub fn digest_request(request: &ClientRequest) -> Digest {
 pub fn digest_batch(batch: &Batch) -> Digest {
     *batch.digest_memo().get_or_init(|| {
         COMPUTED_BATCH_DIGESTS.fetch_add(1, Ordering::Relaxed);
-        digest_bytes(&batch.canonical_bytes())
+        digest_bytes(&batch.encoded())
     })
 }
 
@@ -66,7 +67,8 @@ pub fn digest_sequence(digests: &[Digest]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcc_common::{ClientId, Transaction};
+    use rcc_common::codec::Decode;
+    use rcc_common::{ClientId, ClientRequest, InstanceId, Transaction};
 
     #[test]
     fn digests_are_deterministic_and_distinct() {
@@ -90,7 +92,7 @@ mod tests {
     /// 102 requests of every YCSB kind plus a transfer and a no-op, from
     /// one `SplitMix64` stream.
     fn seeded_batch(seed: u64) -> Batch {
-        use rcc_common::{InstanceId, SplitMix64, TransactionKind};
+        use rcc_common::{SplitMix64, TransactionKind};
         let mut rng = SplitMix64::new(seed);
         let bytes = |rng: &mut SplitMix64, most: u64| -> Vec<u8> {
             (0..rng.next_below(most))
@@ -132,22 +134,40 @@ mod tests {
     }
 
     #[test]
-    fn a_seeded_batch_digest_equals_the_one_captured_before_memoisation() {
+    fn a_seeded_batch_digest_is_the_hash_of_its_wire_encoding() {
         let batch = seeded_batch(7);
-        assert_eq!(batch.canonical_bytes().len(), 4358);
+        let encoded = batch.encoded();
+        assert_eq!(encoded.len(), 3876);
+        assert_eq!(digest_batch(&batch), digest_bytes(&encoded));
         assert_eq!(
             digest_batch(&batch).to_string(),
-            "f83dc08fd068f041629f629283f3be1b78e0e53233ced8fb3a503362ac5bf458"
+            "8ce2060324ca3bbc17ce01b6938c8b288be1bcaccc849466473a556b45530652"
         );
     }
 
     #[test]
+    fn the_digest_covers_a_request_s_assigned_instance() {
+        let routed = |instance| {
+            let mut request = ClientRequest::new(ClientId(1), 0, Transaction::noop());
+            request.assigned_instance = instance;
+            Batch::new(vec![request])
+        };
+        let (unrouted, first, second) = (
+            routed(None),
+            routed(Some(InstanceId(0))),
+            routed(Some(InstanceId(1))),
+        );
+        assert_ne!(unrouted, first);
+        assert_ne!(digest_batch(&unrouted), digest_batch(&first));
+        assert_ne!(digest_batch(&first), digest_batch(&second));
+    }
+
+    #[test]
     fn the_digest_is_computed_once_and_travels_with_clones_only() {
-        use rcc_common::codec::{Decode, Encode};
         let batch = seeded_batch(11);
         assert_eq!(batch.digest_memo().get(), None);
         let digest = digest_batch(&batch);
-        assert_eq!(digest, digest_bytes(&batch.canonical_bytes()));
+        assert_eq!(digest, digest_bytes(&batch.encoded()));
         assert_eq!(batch.digest_memo().get(), Some(&digest));
         assert_eq!(batch.clone().digest_memo().get(), Some(&digest));
         assert_eq!(digest_batch(&batch.clone()), digest);

@@ -33,7 +33,7 @@ pub mod signature;
 
 pub use authenticator::{AuthTag, Authenticator};
 pub use cost::{CryptoCostModel, CryptoOp};
-pub use hash::{digest_batch, digest_bytes, digest_chain, digest_request};
+pub use hash::{digest_batch, digest_bytes, digest_chain};
 pub use keys::{ClientKeys, DeploymentKeys, ReplicaKeys};
 pub use mac::{MacKey, MacTag};
 pub use pipeline::{VerifyJob, VerifyPool, VerifySource};

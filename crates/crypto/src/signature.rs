@@ -35,6 +35,7 @@ pub struct Signature {
 mod serde_sig_bytes {
     use serde::{Deserialize, Deserializer, Serializer};
 
+    // unused-pub: allow — only `#[serde(with)]` above names it; goes with the facade
     pub fn serialize<S: Serializer>(bytes: &[u8; 64], serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_bytes(bytes)
     }

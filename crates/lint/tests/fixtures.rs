@@ -377,7 +377,7 @@ fn the_extracted_grammar_covers_the_deployed_protocol() {
             analysis.grammar.types.keys().collect::<Vec<_>>()
         );
     }
-    assert_eq!(analysis.grammar.constants["WIRE_VERSION"], "1");
+    assert_eq!(analysis.grammar.constants["WIRE_VERSION"], "2");
 }
 
 #[test]

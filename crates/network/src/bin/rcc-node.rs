@@ -580,7 +580,6 @@ fn cmd_replica(flags: &Flags) -> Result<(), String> {
     let edge = EdgeConfig {
         io_threads: file.io_threads,
         max_clients: file.max_clients,
-        ..EdgeConfig::default()
     };
     let transport = TcpTransport::bind_with_edge(replica, listen, peers, capacity, edge)
         .map_err(|e| format!("cannot bind {listen}: {e}"))?;

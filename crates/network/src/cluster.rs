@@ -358,7 +358,6 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
     let edge_config = EdgeConfig {
         io_threads: plan.io_threads,
         max_clients: plan.max_clients,
-        ..EdgeConfig::default()
     };
     let nodes: Vec<Option<NodeHandle>> = listeners
         .into_iter()

@@ -4,12 +4,12 @@
 //! # Why this exists
 //!
 //! The paper's headline scenario is many concurrent clients feeding `m`
-//! consensus instances. A thread-per-connection edge (what `tcp.rs` had:
-//! one reader thread per accepted socket plus one writer thread per
-//! registered client) exhausts the host's thread budget at a few hundred
-//! clients, long before consensus is the bottleneck. This module replaces
-//! it for the *client* side of the edge; replica↔replica links keep their
-//! ordered thread-per-peer path, which is deep and narrow (`n - 1` links).
+//! consensus instances. A thread-per-connection edge (a reader thread per
+//! accepted socket plus a writer thread per registered client) exhausts
+//! the host's thread budget at a few hundred clients, long before
+//! consensus is the bottleneck. This module is the *client* side of the
+//! edge; replica↔replica links (`tcp.rs`) keep their ordered
+//! thread-per-peer path, which is deep and narrow (`n - 1` links).
 //!
 //! # Readiness model
 //!
@@ -53,7 +53,7 @@
 //! [`Digest::ZERO`] — no submission carries the zero digest, so the
 //! sentinel unambiguously means "connection refused, fail over to another
 //! replica" — and **backpressure**: a connection with more than
-//! [`EdgeConfig::max_inflight`] unanswered submissions, or a frame parked
+//! [`DEFAULT_MAX_INFLIGHT`] unanswered submissions, or a frame parked
 //! on a full node inbox, simply stops being read until the node catches
 //! up. TCP's own flow control then pushes back to the client; nothing is
 //! buffered without bound and nothing is silently dropped on the read
@@ -82,10 +82,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_IO_THREADS: usize = 2;
 /// Default hard cap on simultaneously-connected clients.
 pub const DEFAULT_MAX_CLIENTS: usize = 4096;
-/// Default bound of one connection's outbound frame queue.
+/// Bound of one connection's outbound frame queue.
 pub const DEFAULT_CONN_QUEUE: usize = 64;
-/// Default per-connection unanswered-submission bound before the edge
-/// stops reading that connection.
+/// Unanswered submissions a connection may have in flight before the edge
+/// stops reading it (read-side backpressure).
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
 /// Shortest park when a sweep made progress recently.
@@ -108,11 +108,6 @@ pub struct EdgeConfig {
     /// connections are answered with a zero-digest `ClientReject` and
     /// closed so the client fails over (§III-E).
     pub max_clients: usize,
-    /// Bound of each connection's outbound frame queue.
-    pub conn_queue: usize,
-    /// Unanswered submissions a connection may have in flight before the
-    /// edge stops reading it (read-side backpressure).
-    pub max_inflight: usize,
 }
 
 impl Default for EdgeConfig {
@@ -120,8 +115,6 @@ impl Default for EdgeConfig {
         EdgeConfig {
             io_threads: DEFAULT_IO_THREADS,
             max_clients: DEFAULT_MAX_CLIENTS,
-            conn_queue: DEFAULT_CONN_QUEUE,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
         }
     }
 }
@@ -651,7 +644,7 @@ impl IoThread {
                 // A socket that cannot be switched to nonblocking mode
                 // (already reset by the peer, usually) is simply dropped;
                 // the client sees a closed connection and fails over.
-                if let Ok(conn) = NbConn::new(stream, self.config.conn_queue) {
+                if let Ok(conn) = NbConn::new(stream, DEFAULT_CONN_QUEUE) {
                     let id = *next_conn;
                     *next_conn += 1;
                     conns.insert(
@@ -733,7 +726,7 @@ impl IoThread {
                 closed.push(id);
                 continue;
             }
-            if (entry.inflight as usize) >= self.config.max_inflight.max(1) {
+            if (entry.inflight as usize) >= DEFAULT_MAX_INFLIGHT {
                 continue; // backpressure: stop reading this connection
             }
             progressed |= entry.conn.fill(SWEEP_READ_BUDGET) > 0;
@@ -772,7 +765,7 @@ impl IoThread {
             if entry.doomed || entry.parked.is_some() {
                 return any;
             }
-            if (entry.inflight as usize) >= self.config.max_inflight.max(1) {
+            if (entry.inflight as usize) >= DEFAULT_MAX_INFLIGHT {
                 return any;
             }
             let Some(frame) = entry.conn.next_frame() else {

@@ -33,7 +33,10 @@ pub const FRAME_MAGIC: [u8; 2] = *b"RC";
 /// The wire-format version this build speaks. Decoders reject every other
 /// version with [`WireError::UnsupportedVersion`] — there is exactly one
 /// deployed format, and skew must fail loudly rather than mis-parse.
-pub const WIRE_VERSION: u8 = 1;
+/// Version 2 has version 1's grammar; what changed is what a batch digest
+/// is computed over (the batch's encoding), so a version-1 peer would fail
+/// every proposal check and must be turned away here instead.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on the body of a single frame. A 100-transaction proposal is
 /// a few kilobytes; the bound exists so a malformed or malicious length

@@ -86,17 +86,7 @@ pub struct TcpTransport {
 impl TcpTransport {
     /// Binds a listener on `listen` and connects to `peer_addrs` (indexed
     /// by replica id; the entry at `me` is ignored). `capacity` bounds each
-    /// per-peer outbound queue.
-    pub fn bind(
-        me: ReplicaId,
-        listen: SocketAddr,
-        peer_addrs: Vec<SocketAddr>,
-        capacity: usize,
-    ) -> std::io::Result<TcpTransport> {
-        Self::bind_with_edge(me, listen, peer_addrs, capacity, EdgeConfig::default())
-    }
-
-    /// [`TcpTransport::bind`] with an explicit client-edge configuration
+    /// per-peer outbound queue; `edge` is the client-edge configuration
     /// (I/O thread pool width, admission cap).
     pub fn bind_with_edge(
         me: ReplicaId,
@@ -113,18 +103,7 @@ impl TcpTransport {
 
     /// Builds the transport around an already-bound listener (the cluster
     /// launcher binds all listeners first so every peer address is known
-    /// before any node starts), with the default client edge.
-    pub fn with_listener(
-        me: ReplicaId,
-        listener: TcpListener,
-        peer_addrs: Vec<SocketAddr>,
-        capacity: usize,
-    ) -> TcpTransport {
-        Self::with_listener_and_edge(me, listener, peer_addrs, capacity, EdgeConfig::default())
-    }
-
-    /// [`TcpTransport::with_listener`] with an explicit client-edge
-    /// configuration.
+    /// before any node starts).
     pub fn with_listener_and_edge(
         me: ReplicaId,
         listener: TcpListener,

@@ -17,7 +17,6 @@
 //! assumption the consensus layer is built for (state sync and
 //! retransmission recover lost messages; TCP merely makes loss rare).
 
-use crate::frame::Frame;
 use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -261,15 +260,10 @@ impl ClientChannel for InProcessClientChannel {
     }
 }
 
-/// Convenience: encode-and-send one [`Frame`] to a replica.
-pub fn send_frame_to_replica(transport: &dyn Transport, to: ReplicaId, frame: &Frame) {
-    transport.send_to_replica(to, frame.encode_frame());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::PeerKind;
+    use crate::frame::{Frame, PeerKind};
 
     #[test]
     fn in_process_frames_flow_between_replicas_and_clients() {
@@ -281,7 +275,7 @@ mod tests {
         let hello = Frame::Hello {
             peer: PeerKind::Replica(ReplicaId(0)),
         };
-        send_frame_to_replica(&t0, ReplicaId(1), &hello);
+        t0.send_to_replica(ReplicaId(1), hello.encode_frame());
         let bytes = t1.recv_timeout(Duration::from_millis(100)).expect("frame");
         assert_eq!(Frame::decode_frame(&bytes).unwrap(), hello);
 

@@ -4,7 +4,7 @@
 //! link that died must start its next connection on a frame boundary.
 
 use rcc_common::{ReplicaId, SplitMix64};
-use rcc_network::{Frame, PeerKind, TcpTransport, Transport};
+use rcc_network::{EdgeConfig, Frame, PeerKind, TcpTransport, Transport};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,10 @@ fn bind(addr: SocketAddr) -> TcpListener {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+fn transport(me: ReplicaId, listener: TcpListener, peers: Vec<SocketAddr>) -> TcpTransport {
+    TcpTransport::with_listener_and_edge(me, listener, peers, CAPACITY, EdgeConfig::default())
 }
 
 /// 1 B to 200 kB: mostly vote-sized, some proposal-sized, a few larger than
@@ -58,7 +62,7 @@ fn coalesced_frames_arrive_whole_in_order_and_links_resume_on_a_frame_boundary()
         reserved.local_addr().expect("receiver address")
     };
     let peers = vec![listener_a.local_addr().expect("sender address"), addr_b];
-    let a = TcpTransport::with_listener(ReplicaId(0), listener_a, peers.clone(), CAPACITY);
+    let a = transport(ReplicaId(0), listener_a, peers.clone());
     let hello = Frame::Hello {
         peer: PeerKind::Replica(ReplicaId(0)),
     }
@@ -71,7 +75,7 @@ fn coalesced_frames_arrive_whole_in_order_and_links_resume_on_a_frame_boundary()
     for frame in &sent {
         a.send_to_replica(ReplicaId(1), frame.clone());
     }
-    let mut b = TcpTransport::with_listener(ReplicaId(1), bind(addr_b), peers.clone(), CAPACITY);
+    let mut b = transport(ReplicaId(1), bind(addr_b), peers.clone());
     assert_eq!(next_frame(&mut b), hello);
     for (index, frame) in sent.iter().enumerate() {
         let got = next_frame(&mut b);
@@ -111,7 +115,7 @@ fn coalesced_frames_arrive_whole_in_order_and_links_resume_on_a_frame_boundary()
     // behind a fresh hello.
     b.shutdown();
     drop(b);
-    let mut b = TcpTransport::with_listener(ReplicaId(1), bind(addr_b), peers, CAPACITY);
+    let mut b = transport(ReplicaId(1), bind(addr_b), peers);
     let numbered = |number: u64| -> Vec<u8> {
         let mut frame = number.to_be_bytes().to_vec();
         frame.resize(8 + (number as usize * 37) % 3_000, number as u8);

@@ -96,7 +96,12 @@ pub enum Action<M> {
     },
     /// Arm (or re-arm) a timer that fires at `fires_at`.
     SetTimer {
-        /// Timer identity, scoped to this protocol instance.
+        /// Timer identity, scoped to this protocol instance. It must stay
+        /// below 2^48: `rcc-core` tags it with the instance index in the
+        /// bits above and does not arm an id that would not fit. An
+        /// algorithm that allocates ids from a counter (one per armed
+        /// timer, as `Pbft` does) is nine years from the bound at 10^6
+        /// timers a second.
         timer: TimerId,
         /// Absolute time at which the timer fires.
         fires_at: Time,

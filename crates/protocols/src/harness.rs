@@ -97,13 +97,6 @@ impl<P: ByzantineCommitAlgorithm> Cluster<P> {
         self.delivered
     }
 
-    /// Drops (or restores) every link whose source is `from`.
-    pub fn set_drop_from(&mut self, from: ReplicaId, drop: bool) {
-        for to in 0..self.nodes.len() as u32 {
-            self.set_drop_link(from, ReplicaId(to), drop);
-        }
-    }
-
     /// Drops (or restores) the directed link `from → to`.
     pub fn set_drop_link(&mut self, from: ReplicaId, to: ReplicaId, drop: bool) {
         if drop {
@@ -235,14 +228,6 @@ impl<P: ByzantineCommitAlgorithm> Cluster<P> {
             }
         }
         self.run_to_quiescence();
-    }
-
-    /// Timers currently armed at `replica`.
-    pub fn armed_timers(&self, replica: ReplicaId) -> Vec<(TimerId, Time)> {
-        self.timers[replica.index()]
-            .iter()
-            .map(|(t, at)| (*t, *at))
-            .collect()
     }
 }
 

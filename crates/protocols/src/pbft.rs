@@ -293,10 +293,6 @@ pub struct Pbft {
     /// caps the response to a stale coordinator draining a whole pipeline
     /// window of doomed proposals at once. Bounded at one entry per peer.
     catch_up_hinted: BTreeMap<ReplicaId, View>,
-    /// When `true`, the replica does not rotate primaries on failure (RCC
-    /// mode): it only reports `SuspectPrimary` and lets the RCC recovery
-    /// protocol handle the failure (design goals D4/D5).
-    suppress_view_changes: bool,
 }
 
 impl Pbft {
@@ -323,7 +319,6 @@ impl Pbft {
             early_messages: Vec::new(),
             last_new_view: None,
             catch_up_hinted: BTreeMap::new(),
-            suppress_view_changes: false,
         }
     }
 
@@ -332,27 +327,14 @@ impl Pbft {
         Pbft::new(config, replica, ReplicaId(0))
     }
 
-    /// Configures the state machine for use inside RCC: primary failures are
-    /// reported to the embedding instance manager instead of triggering a
-    /// view change (the paper's wait-free design goals D4/D5).
-    pub fn with_suppressed_view_changes(mut self) -> Self {
-        self.suppress_view_changes = true;
-        self
-    }
-
     fn quorum(&self) -> usize {
         self.config.quorum()
     }
 
     fn primary_of(&self, view: View) -> ReplicaId {
-        if self.suppress_view_changes {
-            // Inside RCC the coordinator of an instance never rotates.
-            self.base_primary
-        } else {
-            // Rotate starting from the base primary.
-            let offset = (self.base_primary.0 as u64 + view) % self.config.n as u64;
-            primary_of_view(offset, self.config.n)
-        }
+        // Rotate starting from the base primary.
+        let offset = (self.base_primary.0 as u64 + view) % self.config.n as u64;
+        primary_of_view(offset, self.config.n)
     }
 
     fn alloc_timer(&mut self) -> TimerId {
@@ -578,11 +560,7 @@ impl Pbft {
         laggard_view: View,
         actions: &mut Vec<Action<PbftMessage>>,
     ) {
-        if self.suppress_view_changes
-            || self.view == 0
-            || self.in_view_change
-            || self.view > laggard_view + 2
-        {
+        if self.view == 0 || self.in_view_change || self.view > laggard_view + 2 {
             return;
         }
         if self.catch_up_hinted.get(&from).copied().unwrap_or(0) >= self.view {
@@ -915,7 +893,7 @@ impl ByzantineCommitAlgorithm for Pbft {
                 round: self.committed_prefix,
             },
         }];
-        if !self.suppress_view_changes && !self.in_view_change {
+        if !self.in_view_change {
             self.start_view_change(now, &mut actions);
         }
         actions
@@ -1015,9 +993,7 @@ impl ByzantineCommitAlgorithm for Pbft {
                                 second: digest,
                             },
                         });
-                        if !self.suppress_view_changes {
-                            self.start_view_change(now, &mut actions);
-                        }
+                        self.start_view_change(now, &mut actions);
                         return actions;
                     }
                 } else {
@@ -1115,9 +1091,6 @@ impl ByzantineCommitAlgorithm for Pbft {
                 committed_prefix,
                 prepared,
             } => {
-                if self.suppress_view_changes {
-                    return actions;
-                }
                 if new_view <= self.view {
                     // A vote for a view change that already completed here:
                     // the voter is behind — most importantly, a deposed
@@ -1180,7 +1153,7 @@ impl ByzantineCommitAlgorithm for Pbft {
                 }
             }
             PbftMessage::NewView { view, preprepares } => {
-                if self.suppress_view_changes || view <= self.view {
+                if view <= self.view {
                     return actions;
                 }
                 if from != self.primary_of(view) {
@@ -1278,7 +1251,7 @@ impl ByzantineCommitAlgorithm for Pbft {
                 round: self.committed_prefix,
             },
         });
-        if !self.suppress_view_changes && !self.in_view_change {
+        if !self.in_view_change {
             self.start_view_change(now, &mut actions);
         }
         actions
@@ -1558,48 +1531,6 @@ mod tests {
                 "replica {r} commits in the new view"
             );
         }
-    }
-
-    #[test]
-    fn rcc_mode_reports_failure_without_view_change() {
-        let cfg = config(4);
-        let mut replica = Pbft::new(cfg, ReplicaId(1), ReplicaId(0)).with_suppressed_view_changes();
-        // Receive a proposal so a progress timer is armed.
-        let b = batch(1);
-        let digest = digest_batch(&b);
-        let actions = replica.on_message(
-            Time::ZERO,
-            ReplicaId(0),
-            PbftMessage::PrePrepare {
-                view: 0,
-                round: 0,
-                digest,
-                batch: b,
-            },
-        );
-        let timer = actions
-            .iter()
-            .find_map(|a| match a {
-                Action::SetTimer { timer, .. } => Some(*timer),
-                _ => None,
-            })
-            .expect("progress timer armed");
-        let actions = replica.on_timeout(Time::from_secs(10), timer);
-        assert!(actions.iter().any(
-            |a| matches!(a, Action::SuspectPrimary { primary, .. } if *primary == ReplicaId(0))
-        ));
-        // No view change machinery in RCC mode.
-        assert!(actions.iter().all(|a| !matches!(
-            a,
-            Action::Broadcast {
-                message: PbftMessage::ViewChange { .. }
-            }
-        )));
-        assert_eq!(
-            replica.primary(),
-            ReplicaId(0),
-            "coordinator never rotates inside RCC"
-        );
     }
 
     #[test]

@@ -80,14 +80,15 @@ const TIMER_INSTANCE_SHIFT: u32 = 48;
 /// failed instance will never release — would stop running it and never
 /// escalate. The watchdog re-fires it at the next pending lag deadline. Id 0
 /// lives in the untagged namespace: instance timers always carry a non-zero
-/// tag and overflow-mapped ids start at 1.
+/// tag.
 const WATCHDOG_TIMER: TimerId = TimerId(0);
 
 /// Encodes an instance-local timer into the replica-wide namespace. Returns
 /// `None` when the encoding cannot represent the pair — an instance-local id
 /// that needs 48 bits or more, or an instance tag that would not fit above
-/// the shift. Callers must route such timers through the overflow map
-/// instead: silently masking would alias the timer into *another instance's*
+/// the shift. Neither occurs (see [`Action::SetTimer`] for the id bound;
+/// `SystemConfig::validate` caps `instances` at `n`), and such a timer is
+/// dropped, never masked: masking would alias it into *another instance's*
 /// namespace and deliver the timeout to the wrong state machine.
 fn encode_timer(instance: InstanceId, inner: TimerId) -> Option<TimerId> {
     let tag = instance.0 as u64 + 1;
@@ -189,13 +190,6 @@ pub struct RccReplica<P: ByzantineCommitAlgorithm> {
     sync_requested: BTreeMap<(InstanceId, Round), (Round, Time)>,
     /// Outstanding state-sync replies.
     sync_votes: BTreeMap<(InstanceId, Round), SyncVotes>,
-    /// Instance timers that cannot be represented in the tagged namespace
-    /// (48-bit overflow): replica-level id → owning instance and original id,
-    /// with the reverse map for cancellation. Entries are dropped when the
-    /// timer fires or is cancelled.
-    overflow_timers: BTreeMap<u64, (InstanceId, TimerId)>,
-    overflow_ids: BTreeMap<(InstanceId, TimerId), u64>,
-    next_overflow_id: u64,
     /// Deadline the lag watchdog ([`WATCHDOG_TIMER`]) is currently armed
     /// for, if any — tracked so re-arms only happen when the next pending
     /// deadline moves earlier.
@@ -242,9 +236,6 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
             escalation_holdoff: vec![Time::ZERO; m],
             sync_requested: BTreeMap::new(),
             sync_votes: BTreeMap::new(),
-            overflow_timers: BTreeMap::new(),
-            overflow_ids: BTreeMap::new(),
-            next_overflow_id: 1,
             watchdog_armed_until: None,
         }
     }
@@ -346,38 +337,6 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
             .ok_or_else(|| Error::KeyNotFound(format!("slot {instance}@{round}")))
     }
 
-    /// Encodes an instance timer, routing ids the tagged namespace cannot
-    /// represent through the overflow map (allocating an untagged replica
-    /// level id for them) so an out-of-range id is never silently aliased
-    /// into another instance.
-    fn encode_or_map_timer(&mut self, instance: InstanceId, inner: TimerId) -> TimerId {
-        if let Some(encoded) = encode_timer(instance, inner) {
-            return encoded;
-        }
-        if let Some(&mapped) = self.overflow_ids.get(&(instance, inner)) {
-            return TimerId(mapped);
-        }
-        // Untagged ids (high bits zero) never collide with encoded ones;
-        // id 0 is reserved for the lag watchdog.
-        let mapped = self.next_overflow_id;
-        self.next_overflow_id =
-            ((self.next_overflow_id + 1) & ((1 << TIMER_INSTANCE_SHIFT) - 1)).max(1);
-        self.overflow_timers.insert(mapped, (instance, inner));
-        self.overflow_ids.insert((instance, inner), mapped);
-        TimerId(mapped)
-    }
-
-    /// Resolves a replica-level timer id back to its instance and
-    /// instance-local id, consuming overflow-map entries as they fire.
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceId, TimerId)> {
-        if let Some(decoded) = decode_timer(timer) {
-            return Some(decoded);
-        }
-        let (instance, inner) = self.overflow_timers.remove(&timer.0)?;
-        self.overflow_ids.remove(&(instance, inner));
-        Some((instance, inner))
-    }
-
     /// Routes the actions emitted by instance `instance`'s BCA: wraps sends
     /// and timers in the instance namespace, absorbs commits into the
     /// orderer, and passes suspicions through to the embedding driver.
@@ -402,21 +361,16 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
                     });
                 }
                 Action::SetTimer { timer, fires_at } => {
-                    out.push(Action::SetTimer {
-                        timer: self.encode_or_map_timer(instance, timer),
-                        fires_at,
-                    });
+                    let encoded = encode_timer(instance, timer);
+                    debug_assert!(encoded.is_some(), "{instance} armed {timer:?}");
+                    if let Some(timer) = encoded {
+                        out.push(Action::SetTimer { timer, fires_at });
+                    }
                 }
                 Action::CancelTimer { timer } => {
-                    let encoded = self.encode_or_map_timer(instance, timer);
-                    // A cancelled overflow timer will never fire; drop its
-                    // mapping so the overflow maps stay bounded by the number
-                    // of *armed* overflow timers.
-                    if decode_timer(encoded).is_none() {
-                        self.overflow_timers.remove(&encoded.0);
-                        self.overflow_ids.remove(&(instance, timer));
+                    if let Some(timer) = encode_timer(instance, timer) {
+                        out.push(Action::CancelTimer { timer });
                     }
-                    out.push(Action::CancelTimer { timer: encoded });
                 }
                 Action::Commit(slot) => {
                     self.absorb_commit(instance, slot, out);
@@ -515,16 +469,18 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
     /// one), so the estimate models the paper's YCSB deployment: each
     /// executed write touches one of the table's 500 k records, so the
     /// snapshot covers `min(executed × batch_size, 500 000)` records at the
-    /// configured consensus-visible bytes per transaction. Deterministic in
+    /// consensus-visible bytes per transaction (ResilientDB's 5400 B proposal
+    /// for 100 transactions, Section V-B). Deterministic in
     /// the executed history, so all non-faulty replicas attach the same
     /// figure to the same checkpoint.
     fn estimated_state_bytes(&self) -> u64 {
         const YCSB_TABLE_RECORDS: u64 = 500_000;
+        const TRANSACTION_BYTES: u64 = 52;
         let touched = self
             .executed
             .saturating_mul(self.config.batch_size as u64)
             .min(YCSB_TABLE_RECORDS);
-        touched.saturating_mul(self.config.wire.transaction_bytes as u64)
+        touched.saturating_mul(TRANSACTION_BYTES)
     }
 
     /// Snapshots the executed state after every round below `boundary`,
@@ -1192,7 +1148,7 @@ impl<P: ByzantineCommitAlgorithm> ByzantineCommitAlgorithm for RccReplica<P> {
             // The lag watchdog: no instance routing, just the check_lag pass
             // below (which re-arms it if deadlines remain).
             self.watchdog_armed_until = None;
-        } else if let Some((instance, inner)) = self.resolve_timer(timer) {
+        } else if let Some((instance, inner)) = decode_timer(timer) {
             if instance.index() < self.instances.len() {
                 let actions = self.instances[instance.index()].on_timeout(now, inner);
                 self.absorb_instance_actions(now, instance, actions, &mut out);
@@ -1283,16 +1239,12 @@ mod tests {
     // the simulator's recovery tests).
     // ------------------------------------------------------------------
 
-    use rcc_common::{ClientId, ClientRequest, Duration, Transaction};
+    use rcc_common::{ClientId, ClientRequest, Transaction};
 
     #[derive(Clone, Debug, PartialEq)]
     enum FakeMsg {
         /// Commit `round` with an arbitrary digest tag.
         Commit { round: Round, tag: u8 },
-        /// Arm an instance-local timer with a chosen raw id.
-        Arm { id: u64 },
-        /// Cancel an instance-local timer by raw id.
-        Cancel { id: u64 },
     }
 
     impl WireMessage for FakeMsg {
@@ -1304,12 +1256,10 @@ mod tests {
         }
     }
 
-    /// A scriptable single-instance BCA: commits, arms, and cancels on
-    /// command, and records which timers fired.
+    /// A scriptable single-instance BCA: commits on command.
     struct FakeBca {
         replica: ReplicaId,
         primary: ReplicaId,
-        fired: Vec<TimerId>,
     }
 
     impl ByzantineCommitAlgorithm for FakeBca {
@@ -1353,15 +1303,9 @@ mod tests {
                     speculative: false,
                     view: 0,
                 })],
-                FakeMsg::Arm { id } => vec![Action::SetTimer {
-                    timer: TimerId(id),
-                    fires_at: Time::from_millis(1),
-                }],
-                FakeMsg::Cancel { id } => vec![Action::CancelTimer { timer: TimerId(id) }],
             }
         }
-        fn on_timeout(&mut self, _now: Time, timer: TimerId) -> Vec<Action<FakeMsg>> {
-            self.fired.push(timer);
+        fn on_timeout(&mut self, _now: Time, _timer: TimerId) -> Vec<Action<FakeMsg>> {
             Vec::new()
         }
     }
@@ -1380,7 +1324,6 @@ mod tests {
         RccReplica::new(config, ReplicaId(3), |instance| FakeBca {
             replica: ReplicaId(3),
             primary: instance.primary(),
-            fired: Vec::new(),
         })
     }
 
@@ -1653,80 +1596,5 @@ mod tests {
         // Commits below the adopted checkpoint are final and ignored.
         release_rounds(&mut rcc, t0, 0..2);
         assert!(rcc.instance_commit_log(InstanceId(0)).is_empty());
-    }
-
-    #[test]
-    fn overflowing_timer_ids_are_routed_through_the_overflow_map() {
-        let mut rcc = fake_deployment(16);
-        let t0 = Time::from_millis(1);
-        let huge = 1u64 << 50;
-        let actions = rcc.on_message(
-            t0,
-            ReplicaId(1),
-            RccMessage::Instance {
-                instance: InstanceId(1),
-                message: FakeMsg::Arm { id: huge },
-            },
-        );
-        let armed: Vec<TimerId> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::SetTimer { timer, .. } => Some(*timer),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(armed.len(), 1);
-        let mapped = armed[0];
-        assert_eq!(
-            decode_timer(mapped),
-            None,
-            "overflow ids live in the untagged namespace — never aliased \
-             into another instance's tag"
-        );
-        assert_ne!(mapped, WATCHDOG_TIMER, "id 0 is reserved for the watchdog");
-        // Firing the mapped id reaches the owning instance with the
-        // *original* id, and consumes the mapping.
-        rcc.on_timeout(t0 + Duration::from_millis(2), mapped);
-        assert_eq!(rcc.instance(InstanceId(1)).fired, vec![TimerId(huge)]);
-        assert!(rcc.overflow_timers.is_empty());
-        assert!(rcc.overflow_ids.is_empty());
-    }
-
-    #[test]
-    fn cancelled_overflow_timers_release_their_mapping() {
-        let mut rcc = fake_deployment(16);
-        let t0 = Time::from_millis(1);
-        let huge = u64::MAX;
-        let armed = rcc.on_message(
-            t0,
-            ReplicaId(1),
-            RccMessage::Instance {
-                instance: InstanceId(1),
-                message: FakeMsg::Arm { id: huge },
-            },
-        );
-        let mapped = armed
-            .iter()
-            .find_map(|a| match a {
-                Action::SetTimer { timer, .. } => Some(*timer),
-                _ => None,
-            })
-            .expect("timer armed");
-        let cancelled = rcc.on_message(
-            t0,
-            ReplicaId(1),
-            RccMessage::Instance {
-                instance: InstanceId(1),
-                message: FakeMsg::Cancel { id: huge },
-            },
-        );
-        assert!(
-            cancelled
-                .iter()
-                .any(|a| matches!(a, Action::CancelTimer { timer } if *timer == mapped)),
-            "the cancel is routed under the same mapped id"
-        );
-        assert!(rcc.overflow_timers.is_empty(), "mapping released on cancel");
-        assert!(rcc.overflow_ids.is_empty());
     }
 }

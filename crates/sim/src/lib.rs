@@ -27,11 +27,6 @@
 //!   [`rcc_common::InstanceStatus`] and concentrates its `f` corruptions on
 //!   whichever replica coordinates the most instances, re-acquiring after
 //!   every view change.
-//! * [`workload`] — re-exports of the `rcc-workload` crate: deterministic
-//!   YCSB-style batch generation (90 % writes, seeded per client stream),
-//!   client models, and the instance-assignment policy.
-//! * [`rng`] — the SplitMix64 generator behind all simulated randomness
-//!   (re-exported from `rcc_common::rng`).
 //!
 //! Everything is deterministic: the same [`SimConfig`] produces a
 //! bit-identical event trace (witnessed by [`SimReport::trace_fingerprint`])
@@ -50,34 +45,13 @@ pub mod network;
 pub mod sim;
 pub mod telemetry;
 
-/// Deterministic randomness for the simulator: a re-export of
-/// [`rcc_common::rng`] (the workload crate shares the generator), kept so
-/// existing `rcc_sim::rng::SplitMix64` paths work.
-pub mod rng {
-    pub use rcc_common::rng::SplitMix64;
-}
-
-/// Workload generation for the simulator: re-exports of the `rcc-workload`
-/// crate (the client side of a deployment, not a simulator detail), kept so
-/// existing `rcc_sim::workload` paths work.
-pub mod workload {
-    pub use rcc_workload::ycsb::YcsbGenerator;
-    pub use rcc_workload::{Client, ClientMode, InstanceAssignment, ReplyOutcome};
-
-    /// Backwards-compatible alias for the YCSB generator that used to live
-    /// here.
-    pub type WorkloadGenerator = YcsbGenerator;
-}
-
 pub use adversary::{AdversaryAttack, AdversaryPolicy, AdversarySpec, Retarget};
 pub use cpu::CpuModel;
 pub use fault::{FaultEvent, FaultKind, FaultScript};
 pub use metrics::ThroughputMeter;
 pub use network::{LinkParams, NetworkModel};
-pub use rng::SplitMix64;
 pub use sim::{ClientModel, SimConfig, SimReport, Simulation};
 pub use telemetry::{SimTelemetry, SIM_FLIGHT_CAPACITY};
-pub use workload::WorkloadGenerator;
 
 use rcc_common::{Digest, Round};
 use rcc_core::RccOverPbft;

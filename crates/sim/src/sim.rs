@@ -42,9 +42,10 @@ use crate::cpu::CpuModel;
 use crate::fault::{FaultEvent, FaultKind, FaultScript};
 use crate::metrics::ThroughputMeter;
 use crate::network::NetworkModel;
-use crate::rng::SplitMix64;
 use crate::telemetry::SimTelemetry;
-use rcc_common::{Digest, Duration, InstanceStatus, ReplicaId, Round, SystemConfig, Time};
+use rcc_common::{
+    Digest, Duration, InstanceStatus, ReplicaId, Round, SplitMix64, SystemConfig, Time,
+};
 use rcc_crypto::CryptoCostModel;
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm, TimerId, WireMessage};
 use rcc_telemetry::{FlightEvent, FlightEventKind, HistogramSnapshot, Snapshot};
@@ -141,12 +142,6 @@ impl SimConfig {
     /// Sets the CPU model (builder style).
     pub fn with_cpu(mut self, cpu: CpuModel) -> Self {
         self.cpu = cpu;
-        self
-    }
-
-    /// Sets the crypto cost model (builder style).
-    pub fn with_costs(mut self, costs: CryptoCostModel) -> Self {
-        self.costs = costs;
         self
     }
 
@@ -1208,10 +1203,13 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         // before the client sees it (previously this hop was free).
         let mut reply_at = t;
         if new_committer {
+            // ResilientDB's reply to a client for a 100-transaction batch
+            // (Section V-B).
+            const CLIENT_REPLY_BYTES: usize = 1748;
             let idx = node.index();
-            let reply_bytes = self.config.system.wire.client_reply_bytes;
             let link = self.config.network.client;
-            let egress = self.nodes[idx].egress_busy.max(t) + link.serialization_delay(reply_bytes);
+            let egress =
+                self.nodes[idx].egress_busy.max(t) + link.serialization_delay(CLIENT_REPLY_BYTES);
             self.nodes[idx].egress_busy = egress;
             let jitter = Duration::from_nanos(self.jitter_rng.next_below(link.jitter.as_nanos()));
             reply_at = egress + link.latency + jitter;

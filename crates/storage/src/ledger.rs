@@ -163,6 +163,15 @@ mod tests {
         }
     }
 
+    /// The journal is the one per-batch state a node never prunes, so these
+    /// two sizes are the floor of `mem_kb_per_ktxn` (ROADMAP, carried debt):
+    /// a round of `m` batches keeps `104 + 56 m` bytes per node.
+    #[test]
+    fn a_block_keeps_104_bytes_and_56_per_batch() {
+        assert_eq!(std::mem::size_of::<Block>(), 104);
+        assert_eq!(std::mem::size_of::<BlockEntry>(), 56);
+    }
+
     #[test]
     fn appended_blocks_chain_and_verify() {
         let mut ledger = Ledger::new();

@@ -66,11 +66,6 @@ impl InstanceAssignment {
         }
     }
 
-    /// Number of client nodes managed.
-    pub fn client_count(&self) -> usize {
-        self.assigned.len()
-    }
-
     /// The instance `client` is currently assigned to.
     pub fn assignment(&self, client: usize) -> InstanceId {
         self.assigned[client]

@@ -14,8 +14,8 @@
 //!   [`DriverSession`] that wraps one closed-loop client with candidate
 //!   rotation, reply age-out, drain/probe failover, and connection-level
 //!   admission rejects, clocked in caller-supplied milliseconds so the
-//!   thread-per-client harness and the multiplexed fleet driver in
-//!   `rcc-network` share one policy.
+//!   multiplexed fleet driver in `rcc-network` and a test can step it
+//!   without a wall clock.
 //! * [`assignment`] — the [`InstanceAssignment`] policy: each client is homed
 //!   on one consensus instance, drains off it when the instance enters a view
 //!   change, and hands back only after the replacement coordinator has

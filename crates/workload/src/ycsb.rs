@@ -10,7 +10,7 @@
 //!
 //! Fidelity caveat: the paper's clients issue 512 B signed transactions; the
 //! simulator charges their *wire* and *verification* costs through
-//! [`rcc_common::WireCosts`] and `rcc_crypto::CryptoCostModel`, while the
+//! [`rcc_common::Batch::wire_size`] and `rcc_crypto::CryptoCostModel`, while the
 //! in-memory record payloads generated here are kept small (`value_bytes`)
 //! so that digesting millions of simulated transactions stays cheap.
 
