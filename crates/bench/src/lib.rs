@@ -20,8 +20,8 @@
 
 use rcc_common::{CryptoMode, Duration, ReplicaId, SystemConfig, Time};
 use rcc_sim::{
-    simulate_pbft, simulate_rcc_over_pbft, AdversaryAttack, AdversarySpec, CpuModel, FaultKind,
-    FaultScript, NetworkModel, SimConfig, SimReport,
+    simulate_pbft, simulate_rcc_over_pbft, AdversaryAttack, AdversarySpec, FaultKind, FaultScript,
+    NetworkModel, SimConfig, SimReport,
 };
 use rcc_telemetry::{FlightEvent, Snapshot};
 use std::fmt::Write as _;
@@ -398,10 +398,6 @@ pub struct ExperimentSpec {
     pub crypto: CryptoMode,
     /// Deterministic seed of the run.
     pub seed: u64,
-    /// Width of the verify/execute worker pool on each replica (the staged
-    /// pipeline's parallel lane). 16 — all cores — matches the paper's
-    /// replicas and is the default everywhere except the worker sweeps.
-    pub workers: u32,
 }
 
 impl ExperimentSpec {
@@ -484,7 +480,6 @@ pub fn run_spec(spec: &ExperimentSpec, phases: &Phases) -> RunResult {
         spec.m = 1;
     }
     let mut config = SimConfig::new(spec.system(), spec.network.model(), phases.total())
-        .with_cpu(CpuModel::with_workers(spec.workers))
         .with_measure_window(phases.measure_start(), phases.measure_end())
         .with_faults(
             spec.fault
@@ -578,7 +573,7 @@ impl CampaignResults {
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(
-            "protocol,network,fault,n,f,m,batch_size,crypto,workers,seed,throughput_tps,tail_tps,\
+            "protocol,network,fault,n,f,m,batch_size,crypto,seed,throughput_tps,tail_tps,\
              latency_mean_ms,latency_p50_ms,latency_p99_ms,committed_txns,committed_batches,\
              messages,bytes,events,suspicions,view_changes,handoffs,peak_retained,\
              adversary_strikes,trace_fingerprint\n",
@@ -587,7 +582,7 @@ impl CampaignResults {
             let s = &row.spec;
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{:016x}",
+                "{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{:016x}",
                 s.protocol.name(),
                 s.network.name(),
                 s.fault.name(),
@@ -596,7 +591,6 @@ impl CampaignResults {
                 s.m,
                 s.batch_size,
                 s.crypto_name(),
-                s.workers,
                 s.seed,
                 row.throughput_tps,
                 row.tail_tps,
@@ -662,14 +656,14 @@ impl CampaignResults {
         let mut out = String::new();
         let _ = writeln!(out, "### Campaign `{}`\n", self.name);
         out.push_str(
-            "| protocol | network | fault | n | m | batch | crypto | workers | throughput (txn/s) | tail (txn/s) | p50 (ms) | p99 (ms) | view changes | hand-offs | peak log |\n\
-             |---|---|---|---:|---:|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|\n",
+            "| protocol | network | fault | n | m | batch | crypto | throughput (txn/s) | tail (txn/s) | p50 (ms) | p99 (ms) | view changes | hand-offs | peak log |\n\
+             |---|---|---|---:|---:|---:|---|---:|---:|---:|---:|---:|---:|---:|\n",
         );
         for row in &self.rows {
             let s = &row.spec;
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.1} | {:.1} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.1} | {:.1} | {} | {} | {} |",
                 s.protocol.name(),
                 s.network.name(),
                 s.fault.name(),
@@ -677,7 +671,6 @@ impl CampaignResults {
                 s.m,
                 s.batch_size,
                 s.crypto_name(),
-                s.workers,
                 row.throughput_tps,
                 row.tail_tps,
                 row.latency_p50_ms,
@@ -691,28 +684,50 @@ impl CampaignResults {
     }
 }
 
+/// The cell every preset starts from: RCC-over-PBFT on the WAN model,
+/// failure-free, n = 4, m = 4, batches of 100, MAC authentication. A preset
+/// names only what it changes.
+fn base_spec(seed: u64) -> ExperimentSpec {
+    ExperimentSpec {
+        protocol: ProtocolKind::RccPbft,
+        network: NetworkKind::Wan,
+        fault: FaultScenario::None,
+        n: 4,
+        m: 4,
+        batch_size: 100,
+        crypto: CryptoMode::Mac,
+        seed,
+    }
+}
+
+/// One base-spec row per fault scenario, in the order given.
+fn one_row_per_fault(seed: u64, faults: &[FaultScenario]) -> Vec<ExperimentSpec> {
+    faults
+        .iter()
+        .map(|&fault| ExperimentSpec {
+            fault,
+            ..base_spec(seed)
+        })
+        .collect()
+}
+
 /// The CI smoke campaign: a 4-replica deployment, a handful of rows, a few
 /// virtual seconds each — seconds of wall-clock time, enough to catch "the
 /// simulator broke" and gross performance regressions.
 pub fn smoke_campaign(seed: u64) -> Campaign {
-    let spec = |protocol, m, fault| ExperimentSpec {
+    let row = |protocol, m, fault| ExperimentSpec {
         protocol,
-        network: NetworkKind::Wan,
-        fault,
-        n: 4,
         m,
-        batch_size: 100,
-        crypto: CryptoMode::Mac,
-        seed,
-        workers: 16,
+        fault,
+        ..base_spec(seed)
     };
     Campaign {
         name: "smoke".into(),
         specs: vec![
-            spec(ProtocolKind::Pbft, 1, FaultScenario::None),
-            spec(ProtocolKind::RccPbft, 1, FaultScenario::None),
-            spec(ProtocolKind::RccPbft, 4, FaultScenario::None),
-            spec(ProtocolKind::RccPbft, 4, FaultScenario::CrashReplica),
+            row(ProtocolKind::Pbft, 1, FaultScenario::None),
+            row(ProtocolKind::RccPbft, 1, FaultScenario::None),
+            row(ProtocolKind::RccPbft, 4, FaultScenario::None),
+            row(ProtocolKind::RccPbft, 4, FaultScenario::CrashReplica),
         ],
         phases: Phases::smoke(),
     }
@@ -726,15 +741,9 @@ pub fn fig7_campaign(seed: u64) -> Campaign {
     for n in [4usize, 16, 32] {
         for m in [1usize, 2, 4] {
             specs.push(ExperimentSpec {
-                protocol: ProtocolKind::RccPbft,
-                network: NetworkKind::Wan,
-                fault: FaultScenario::None,
                 n,
                 m,
-                batch_size: 100,
-                crypto: CryptoMode::Mac,
-                seed,
-                workers: 16,
+                ..base_spec(seed)
             });
         }
     }
@@ -745,30 +754,22 @@ pub fn fig7_campaign(seed: u64) -> Campaign {
     }
 }
 
-/// The Fig. 7-right-shaped sweep: standalone PBFT on a LAN under the three
-/// authentication modes (no authentication, MACs, ED25519 signatures), each
-/// crossed with verify/execute worker-pool widths {1, 2, 4, 8}. Column
-/// `crypto` is Fig. 7-right's x-axis; the `workers` column exposes how much
-/// of the authentication cost the staged pipeline parallelizes away (CI's
-/// `--pipeline-gate` holds mac-mode throughput at 8 workers above the
-/// 1-worker row).
+/// The Fig. 7-right-shaped comparison: standalone PBFT, n = 16, on a LAN
+/// under the three authentication modes (no authentication, MACs, ED25519
+/// signatures) — the paper's three bars. Column `crypto` is Fig. 7-right's
+/// x-axis.
 pub fn fig7_auth_campaign(seed: u64) -> Campaign {
-    let mut specs = Vec::new();
-    for crypto in [CryptoMode::None, CryptoMode::Mac, CryptoMode::PublicKey] {
-        for workers in [1u32, 2, 4, 8] {
-            specs.push(ExperimentSpec {
-                protocol: ProtocolKind::Pbft,
-                network: NetworkKind::Lan,
-                fault: FaultScenario::None,
-                n: 16,
-                m: 1,
-                batch_size: 100,
-                crypto,
-                seed,
-                workers,
-            });
-        }
-    }
+    let specs = [CryptoMode::None, CryptoMode::Mac, CryptoMode::PublicKey]
+        .into_iter()
+        .map(|crypto| ExperimentSpec {
+            protocol: ProtocolKind::Pbft,
+            network: NetworkKind::Lan,
+            n: 16,
+            m: 1,
+            crypto,
+            ..base_spec(seed)
+        })
+        .collect();
     Campaign {
         name: "fig7-auth".into(),
         specs,
@@ -783,26 +784,15 @@ pub fn fig8_campaign(seed: u64) -> Campaign {
     let mut specs = Vec::new();
     for n in [4usize, 16, 32, 64, 91] {
         specs.push(ExperimentSpec {
-            protocol: ProtocolKind::RccPbft,
-            network: NetworkKind::Wan,
-            fault: FaultScenario::None,
             n,
             m: n,
-            batch_size: 100,
-            crypto: CryptoMode::Mac,
-            seed,
-            workers: 16,
+            ..base_spec(seed)
         });
         specs.push(ExperimentSpec {
             protocol: ProtocolKind::Pbft,
-            network: NetworkKind::Wan,
-            fault: FaultScenario::None,
             n,
             m: 1,
-            batch_size: 100,
-            crypto: CryptoMode::Mac,
-            seed,
-            workers: 16,
+            ..base_spec(seed)
         });
     }
     Campaign {
@@ -815,28 +805,17 @@ pub fn fig8_campaign(seed: u64) -> Campaign {
 /// The fault-tolerance sweep (Fig. 10's spirit): RCC n = 4, m = 4 under each
 /// fault scenario, so throughput under failures has a tracked baseline.
 pub fn faults_campaign(seed: u64) -> Campaign {
-    let specs = [
-        FaultScenario::None,
-        FaultScenario::CrashReplica,
-        FaultScenario::SilenceCoordinator,
-        FaultScenario::ThrottleCoordinator,
-    ]
-    .into_iter()
-    .map(|fault| ExperimentSpec {
-        protocol: ProtocolKind::RccPbft,
-        network: NetworkKind::Wan,
-        fault,
-        n: 4,
-        m: 4,
-        batch_size: 100,
-        crypto: CryptoMode::Mac,
-        seed,
-        workers: 16,
-    })
-    .collect();
     Campaign {
         name: "faults".into(),
-        specs,
+        specs: one_row_per_fault(
+            seed,
+            &[
+                FaultScenario::None,
+                FaultScenario::CrashReplica,
+                FaultScenario::SilenceCoordinator,
+                FaultScenario::ThrottleCoordinator,
+            ],
+        ),
         phases: Phases {
             warmup: Duration::from_millis(200),
             measure: Duration::from_millis(1500),
@@ -855,27 +834,16 @@ pub fn faults_campaign(seed: u64) -> Campaign {
 /// PR 2 baseline table); the `tail_tps` column is where the fix shows, and
 /// CI holds it above a sanity floor via `rcc-bench --floor`.
 pub fn recovery_campaign(seed: u64) -> Campaign {
-    let specs = [
-        FaultScenario::None,
-        FaultScenario::CrashReplica,
-        FaultScenario::SilenceCoordinator,
-    ]
-    .into_iter()
-    .map(|fault| ExperimentSpec {
-        protocol: ProtocolKind::RccPbft,
-        network: NetworkKind::Wan,
-        fault,
-        n: 4,
-        m: 4,
-        batch_size: 100,
-        crypto: CryptoMode::Mac,
-        seed,
-        workers: 16,
-    })
-    .collect();
     Campaign {
         name: "recovery".into(),
-        specs,
+        specs: one_row_per_fault(
+            seed,
+            &[
+                FaultScenario::None,
+                FaultScenario::CrashReplica,
+                FaultScenario::SilenceCoordinator,
+            ],
+        ),
         phases: Phases::recovery(),
     }
 }
@@ -892,23 +860,12 @@ pub fn recovery_campaign(seed: u64) -> Campaign {
 /// `--floor` on the tail throughput (the recovered steady state must match
 /// the short `recovery` preset) and `--max-retained` on the memory column.
 pub fn long_horizon_campaign(seed: u64) -> Campaign {
-    let specs = [FaultScenario::None, FaultScenario::CrashRecoverReplica]
-        .into_iter()
-        .map(|fault| ExperimentSpec {
-            protocol: ProtocolKind::RccPbft,
-            network: NetworkKind::Wan,
-            fault,
-            n: 4,
-            m: 4,
-            batch_size: 100,
-            crypto: CryptoMode::Mac,
-            seed,
-            workers: 16,
-        })
-        .collect();
     Campaign {
         name: "long-horizon".into(),
-        specs,
+        specs: one_row_per_fault(
+            seed,
+            &[FaultScenario::None, FaultScenario::CrashRecoverReplica],
+        ),
         phases: Phases {
             warmup: Duration::from_millis(500),
             measure: Duration::from_secs(60),
@@ -928,61 +885,47 @@ pub fn long_horizon_campaign(seed: u64) -> Campaign {
 /// "unaffected"). Every row is bit-deterministic per seed: the
 /// `trace_fingerprint` column is the witness.
 pub fn chaos_campaign(seed: u64) -> Campaign {
-    let specs = [
-        FaultScenario::None,
-        FaultScenario::AdaptiveKill,
-        FaultScenario::AdaptiveSilence,
-        FaultScenario::ClockSkew,
-        FaultScenario::AsymmetricPartition,
-        FaultScenario::Slowloris,
-        FaultScenario::WireMangle,
-    ]
-    .into_iter()
-    .map(|fault| ExperimentSpec {
-        protocol: ProtocolKind::RccPbft,
-        network: NetworkKind::Wan,
-        fault,
-        n: 4,
-        m: 4,
-        batch_size: 100,
-        crypto: CryptoMode::Mac,
-        seed,
-        workers: 16,
-    })
-    .collect();
     Campaign {
         name: "chaos".into(),
-        specs,
+        specs: one_row_per_fault(
+            seed,
+            &[
+                FaultScenario::None,
+                FaultScenario::AdaptiveKill,
+                FaultScenario::AdaptiveSilence,
+                FaultScenario::ClockSkew,
+                FaultScenario::AsymmetricPartition,
+                FaultScenario::Slowloris,
+                FaultScenario::WireMangle,
+            ],
+        ),
         phases: Phases::recovery(),
     }
 }
 
-/// Looks a campaign preset up by name.
-pub fn campaign_by_name(name: &str, seed: u64) -> Option<Campaign> {
-    match name {
-        "smoke" => Some(smoke_campaign(seed)),
-        "fig7" => Some(fig7_campaign(seed)),
-        "fig7-auth" => Some(fig7_auth_campaign(seed)),
-        "fig8" => Some(fig8_campaign(seed)),
-        "faults" => Some(faults_campaign(seed)),
-        "recovery" => Some(recovery_campaign(seed)),
-        "long-horizon" => Some(long_horizon_campaign(seed)),
-        "chaos" => Some(chaos_campaign(seed)),
-        _ => None,
-    }
-}
+/// A campaign preset: its name and the function that builds it for a seed.
+pub type Preset = (&'static str, fn(u64) -> Campaign);
 
-/// The names accepted by [`campaign_by_name`].
-pub const CAMPAIGN_NAMES: [&str; 8] = [
-    "smoke",
-    "fig7",
-    "fig7-auth",
-    "fig8",
-    "faults",
-    "recovery",
-    "long-horizon",
-    "chaos",
+/// Every campaign preset. The one list `rcc-bench --preset` resolves
+/// against and prints.
+pub const PRESETS: [Preset; 8] = [
+    ("smoke", smoke_campaign),
+    ("fig7", fig7_campaign),
+    ("fig7-auth", fig7_auth_campaign),
+    ("fig8", fig8_campaign),
+    ("faults", faults_campaign),
+    ("recovery", recovery_campaign),
+    ("long-horizon", long_horizon_campaign),
+    ("chaos", chaos_campaign),
 ];
+
+/// Looks a campaign preset up by name in [`PRESETS`].
+pub fn campaign_by_name(name: &str, seed: u64) -> Option<Campaign> {
+    PRESETS
+        .iter()
+        .find(|(preset, _)| *preset == name)
+        .map(|(_, build)| build(seed))
+}
 
 #[cfg(test)]
 mod tests {
@@ -998,7 +941,6 @@ mod tests {
             batch_size: 10,
             crypto: CryptoMode::Mac,
             seed,
-            workers: 16,
         };
         Campaign {
             name: "tiny".into(),
@@ -1048,7 +990,6 @@ mod tests {
             batch_size: 10,
             crypto: CryptoMode::Mac,
             seed: 1,
-            workers: 16,
         };
         let phases = Phases {
             warmup: Duration::from_millis(100),
@@ -1128,7 +1069,6 @@ mod tests {
             batch_size: 10,
             crypto: CryptoMode::Mac,
             seed: 7,
-            workers: 16,
         };
         let phases = Phases {
             warmup: Duration::from_millis(150),
@@ -1144,56 +1084,37 @@ mod tests {
     }
 
     #[test]
-    fn fig7_auth_sweeps_every_crypto_mode_by_worker_width() {
+    fn fig7_auth_keeps_the_papers_none_mac_pk_order() {
+        // Fig. 7-right at unit-test scale: the preset's three rows on a
+        // short window. Authentication only ever costs throughput, and
+        // signatures cost several times what MACs do.
         let campaign = fig7_auth_campaign(1);
-        assert_eq!(campaign.specs.len(), 12, "3 crypto modes × 4 pool widths");
-        for crypto in [CryptoMode::None, CryptoMode::Mac, CryptoMode::PublicKey] {
-            for workers in [1u32, 2, 4, 8] {
-                assert!(
-                    campaign
-                        .specs
-                        .iter()
-                        .any(|s| s.crypto == crypto && s.workers == workers),
-                    "missing {crypto:?} × {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn widening_the_worker_pool_raises_mac_throughput() {
-        // The pipeline acceptance property at unit-test scale: with MAC
-        // batch verification dominating the CPU, a wider verify/execute
-        // pool must raise committed throughput.
-        let spec = |workers| ExperimentSpec {
-            protocol: ProtocolKind::Pbft,
-            network: NetworkKind::Lan,
-            fault: FaultScenario::None,
-            n: 4,
-            m: 1,
-            batch_size: 100,
-            crypto: CryptoMode::Mac,
-            seed: 3,
-            workers,
-        };
+        let modes: Vec<CryptoMode> = campaign.specs.iter().map(|s| s.crypto).collect();
+        assert_eq!(
+            modes,
+            [CryptoMode::None, CryptoMode::Mac, CryptoMode::PublicKey]
+        );
         let phases = Phases {
             warmup: Duration::from_millis(150),
             measure: Duration::from_millis(400),
             cooldown: Duration::from_millis(50),
         };
-        let narrow = run_spec(&spec(1), &phases);
-        let wide = run_spec(&spec(8), &phases);
+        let tps: Vec<f64> = campaign
+            .specs
+            .iter()
+            .map(|spec| run_spec(spec, &phases).throughput_tps)
+            .collect();
+        let (none, mac, pk) = (tps[0], tps[1], tps[2]);
         assert!(
-            wide.throughput_tps > narrow.throughput_tps,
-            "8 workers ({:.0} tps) should beat 1 worker ({:.0} tps)",
-            wide.throughput_tps,
-            narrow.throughput_tps
+            none > mac && mac > pk,
+            "none {none:.0}, mac {mac:.0}, pk {pk:.0}"
         );
+        assert!(mac / pk >= 3.0, "mac {mac:.0} ÷ pk {pk:.0} < 3");
     }
 
     #[test]
     fn presets_resolve_by_name() {
-        for name in CAMPAIGN_NAMES {
+        for (name, _) in PRESETS {
             let campaign = campaign_by_name(name, 1).expect(name);
             assert!(!campaign.specs.is_empty());
             assert_eq!(campaign.name, name);

@@ -8,7 +8,7 @@
 //! ```text
 //! rcc-bench [--preset smoke|fig7|fig7-auth|fig8|faults|recovery|long-horizon|chaos]
 //!           [--seed N] [--out DIR] [--floor TPS] [--max-retained N]
-//!           [--pipeline-gate] [--quiet]
+//!           [--dump-events] [--quiet]
 //! ```
 //!
 //! `--floor TPS` turns the run into a regression gate: the process exits
@@ -29,16 +29,10 @@
 //! checkpointing/garbage collection — logs quietly growing with the horizon
 //! again — fails the build.
 //!
-//! `--pipeline-gate` is the staged-pipeline gate, meant for the `fig7-auth`
-//! preset (which sweeps the verify/execute worker-pool width): exit non-zero
-//! when mac-mode throughput at 8 workers does not beat the 1-worker row. A
-//! regression here means batch verification stopped parallelizing — the
-//! worker pool fell off the hot path.
-//!
 //! See `docs/EVALUATION.md` for what each campaign measures and how the
 //! output columns map back to the paper's figures.
 
-use rcc_bench::{campaign_by_name, CAMPAIGN_NAMES};
+use rcc_bench::{campaign_by_name, PRESETS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -48,24 +42,25 @@ struct Args {
     out: PathBuf,
     floor: Option<f64>,
     max_retained: Option<u64>,
-    pipeline_gate: bool,
     dump_events: bool,
     quiet: bool,
+}
+
+fn preset_names() -> String {
+    PRESETS.map(|(name, _)| name).join(", ")
 }
 
 fn usage() -> String {
     format!(
         "usage: rcc-bench [--preset NAME] [--seed N] [--out DIR] [--floor TPS] \
-         [--max-retained N] [--pipeline-gate] [--dump-events] [--quiet]\n\
+         [--max-retained N] [--dump-events] [--quiet]\n\
          presets: {}\n\
          defaults: --preset smoke --seed {} --out bench-results\n\
          --floor TPS: exit non-zero when any row's tail-window throughput falls below TPS\n\
          --max-retained N: exit non-zero when any row's peak retained log exceeds N entries\n\
-         --pipeline-gate: exit non-zero when mac-mode throughput at 8 workers does not \
-         beat the 1-worker row (use with --preset fig7-auth)\n\
          --dump-events: print every row's flight-recorder trace to stderr \
          (a floor violation dumps the offending row's trace regardless)",
-        CAMPAIGN_NAMES.join(", "),
+        preset_names(),
         rcc_common::config::DEFAULT_SEED,
     )
 }
@@ -83,7 +78,6 @@ fn parse_args() -> Result<Cli, String> {
         out: PathBuf::from("bench-results"),
         floor: None,
         max_retained: None,
-        pipeline_gate: false,
         dump_events: false,
         quiet: false,
     };
@@ -111,7 +105,6 @@ fn parse_args() -> Result<Cli, String> {
                         .map_err(|_| format!("invalid max-retained: {v}"))?,
                 );
             }
-            "--pipeline-gate" => args.pipeline_gate = true,
             "--dump-events" => args.dump_events = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => return Ok(Cli::Help),
@@ -137,7 +130,7 @@ fn main() -> ExitCode {
         eprintln!(
             "unknown preset `{}` (expected one of: {})",
             args.preset,
-            CAMPAIGN_NAMES.join(", ")
+            preset_names()
         );
         return ExitCode::FAILURE;
     };
@@ -268,41 +261,6 @@ fn main() -> ExitCode {
         }
         if failed {
             return ExitCode::FAILURE;
-        }
-    }
-    if args.pipeline_gate {
-        let mac_tps = |workers: u32| {
-            results
-                .rows
-                .iter()
-                .find(|r| r.spec.crypto == rcc_common::CryptoMode::Mac && r.spec.workers == workers)
-                .map(|r| r.throughput_tps)
-        };
-        match (mac_tps(1), mac_tps(8)) {
-            (Some(narrow), Some(wide)) => {
-                if wide <= narrow {
-                    eprintln!(
-                        "error: pipeline gate failed: mac-mode throughput at 8 workers \
-                         ({wide:.0} tps) does not beat the 1-worker row ({narrow:.0} tps) — \
-                         batch verification stopped parallelizing"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if !quiet {
-                    eprintln!(
-                        "pipeline gate: mac 8-worker {wide:.0} tps vs 1-worker {narrow:.0} tps \
-                         ({:.2}×)",
-                        wide / narrow.max(1.0)
-                    );
-                }
-            }
-            _ => {
-                eprintln!(
-                    "error: --pipeline-gate needs mac-mode rows at 1 and 8 workers \
-                     (run it with --preset fig7-auth)"
-                );
-                return ExitCode::FAILURE;
-            }
         }
     }
     if !quiet {

@@ -43,8 +43,8 @@
 //!                                     │                      ClientReject
 //!                                     │                      (zero digest)
 //!                                     │                      + close
-//!                                     └── anything else → anonymous
-//!                                          (forwarded, counted, no route)
+//!                                     └── anything else → close
+//!                                          (nothing forwarded, no slot)
 //! ```
 //!
 //! Admission control is two-layered, per the paper's §III-E client
@@ -371,8 +371,6 @@ enum Peer {
     AwaitingHello,
     /// Announced `Hello{Client}`: replies route back here.
     Client(u64),
-    /// First frame was not a hello: frames forward, nothing routes back.
-    Anonymous,
 }
 
 /// One connection under edge management.
@@ -544,7 +542,7 @@ impl ClientEdge {
         }
     }
 
-    /// Clients (and anonymous connections) currently registered.
+    /// Clients currently registered.
     pub fn active_clients(&self) -> usize {
         self.active.load(Ordering::Relaxed)
     }
@@ -803,18 +801,14 @@ impl IoThread {
                         }
                     }
                     _ => {
-                        // No hello: an anonymous source (stray scanner or
-                        // a raw-frame tool). Its frames forward, nothing
-                        // routes back, and it occupies an admission slot.
-                        if self.admit() {
-                            entry.peer = Peer::Anonymous;
-                            self.forward(entry, frame);
-                        } else {
-                            self.reject(entry);
-                        }
+                        // No hello: not a peer that speaks this protocol
+                        // (a stray scanner, a corrupted stream). Nothing of
+                        // it reaches the node and it takes no admission
+                        // slot; the next sweep closes the connection.
+                        entry.doomed = true;
                     }
                 },
-                Peer::Client(_) | Peer::Anonymous => {
+                Peer::Client(_) => {
                     if peek_kind(&frame) == Some(KIND_CLIENT_SUBMIT) {
                         entry.inflight = entry.inflight.saturating_add(1);
                     }
@@ -874,9 +868,6 @@ impl IoThread {
     fn retire(&self, id: u64, entry: EdgeConn) {
         match entry.peer {
             Peer::AwaitingHello => {}
-            Peer::Anonymous => {
-                self.active.fetch_sub(1, Ordering::Relaxed);
-            }
             Peer::Client(client) => {
                 self.active.fetch_sub(1, Ordering::Relaxed);
                 // Only unhook the route while it still points at this very
@@ -1122,6 +1113,36 @@ mod tests {
         assert_eq!(second.read(&mut scratch).unwrap_or(0), 0);
         assert_eq!(edge.stats().rejected_connections, 1);
         assert_eq!(edge.stats().peak_clients, 1);
+        shutdown.store(true, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn a_connection_that_skips_hello_is_closed_and_forwards_nothing() {
+        let (edge, inbox, _handoffs, shutdown, listener) = edge_fixture(EdgeConfig::default());
+        let mut stranger = connect_registered(&edge, &listener);
+        // Two well-formed frames, neither a hello, in one burst.
+        let not_a_hello = Frame::ClientReject {
+            replica: ReplicaId(2),
+            digest: Digest::from_bytes([4; 32]),
+        }
+        .encode_frame();
+        crate::tcp::write_frame(&mut stranger, &not_a_hello).unwrap();
+        crate::tcp::write_frame(&mut stranger, &not_a_hello).unwrap();
+        // The edge hangs up without a word (a reset counts: it closed with
+        // the second frame unread)…
+        stranger
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match stranger.read(&mut [0u8; 8]) {
+            Ok(0) => {}
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("the connection is still open: {other:?}"),
+        }
+        // …nothing reached the node, and no admission slot was taken.
+        assert!(inbox.try_recv().is_err());
+        assert_eq!(edge.active_clients(), 0);
+        assert_eq!(edge.stats().peak_clients, 0);
+        assert_eq!(edge.stats().rejected_connections, 0);
         shutdown.store(true, Ordering::Relaxed);
     }
 

@@ -10,7 +10,7 @@
 //! [`crate::event_loop`]: each driver thread owns a chunk of sessions and
 //! sweeps their links the way the edge sweeps its accepted sockets. Over
 //! TCP a session holds one nonblocking connection ([`NbConn`]) per replica
-//! — `sessions × n` connections, `ceil(sessions / sessions_per_thread)`
+//! — `sessions × n` connections, `ceil(sessions / SESSIONS_PER_THREAD)`
 //! threads; in process it polls one [`InProcessClientChannel`].
 //!
 //! Failure handling is delegated to the session: dead or refused
@@ -32,8 +32,8 @@ use rcc_workload::{DriverSession, SessionConfig, SessionStats};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Default number of sessions one driver thread multiplexes.
-pub const DEFAULT_SESSIONS_PER_THREAD: usize = 512;
+/// Sessions one driver thread multiplexes.
+const SESSIONS_PER_THREAD: usize = 512;
 
 /// Connect timeout of one (re-)dial attempt. Short: a down replica costs a
 /// session a fraction of a second, and the capped backoff below keeps it
@@ -83,14 +83,12 @@ pub struct FleetPlan {
     pub window: usize,
     /// Wall-clock run time.
     pub run_for: Duration,
-    /// Sessions per driver thread (thread count is the ceiling division).
-    pub sessions_per_thread: usize,
     /// Timing/failover knobs shared by every session.
     pub session: SessionConfig,
 }
 
 impl FleetPlan {
-    /// A fleet plan with the default thread chunking and session knobs.
+    /// A fleet plan with the default session knobs.
     pub fn new(
         system: SystemConfig,
         endpoints: Endpoints,
@@ -105,7 +103,6 @@ impl FleetPlan {
             first_stream: 0,
             window,
             run_for,
-            sessions_per_thread: DEFAULT_SESSIONS_PER_THREAD,
             session: SessionConfig::default(),
         }
     }
@@ -204,14 +201,14 @@ pub fn run_fleet(plan: &FleetPlan) -> Vec<SessionStats> {
 /// Same harness semantics as [`run_fleet`].
 pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<SessionStats> {
     let keys = DeploymentKeys::generate(&plan.system);
-    let chunk = plan.sessions_per_thread.max(1);
     let started = Instant::now();
     let deadline = started + plan.run_for;
     let threads: Vec<std::thread::JoinHandle<Vec<SessionStats>>> = (0..plan.sessions)
-        .step_by(chunk)
+        .step_by(SESSIONS_PER_THREAD)
         .enumerate()
         .map(|(index, first)| {
-            let sessions: Vec<FleetSession> = (first..(first + chunk).min(plan.sessions))
+            let sessions: Vec<FleetSession> = (first
+                ..(first + SESSIONS_PER_THREAD).min(plan.sessions))
                 .map(|index| {
                     let stream = plan.first_stream + index as u64;
                     let m = plan.system.instances.max(1) as u64;

@@ -30,19 +30,23 @@
 //!
 //! # Staged verify/execute pipeline
 //!
-//! Authentication and execution share a [`WorkerPool`] with the mailbox
-//! thread. Each drained burst of frames is decoded, its authentication
-//! checks go through [`VerifyPool`] in one batch (one hand-off per worker,
-//! the mailbox thread checking alongside; verdicts come back in arrival
-//! order, so the protocol observes exactly the sequence inline verification
-//! would have produced), and only then are the verified messages
-//! dispatched. After every burst the node executes newly released rounds
-//! through [`ExecutionEngine::execute_round_parallel`] on the same pool:
-//! in place when the round is point reads and writes, in conflict-free
-//! groups when it has work to split, with results bit-identical to
-//! sequential execution either way (see `crates/execution/tests/`). The pool
-//! width is [`NodeConfig::execution_workers`] (`--execution-workers` on the
-//! CLI).
+//! Each drained burst of frames is decoded, its authentication checks go
+//! through [`VerifyPool`] in one batch (verdicts come back in arrival
+//! order, so the protocol observes exactly the sequence frame-by-frame
+//! verification would have produced), and only then are the verified
+//! messages dispatched. Where the checks run follows from what one costs:
+//! MAC bursts (and mode `none`) verify right here on the mailbox thread — a
+//! vote's HMAC is 0.23 µs, 32 of them measured 42.2 µs through the pool
+//! against ≈ 7.5 µs inline — and only signature bursts (`pk`) are shared
+//! with the [`WorkerPool`], the mailbox thread checking alongside. The
+//! crypto mode decides; no option does (`rcc_crypto::pipeline` has the
+//! numbers and why `pk` keeps the fan-out). After every burst the node
+//! executes newly released rounds through
+//! [`ExecutionEngine::execute_round_parallel`] on the same pool: in place
+//! when the round is point reads and writes, in conflict-free groups when
+//! it has work to split, with results bit-identical to sequential execution
+//! either way (see `crates/execution/tests/`). The pool width is
+//! [`NodeConfig::execution_workers`] (`--execution-workers` on the CLI).
 //!
 //! Replies implement §III-A: every replica sends the released batch's
 //! certified digest to the client node that submitted it (recovered from

@@ -165,7 +165,7 @@ impl TcpTransport {
                 // honest mode.
                 .expect("listener nonblocking");
             let edge_for_accept = edge.registrar();
-            threads.push(std::thread::spawn(move || {
+            threads.push(spawn_named("rcc-accept", move || {
                 while !shutdown.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _)) => edge_for_accept.register(stream),
@@ -199,7 +199,7 @@ impl TcpTransport {
             let addr = *addr;
             let shutdown = Arc::clone(&shutdown);
             let written = written.clone();
-            threads.push(std::thread::spawn(move || {
+            threads.push(spawn_named("rcc-peer-writer", move || {
                 write_connection(me, addr, rx, &shutdown, &written);
             }));
             peers.push(Some(tx));
@@ -222,6 +222,18 @@ impl TcpTransport {
     pub fn active_clients(&self) -> usize {
         self.edge.active_clients()
     }
+}
+
+/// Spawns one of the transport's own threads under a name `/proc` and a
+/// debugger can show.
+fn spawn_named(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(body)
+        // rcc-lint: allow(panic) — transport construction at node boot: a
+        // host that cannot spawn the acceptor or a peer writer cannot run
+        // the node, so failing loudly is the only honest mode.
+        .expect("spawn transport thread")
 }
 
 /// Blocking reader of one replica peer link, taking over a socket the edge

@@ -242,24 +242,6 @@ pub trait ByzantineCommitAlgorithm {
     /// [`stable_round`]: ByzantineCommitAlgorithm::stable_round
     fn truncate_below(&mut self, _round: Round) {}
 
-    /// Ingests a peer's checkpoint vote: `from` claims that its state after
-    /// executing every round below `round` digests to `digest` (Section
-    /// III-D). Embeddings that exchange checkpoint votes out of band feed
-    /// them in here; `f + 1` matching digests make the checkpoint stable and
-    /// trigger [`truncate_below`]. Protocols that do not checkpoint ignore
-    /// the vote.
-    ///
-    /// [`truncate_below`]: ByzantineCommitAlgorithm::truncate_below
-    fn on_checkpoint_vote(
-        &mut self,
-        _now: Time,
-        _from: ReplicaId,
-        _round: Round,
-        _digest: Digest,
-    ) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
-
     /// Number of per-slot log entries this state machine currently retains
     /// (consensus slots, buffered commits, retained execution history,
     /// outstanding sync votes). The simulator samples this after every event

@@ -1022,19 +1022,6 @@ impl<P: ByzantineCommitAlgorithm> ByzantineCommitAlgorithm for RccReplica<P> {
         self.prune_below(round);
     }
 
-    fn on_checkpoint_vote(
-        &mut self,
-        _now: Time,
-        from: ReplicaId,
-        round: Round,
-        digest: Digest,
-    ) -> Vec<Action<Self::Message>> {
-        // Out-of-band ingestion path; the in-band path is the
-        // `RccMessage::CheckpointVote` handler.
-        self.ingest_checkpoint_vote(from, round, digest);
-        Vec::new()
-    }
-
     fn retained_log_entries(&self) -> u64 {
         // Sampled after every simulation event: everything here must be
         // cheap. `BTreeMap::len` is O(1), a released round always carries

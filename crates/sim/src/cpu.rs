@@ -2,16 +2,21 @@
 //!
 //! Cryptographic costs come from [`rcc_crypto::CryptoCostModel`]; this module
 //! adds the non-crypto costs of running a replica and decides what runs
-//! sequentially on the consensus path versus what parallelizes across cores.
+//! sequentially on the consensus path versus what is spread over the cores.
 //!
 //! The model follows ResilientDB's architecture (Section II of the paper):
 //! consensus message handling is a sequential pipeline (message parsing,
 //! protocol state updates, and per-message authentication happen on the
 //! consensus path), while batch verification of client signatures and
-//! transaction execution parallelize across the replica's worker cores. The
-//! paper's replicas have 16 cores; that is the default here.
+//! transaction execution are spread over the replica's 16 cores. That width
+//! is a constant, not a knob: no measured deployment backs any other value
+//! (`docs/EVALUATION.md`, "Why there is no worker sweep").
 
 use rcc_common::Duration;
+
+/// Cores of one of the paper's replicas, all of them given to batch
+/// verification and execution.
+const WORKER_CORES: u32 = 16;
 
 /// Non-crypto CPU costs of one replica.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,16 +28,8 @@ pub struct CpuModel {
     /// ordering).
     pub proposal_overhead: Duration,
     /// Cost of executing one client transaction once its batch commits.
-    /// Charged on the worker pool (divided by `workers`).
+    /// Charged through [`CpuModel::worker_share`].
     pub execute_per_transaction: Duration,
-    /// Worker cores available for parallel batch verification and execution.
-    pub cores: u32,
-    /// Threads in the verify/execute worker pool. Batch verification and
-    /// round execution run on this pool's own timeline (the worker lane),
-    /// overlapping with the sequential consensus path; each job's duration
-    /// shrinks with the pool width. Defaults to `cores` (the paper's
-    /// replicas dedicate all 16 cores to the worker stages).
-    pub workers: u32,
 }
 
 impl Default for CpuModel {
@@ -41,40 +38,16 @@ impl Default for CpuModel {
             message_overhead: Duration::from_micros(2),
             proposal_overhead: Duration::from_micros(10),
             execute_per_transaction: Duration::from_nanos(500),
-            cores: 16,
-            workers: 16,
         }
     }
 }
 
 impl CpuModel {
-    /// A model with a single worker core (no parallel verification), useful
-    /// to expose CPU-bound behaviour in small tests.
-    pub fn single_core() -> Self {
-        CpuModel {
-            cores: 1,
-            workers: 1,
-            ..CpuModel::default()
-        }
-    }
-
-    /// The default model with a pool of `workers` verify/execute threads.
-    pub fn with_workers(workers: u32) -> Self {
-        CpuModel {
-            workers: workers.max(1),
-            ..CpuModel::default()
-        }
-    }
-
-    /// Spreads `work` across the worker cores.
-    pub fn parallelized(&self, work: Duration) -> Duration {
-        work.mul_f64(1.0 / self.cores.max(1) as f64)
-    }
-
-    /// Spreads `work` across the verify/execute worker pool: the wall-clock
-    /// time one batched job occupies the worker lane.
+    /// Spreads `work` across the replica's cores: the time one batched
+    /// verify or execute job occupies the worker lane, which runs on its own
+    /// timeline next to the sequential consensus path.
     pub fn worker_share(&self, work: Duration) -> Duration {
-        work.mul_f64(1.0 / self.workers.max(1) as f64)
+        work.mul_f64(1.0 / WORKER_CORES as f64)
     }
 }
 
@@ -83,35 +56,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallelization_divides_by_cores() {
-        let cpu = CpuModel::default();
-        assert_eq!(
-            cpu.parallelized(Duration::from_micros(1600)),
-            Duration::from_micros(100)
-        );
-        let single = CpuModel::single_core();
-        assert_eq!(
-            single.parallelized(Duration::from_micros(1600)),
-            Duration::from_micros(1600)
-        );
-    }
-
-    #[test]
     fn worker_share_divides_by_pool_width() {
-        let cpu = CpuModel::with_workers(8);
         assert_eq!(
-            cpu.worker_share(Duration::from_micros(1600)),
-            Duration::from_micros(200)
-        );
-        // Zero-width pools clamp to one worker instead of dividing by zero.
-        let degenerate = CpuModel {
-            workers: 0,
-            ..CpuModel::default()
-        };
-        assert_eq!(
-            degenerate.worker_share(Duration::from_micros(100)),
+            CpuModel::default().worker_share(Duration::from_micros(1600)),
             Duration::from_micros(100)
         );
-        assert_eq!(CpuModel::with_workers(0).workers, 1);
     }
 }

@@ -139,12 +139,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the CPU model (builder style).
-    pub fn with_cpu(mut self, cpu: CpuModel) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
     /// Sets the client arrival model (builder style).
     pub fn with_clients(mut self, clients: ClientModel) -> Self {
         self.clients = clients;
@@ -634,6 +628,15 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         }
     }
 
+    /// Queues `work` (spread over the node's cores) on its worker lane once
+    /// `ready` has passed and the lane is free; returns when it finishes.
+    fn on_worker_lane(&mut self, node: usize, ready: Time, work: Duration) -> Time {
+        let cost = self.scaled(node, self.config.cpu.worker_share(work));
+        let done = ready.max(self.nodes[node].worker_busy) + cost;
+        self.nodes[node].worker_busy = done;
+        done
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn deliver(
         &mut self,
@@ -667,18 +670,11 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         let parsed = start + cost;
         self.nodes[idx].busy_until = parsed;
         let ready = if proposal {
-            let verify = self.scaled(
-                idx,
-                self.config.cpu.worker_share(
-                    self.config
-                        .costs
-                        .batch_verify_cost(crypto_mode, payload_transactions),
-                ),
-            );
-            let verify_start = parsed.max(self.nodes[idx].worker_busy);
-            let verified = verify_start + verify;
-            self.nodes[idx].worker_busy = verified;
-            verified
+            let verify = self
+                .config
+                .costs
+                .batch_verify_cost(crypto_mode, payload_transactions);
+            self.on_worker_lane(idx, parsed, verify)
         } else {
             parsed
         };
@@ -825,17 +821,11 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     self.config.cpu.proposal_overhead + self.config.costs.digest,
                 );
                 t_cpu = t_cpu.max(arrival) + cost;
-                let verify = self.scaled(
-                    idx,
-                    self.config.cpu.worker_share(
-                        self.config
-                            .costs
-                            .batch_verify_cost(crypto_mode, batch.len()),
-                    ),
-                );
-                let verify_start = t_cpu.max(self.nodes[idx].worker_busy);
-                let verified = verify_start + verify;
-                self.nodes[idx].worker_busy = verified;
+                let verify = self
+                    .config
+                    .costs
+                    .batch_verify_cost(crypto_mode, batch.len());
+                let verified = self.on_worker_lane(idx, t_cpu, verify);
                 let actions = self.nodes[idx].bca.propose_for(verified, instance, batch);
                 if actions.is_empty() {
                     // The coordinator turned the batch away (lost the
@@ -960,18 +950,12 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     // Execution runs on the worker pool: replies wait for the
                     // executor, but the consensus path moves on immediately —
                     // conflict-aware parallel execution is off the hot path.
-                    let cost = self.scaled(
-                        idx,
-                        self.config.cpu.worker_share(
-                            self.config
-                                .cpu
-                                .execute_per_transaction
-                                .saturating_mul(slot.batch.len() as u64),
-                        ),
-                    );
-                    let start = t_cpu.max(self.nodes[idx].worker_busy);
-                    let executed = start + cost;
-                    self.nodes[idx].worker_busy = executed;
+                    let execute = self
+                        .config
+                        .cpu
+                        .execute_per_transaction
+                        .saturating_mul(slot.batch.len() as u64);
+                    let executed = self.on_worker_lane(idx, t_cpu, execute);
                     self.record_commit(node, executed, slot.digest, &slot.batch);
                 }
                 Action::SuspectPrimary { primary, .. } => {

@@ -243,19 +243,6 @@ impl Histogram {
         self.cell.record(value);
     }
 
-    /// Folds a [`LocalHistogram`]'s accumulated samples in (bucket layouts
-    /// are identical, so this is a bucket-wise add).
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        for (index, &samples) in local.buckets.iter().enumerate() {
-            if samples > 0 {
-                if let Some(bucket) = self.cell.buckets.get(index) {
-                    bucket.fetch_add(samples, Ordering::Relaxed);
-                }
-            }
-        }
-        self.cell.sum.fetch_add(local.sum, Ordering::Relaxed);
-    }
-
     /// The histogram's frozen state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.cell.snapshot()
@@ -537,9 +524,6 @@ mod tests {
         }
         assert_eq!(shared.snapshot(), local.snapshot());
         assert_eq!(local.percentile(0.5), bucket_upper(bucket_index(100)));
-        // merge_local doubles every bucket.
-        shared.merge_local(&local);
-        assert_eq!(shared.snapshot().count, 12);
     }
 
     #[test]
