@@ -24,6 +24,18 @@ pub enum AuthTag {
     Signature(Signature),
 }
 
+impl AuthTag {
+    /// How many bytes [`rcc_common::Encode::encode`] writes for this tag:
+    /// the kind byte and the MAC or signature behind it.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            AuthTag::None => 1,
+            AuthTag::Mac(_) => 1 + 32,
+            AuthTag::Signature(_) => 1 + 64,
+        }
+    }
+}
+
 impl rcc_common::Encode for AuthTag {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {

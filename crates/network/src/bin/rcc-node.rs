@@ -331,16 +331,23 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     }
     let outcome = run_local_cluster(&plan);
     for report in &outcome.reports {
-        // How many frames shared each socket write to a peer (TCP only: in
-        // process nothing is written).
-        let peer_frames = report.telemetry.counter("transport.peer_frames");
-        let coalescing = match report.telemetry.counter("transport.peer_writes") {
-            Some(writes) if writes > 0 => format!(
+        // How many frames each mailbox burst drained, and how many shared
+        // each socket write to a peer (TCP only: in process nothing is
+        // written).
+        let mut coalescing = String::new();
+        let telemetry = &report.telemetry;
+        let bursts = telemetry.histogram("node.pipeline.burst_frames");
+        if let Some(bursts) = bursts.filter(|bursts| bursts.count > 0) {
+            coalescing += &format!(", {:.2} frames per burst", bursts.mean());
+        }
+        let writes = telemetry.counter("transport.peer_writes");
+        if let Some(writes) = writes.filter(|&writes| writes > 0) {
+            let frames = telemetry.counter("transport.peer_frames").unwrap_or(0);
+            coalescing += &format!(
                 ", {:.2} frames per peer write",
-                peer_frames.unwrap_or(0) as f64 / writes as f64
-            ),
-            _ => String::new(),
-        };
+                frames as f64 / writes as f64
+            );
+        }
         println!(
             "{}: executed {} batches (window from round {}), {} replies, \
              {} suspicions, {} view changes, {} auth failures, {} decode failures, \

@@ -290,8 +290,8 @@ impl Transport for BoxedTransport {
     fn me(&self) -> ReplicaId {
         self.0.me()
     }
-    fn send_to_replica(&self, to: ReplicaId, frame: Vec<u8>) {
-        self.0.send_to_replica(to, frame)
+    fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
+        self.0.send_to_replica(to, run)
     }
     fn send_to_client(&self, to: ClientId, frame: Vec<u8>) {
         self.0.send_to_client(to, frame)

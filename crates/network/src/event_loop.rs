@@ -63,8 +63,8 @@
 
 use crate::frame::{
     peek_kind, Frame, PeerKind, KIND_CLIENT_REJECT, KIND_CLIENT_REPLY, KIND_CLIENT_SUBMIT,
-    MAX_FRAME_BYTES,
 };
+use crate::run::{pack_frame, record_len, OversizeFrame, PREFIX};
 use crate::telemetry::EdgeTelemetry;
 use crate::transport::TransportStats;
 use rcc_common::{ClientId, Digest, ReplicaId};
@@ -119,19 +119,6 @@ impl Default for EdgeConfig {
     }
 }
 
-/// The length prefix of a framed record exceeds [`MAX_FRAME_BYTES`]: the
-/// stream is poisoned and the connection must be dropped — there is no
-/// way to resynchronize a length-prefixed stream past a bad prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct OversizeFrame;
-
-/// Appends one `[u32 BE length][frame]` record to a write buffer. Frames
-/// packed back to back leave in one write and still arrive as themselves.
-pub(crate) fn pack_frame(buf: &mut Vec<u8>, frame: &[u8]) {
-    buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-    buf.extend_from_slice(frame);
-}
-
 /// The bytes read off one stream that are not yet parsed into frames.
 ///
 /// Frames are parsed with a cursor, and the parsed prefix is dropped once
@@ -160,23 +147,38 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Splits the next `[u32 BE length][frame]` record off. `Ok(None)`
-    /// means only a partial record is left; [`OversizeFrame`] means the
-    /// caller must drop the connection.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, OversizeFrame> {
+    /// Splits the next `[u32 BE length][frame]` record off, prefix and all
+    /// (a run of one). `Ok(None)` means only a partial record is left;
+    /// [`OversizeFrame`] means the caller must drop the connection.
+    pub(crate) fn next_record(&mut self) -> Result<Option<&[u8]>, OversizeFrame> {
         let rest = &self.buf[self.parsed..];
-        let Some(prefix) = rest.get(..4) else {
+        let Some(len) = record_len(rest)? else {
             return Ok(None);
         };
-        let len = u32::from_be_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(OversizeFrame);
+        self.parsed += len;
+        Ok(Some(&rest[..len]))
+    }
+
+    /// The next record's frame, copied out without its prefix.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, OversizeFrame> {
+        Ok(self.next_record()?.map(|record| record[PREFIX..].to_vec()))
+    }
+
+    /// Every complete record buffered, copied out as one run: one
+    /// allocation however many frames the last read carried. `Ok(None)`
+    /// means no record is complete yet. Records in front of an oversize
+    /// prefix are handed out first; the call after that reports it.
+    pub(crate) fn take_run(&mut self) -> Result<Option<Vec<u8>>, OversizeFrame> {
+        let start = self.parsed;
+        loop {
+            match record_len(&self.buf[self.parsed..]) {
+                Ok(Some(len)) => self.parsed += len,
+                Ok(None) => break,
+                Err(OversizeFrame) if self.parsed == start => return Err(OversizeFrame),
+                Err(OversizeFrame) => break,
+            }
         }
-        let Some(frame) = rest.get(4..4 + len) else {
-            return Ok(None);
-        };
-        self.parsed += 4 + len;
-        Ok(Some(frame.to_vec()))
+        Ok((self.parsed > start).then(|| self.buf[start..self.parsed].to_vec()))
     }
 
     /// The bytes no frame was parsed from yet.
@@ -342,6 +344,18 @@ impl NbConn {
         }
     }
 
+    /// The next complete record with its length prefix — a run of one, which
+    /// is what the node inbox takes — if one accumulated.
+    pub(crate) fn next_record(&mut self) -> Option<Vec<u8>> {
+        match self.rbuf.next_record() {
+            Ok(record) => record.map(<[u8]>::to_vec),
+            Err(OversizeFrame) => {
+                self.dead = true;
+                None
+            }
+        }
+    }
+
     /// Dismantles the connection into its socket and the read bytes not
     /// yet parsed — how a `Hello{Replica}` connection is handed back to
     /// the blocking thread-per-peer reader without losing data that
@@ -381,9 +395,9 @@ struct EdgeConn {
     /// Submissions read off this connection not yet answered by a reply
     /// or reject (read-side backpressure gauge).
     inflight: u32,
-    /// A frame extracted from the socket that the node inbox had no room
-    /// for: delivery retries next sweep, and the connection is not read
-    /// past it (backpressure instead of loss).
+    /// A record (a run of one) extracted from the socket that the node inbox
+    /// had no room for: delivery retries next sweep, and the connection is
+    /// not read past it (backpressure instead of loss).
     parked: Option<Vec<u8>>,
     /// Flushing its last frames (e.g. an admission reject), then closed.
     doomed: bool,
@@ -449,7 +463,8 @@ impl EdgeRegistrar {
 
 impl ClientEdge {
     /// Spawns the edge's I/O threads for replica `me`. Client frames are
-    /// forwarded into `inbox`; sockets that turn out to be replica peer
+    /// forwarded into `inbox`, each as a run of one (the record as it was
+    /// read, prefix included); sockets that turn out to be replica peer
     /// links are passed to `on_replica`. The edge observes `shutdown` and
     /// stops sweeping once it is raised (join via [`ClientEdge::join`]).
     pub fn spawn(
@@ -707,11 +722,11 @@ impl IoThread {
             if entry.doomed {
                 continue; // still draining its final frames
             }
-            if let Some(frame) = entry.parked.take() {
-                match self.inbox.try_send(frame) {
+            if let Some(record) = entry.parked.take() {
+                match self.inbox.try_send(record) {
                     Ok(()) => progressed = true,
-                    Err(TrySendError::Full(frame)) => {
-                        entry.parked = Some(frame);
+                    Err(TrySendError::Full(record)) => {
+                        entry.parked = Some(record);
                         continue; // inbox still full: do not read past it
                     }
                     Err(TrySendError::Disconnected(_)) => {
@@ -766,12 +781,13 @@ impl IoThread {
             if (entry.inflight as usize) >= DEFAULT_MAX_INFLIGHT {
                 return any;
             }
-            let Some(frame) = entry.conn.next_frame() else {
+            let Some(record) = entry.conn.next_record() else {
                 return any;
             };
             any = true;
+            let frame = &record[PREFIX..];
             match entry.peer {
-                Peer::AwaitingHello => match Frame::decode_frame(&frame) {
+                Peer::AwaitingHello => match Frame::decode_frame(frame) {
                     Ok(Frame::Hello {
                         peer: PeerKind::Replica(_),
                     }) => {
@@ -779,7 +795,7 @@ impl IoThread {
                         // the old reader path, then hand the socket (and
                         // any residue) back to the blocking per-peer
                         // reader. The connection leaves this thread.
-                        self.forward(entry, frame);
+                        self.forward(entry, record);
                         handoffs.push(id);
                         return true;
                     }
@@ -795,7 +811,7 @@ impl IoThread {
                                     conn: id,
                                 },
                             );
-                            self.forward(entry, frame);
+                            self.forward(entry, record);
                         } else {
                             self.reject(entry);
                         }
@@ -809,10 +825,10 @@ impl IoThread {
                     }
                 },
                 Peer::Client(_) => {
-                    if peek_kind(&frame) == Some(KIND_CLIENT_SUBMIT) {
+                    if peek_kind(frame) == Some(KIND_CLIENT_SUBMIT) {
                         entry.inflight = entry.inflight.saturating_add(1);
                     }
-                    self.forward(entry, frame);
+                    self.forward(entry, record);
                 }
             }
         }
@@ -854,12 +870,12 @@ impl IoThread {
         entry.doomed = true;
     }
 
-    /// Pushes one frame toward the node inbox; a full inbox parks it on
+    /// Pushes one record toward the node inbox; a full inbox parks it on
     /// the connection (read backpressure) instead of dropping it.
-    fn forward(&self, entry: &mut EdgeConn, frame: Vec<u8>) {
-        match self.inbox.try_send(frame) {
+    fn forward(&self, entry: &mut EdgeConn, record: Vec<u8>) {
+        match self.inbox.try_send(record) {
             Ok(()) => {}
-            Err(TrySendError::Full(frame)) => entry.parked = Some(frame),
+            Err(TrySendError::Full(record)) => entry.parked = Some(record),
             Err(TrySendError::Disconnected(_)) => entry.doomed = true,
         }
     }
@@ -894,6 +910,8 @@ impl IoThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME_BYTES;
+    use crate::run::into_run;
     use std::net::TcpListener;
 
     fn pair() -> (TcpStream, TcpStream) {
@@ -940,6 +958,43 @@ mod tests {
         assert_eq!(reader.next_frame(), Ok(Some(frames[0].clone())));
         assert_eq!(reader.next_frame(), Ok(None));
         assert_eq!(reader.into_unparsed(), stream[4..10]);
+    }
+
+    #[test]
+    fn each_read_s_complete_records_leave_as_one_run() {
+        let frames: Vec<Vec<u8>> = (0..200usize).map(|i| vec![i as u8; (i * 7) % 90]).collect();
+        let mut stream = Vec::new();
+        for frame in &frames {
+            pack_frame(&mut stream, frame);
+        }
+        for chunk in [stream.len(), 1, 3, 4, 5, 64, 1_000] {
+            let mut reader = FrameReader::default();
+            let mut runs = 0;
+            let mut joined = Vec::new();
+            for bytes in stream.chunks(chunk) {
+                reader.extend(bytes);
+                // At most one run per read, holding whole records only; the
+                // partial record behind them waits for the next read.
+                if let Some(run) = reader.take_run().expect("well-formed") {
+                    assert!(crate::run::frames(&run).all(|frame| frame.is_ok()));
+                    joined.extend(run);
+                    runs += 1;
+                }
+                assert_eq!(reader.take_run(), Ok(None));
+            }
+            assert_eq!(joined, stream, "reads of {chunk} bytes");
+            assert!(runs <= stream.len().div_ceil(chunk));
+            assert!(reader.into_unparsed().is_empty());
+        }
+        // Records in front of an oversize prefix are delivered; the prefix
+        // is reported by the call after, and every call from then on.
+        let whole: usize = frames[..10].iter().map(|frame| 4 + frame.len()).sum();
+        let mut poisoned = stream[..whole].to_vec();
+        poisoned.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
+        let mut reader = FrameReader::new(poisoned);
+        assert_eq!(reader.take_run(), Ok(Some(stream[..whole].to_vec())));
+        assert_eq!(reader.take_run(), Err(OversizeFrame));
+        assert_eq!(reader.take_run(), Err(OversizeFrame));
     }
 
     #[test]
@@ -1056,8 +1111,9 @@ mod tests {
         }
         .encode_frame();
         crate::tcp::write_frame(&mut client, &hello).unwrap();
+        // The inbox takes runs: a client frame arrives as a run of one.
         let first = inbox.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(first, hello);
+        assert_eq!(first, into_run(hello));
         // Replies route back over the registered connection.
         let deadline = Instant::now() + Duration::from_secs(5);
         while edge.active_clients() == 0 && Instant::now() < deadline {
@@ -1088,7 +1144,7 @@ mod tests {
         crate::tcp::write_frame(&mut first, &hello_first).unwrap();
         assert_eq!(
             inbox.recv_timeout(Duration::from_secs(5)).unwrap(),
-            hello_first
+            into_run(hello_first)
         );
 
         let mut second = connect_registered(&edge, &listener);
@@ -1163,7 +1219,10 @@ mod tests {
         .encode_frame();
         crate::tcp::write_frame(&mut peer, &hello).unwrap();
         crate::tcp::write_frame(&mut peer, &trailing).unwrap();
-        assert_eq!(inbox.recv_timeout(Duration::from_secs(5)).unwrap(), hello);
+        assert_eq!(
+            inbox.recv_timeout(Duration::from_secs(5)).unwrap(),
+            into_run(hello)
+        );
         let (_stream, residue) = handoffs.recv_timeout(Duration::from_secs(5)).unwrap();
         // The residue may hold the trailing frame (if the sweep's read
         // grabbed both) or be empty (if the hello arrived alone); when

@@ -20,8 +20,9 @@
 //!
 //! Decoding is strict: wrong magic, an unknown version, an unknown kind,
 //! truncation, and trailing bytes are all typed [`WireError`]s, never
-//! panics. On a TCP stream, frames are additionally length-prefixed (a
-//! big-endian `u32`, capped at [`MAX_FRAME_BYTES`]) by `crate::tcp`.
+//! panics. Between threads and on a TCP stream, frames are additionally
+//! length-prefixed (a big-endian `u32`, capped at [`MAX_FRAME_BYTES`]) and
+//! packed into runs by `crate::run`.
 
 use rcc_common::codec::{read_bytes, write_bytes, Decode, Encode, Reader, WireError};
 use rcc_common::{ClientId, Digest, InstanceId, ReplicaId};
@@ -44,7 +45,7 @@ pub const WIRE_VERSION: u8 = 2;
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// Kind byte of [`Frame::Replica`], which has a second encoder
-/// ([`Frame::encode_replica`]).
+/// ([`Frame::encode_replica_into`]).
 const KIND_REPLICA: u8 = 1;
 
 /// Kind bytes of the frames the client edge routes on. The edge peeks them
@@ -205,21 +206,21 @@ impl Frame {
         out
     }
 
-    /// The bytes `Frame::Replica { from, payload, tag }.encode_frame()` would
-    /// produce, from a borrowed payload and into a buffer sized once: what a
-    /// broadcast calls per recipient, so the payload is copied into each
-    /// frame and nowhere else.
-    pub fn encode_replica(from: ReplicaId, payload: &[u8], tag: &AuthTag) -> Vec<u8> {
-        // Header, sender, length prefix, and the largest tag (a signature:
-        // one kind byte and 64 bytes).
-        let mut out = Vec::with_capacity(4 + 4 + 4 + payload.len() + 65);
+    /// Appends the bytes `Frame::Replica { from, payload, tag }.encode_frame()`
+    /// would produce to `out`, from a borrowed payload: what a broadcast calls
+    /// per recipient with that recipient's outbound run, so the payload is
+    /// copied into each run and nowhere else — no `Vec` per frame.
+    pub fn encode_replica_into(out: &mut Vec<u8>, from: ReplicaId, payload: &[u8], tag: &AuthTag) {
+        // Header, sender, length prefix, payload, tag: exactly what is
+        // written, so a run sized from the one before it is not regrown for
+        // slack it will never use.
+        out.reserve(4 + 4 + 4 + payload.len() + tag.encoded_len());
         out.extend_from_slice(&FRAME_MAGIC);
         out.push(WIRE_VERSION);
         out.push(KIND_REPLICA);
-        from.encode(&mut out);
-        write_bytes(&mut out, payload);
-        tag.encode(&mut out);
-        out
+        from.encode(out);
+        write_bytes(out, payload);
+        tag.encode(out);
     }
 
     /// Decodes a frame, rejecting bad magic, version skew, unknown kinds,
@@ -343,11 +344,18 @@ mod tests {
         ];
         for tag in tags {
             for payload in [vec![], vec![7u8; 3], vec![9u8; 5_400]] {
-                let bytes = Frame::encode_replica(ReplicaId(2), &payload, &tag);
+                let mut bytes = Vec::new();
+                Frame::encode_replica_into(&mut bytes, ReplicaId(2), &payload, &tag);
                 assert!(
                     bytes.len() <= 4 + 4 + 4 + payload.len() + 65,
                     "never regrown"
                 );
+                assert_eq!(bytes.capacity(), bytes.len(), "reserved to the byte");
+                // Behind bytes already there, which stay as they were.
+                let mut behind = b"earlier records".to_vec();
+                Frame::encode_replica_into(&mut behind, ReplicaId(2), &payload, &tag);
+                assert_eq!(&behind[..15], b"earlier records");
+                assert_eq!(&behind[15..], bytes);
                 let owned = Frame::Replica {
                     from: ReplicaId(2),
                     payload,

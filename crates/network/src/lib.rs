@@ -11,6 +11,10 @@
 //!   binary encoding, and a [`rcc_crypto::AuthTag`] applied **at the frame
 //!   boundary** per the deployment's [`rcc_common::CryptoMode`] (pairwise
 //!   MACs between replicas, signatures in PK mode — Fig. 7's knob).
+//! * [`run`] — length-prefixed frames packed end to end: the bytes on a
+//!   peer socket, and the one thing that crosses a thread boundary between
+//!   a mailbox thread and its peers (a burst's frames for one peer, or one
+//!   socket read's, per hand-off).
 //! * [`transport`] — the [`transport::Transport`] abstraction plus the
 //!   bounded in-process channel implementation; [`tcp`] — real sockets:
 //!   per-peer ordered framed connections with reconnect-on-drop and
@@ -45,6 +49,7 @@ pub mod fleet;
 pub mod frame;
 pub mod mangle;
 pub mod node;
+pub mod run;
 pub mod tcp;
 pub mod telemetry;
 pub mod transport;

@@ -3,7 +3,9 @@
 //! The simulator's `MangleWire` fault models a hostile network at the
 //! message level; this module is the byte-level counterpart for the real
 //! deployment stack, so the TCP cluster can be attacked the same way the
-//! sim is. A [`ByteMangler`] takes each outbound frame and — with a seeded,
+//! sim is. A [`ByteMangler`] takes each outbound frame (the interposer
+//! unpacks every outbound run, and packs what the mangler emits for its
+//! frames into the one run it passes on) and — with a seeded,
 //! reproducible probability — corrupts a multi-byte run, truncates it,
 //! splices in bytes from a previously seen frame, duplicates it, replays an
 //! old frame alongside it, or holds it back to reorder it behind the next
@@ -19,6 +21,7 @@
 //! half-interpretation; `verify_identical_orders` holding across a
 //! manglered cluster is the end-to-end witness.
 
+use crate::run;
 use crate::transport::Transport;
 use rcc_common::rng::SplitMix64;
 use rcc_common::{ClientId, ReplicaId};
@@ -223,6 +226,22 @@ impl ByteMangler {
     }
 }
 
+/// Mangles `run` frame by frame — the mangler sees exactly the frame
+/// sequence it would have seen had each frame been sent on its own — and
+/// packs everything it emits, in order, into one well-formed run (possibly
+/// empty: every frame dropped or held back). The damage stays inside the
+/// records, as it did when each mangled frame travelled on its own: the
+/// length prefix was never among the bytes the mangler saw.
+fn mangle_run(mangler: &mut ByteMangler, run: &[u8]) -> Vec<u8> {
+    let mut mangled = Vec::with_capacity(run.len());
+    for frame in run::frames(run).flatten() {
+        for emitted in mangler.mangle(frame.to_vec()) {
+            run::pack_frame(&mut mangled, &emitted);
+        }
+    }
+    mangled
+}
+
 /// A [`Transport`] interposer that runs every outbound replica-to-replica
 /// frame through a [`ByteMangler`]. Client traffic and the receive path
 /// pass through untouched: the attack surface under test is the consensus
@@ -252,10 +271,10 @@ impl<T: Transport> Transport for MangledTransport<T> {
         self.inner.me()
     }
 
-    fn send_to_replica(&self, to: ReplicaId, frame: Vec<u8>) {
-        let frames = crate::lock_unpoisoned(&self.mangler).mangle(frame);
-        for frame in frames {
-            self.inner.send_to_replica(to, frame);
+    fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
+        let mangled = mangle_run(&mut crate::lock_unpoisoned(&self.mangler), &run);
+        if !mangled.is_empty() {
+            self.inner.send_to_replica(to, mangled);
         }
     }
 
@@ -347,5 +366,44 @@ mod tests {
         let held_now = usize::from(mangler.held.is_some());
         assert!(emitted + held_now >= 100);
         assert!(emitted <= 100 + stats.duplicated as usize + stats.replayed as usize);
+    }
+
+    #[test]
+    fn a_mangled_run_holds_exactly_what_the_per_frame_mangler_emits() {
+        // One mangler is fed frame by frame, its twin the same frames packed
+        // into runs of 1, 2, 3, … frames: same emitted frames, same order,
+        // same count, same counters — and every run it passes on is well
+        // formed, however its frames were damaged.
+        for rate_ppm in [0, 50_000, 1_000_000] {
+            let sent = frames(250);
+            let mut single = ByteMangler::new(MangleConfig::new(11, rate_ppm));
+            let expected: Vec<Vec<u8>> = sent
+                .iter()
+                .flat_map(|frame| single.mangle(frame.clone()))
+                .collect();
+
+            let mut packed = ByteMangler::new(MangleConfig::new(11, rate_ppm));
+            let mut emitted: Vec<Vec<u8>> = Vec::new();
+            let mut rest = &sent[..];
+            for size in (1..=24).cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (now, later) = rest.split_at(size.min(rest.len()));
+                rest = later;
+                let mut run = Vec::new();
+                for frame in now {
+                    run::pack_frame(&mut run, frame);
+                }
+                let mangled = mangle_run(&mut packed, &run);
+                for frame in run::frames(&mangled) {
+                    emitted.push(frame.expect("a well-formed run").to_vec());
+                }
+            }
+            assert_eq!(emitted.len(), expected.len(), "{rate_ppm} ppm");
+            assert_eq!(emitted, expected, "{rate_ppm} ppm");
+            assert_eq!(packed.stats(), single.stats());
+            assert_eq!(packed.stats().mangled() > 0, rate_ppm > 0);
+        }
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! ```text
 //!   listener ─► client edge ─────────┐                  ┌──► writer thread → R0
-//!   (accept)    (T sweep threads for │                  │
+//!   (accept)    (T sweep threads for │  runs            │ one run per peer
 //!                all client conns)   ├─► inbox ─► mailbox ──► writer thread → R1
 //!                 └► peer readers ───┘   (mpsc)   thread  └──► … (bounded queues)
-//!                    (one per replica link)         │
+//!                    (one per replica link)         │        per burst
 //!                       wall-clock timers ◄─────────┤ SetTimer/CancelTimer
 //!                       (BTreeMap deadline heap)    │ Commit → client replies
 //! ```
@@ -22,7 +22,26 @@
 //! `tcp.rs`). In process there is no ingress stage: senders push straight
 //! into the inbox.
 //!
-//! The mailbox loop alternates between draining inbound frames and firing
+//! **The burst is the unit of hand-off.** What crosses a thread boundary on
+//! the replica↔replica path is a *run* ([`crate::run`]): length-prefixed
+//! frames packed end to end, the bytes a peer socket carries. Inbound, a
+//! peer reader sends the inbox one run per socket read (one allocation, one
+//! copy, one channel send for every vote the read completed) and the client
+//! edge a run of one per submission. The mailbox drains runs until the burst
+//! holds [`DRAIN_BURST`] frames and walks their records by slice — nothing
+//! is copied between the reader's buffer and `Frame::decode_frame`.
+//! Outbound, the node keeps one run per peer: `send` MACs the payload for
+//! its recipient and encodes the frame straight into that peer's run, and
+//! when the burst ends (or the due timers have fired) each peer with
+//! anything to receive is handed its run in one `send_to_replica` — `n − 1`
+//! channel operations and writer wake-ups per burst, however many instances
+//! voted in it. A run that passes 64 KiB mid-burst leaves at once, so a run
+//! stays within what one socket write should carry; a burst of one leaves
+//! the moment it ends, so an idle link waits on nothing. The run just handed
+//! over is replaced by an empty one sized from what it held — no buffer is
+//! reserved ahead of the traffic.
+//!
+//! The mailbox loop alternates between draining inbound runs and firing
 //! due wall-clock timers through the existing
 //! [`rcc_protocols::bca::TimerId`] seam. Logical [`Time`] is nanoseconds
 //! since the node started (`Instant`-derived), which is all the protocol
@@ -54,6 +73,7 @@
 //! client accepts the outcome on `f + 1` matching replies.
 
 use crate::frame::Frame;
+use crate::run::{self, COALESCE_BYTES};
 use crate::telemetry::NodeTelemetry;
 use crate::transport::{Transport, TransportStats};
 use rcc_common::codec::{Decode, Encode};
@@ -215,6 +235,7 @@ pub fn spawn_node(
             let pool = Arc::new(WorkerPool::new(config.execution_workers));
             let engine = ExecutionEngine::new(config.replica);
             let node = Node {
+                outbound: vec![Vec::new(); config.system.n],
                 transport,
                 replica,
                 verify: VerifyPool::new(auth, Arc::clone(&pool)),
@@ -241,8 +262,10 @@ pub fn spawn_node(
     })
 }
 
-/// How many inbound frames the mailbox drains before giving timers a turn.
-const DRAIN_BURST: usize = 256;
+/// How many inbound frames the mailbox drains before giving timers a turn:
+/// no further run is taken off the inbox once the burst holds this many (the
+/// last run taken may carry it past).
+const DRAIN_BURST: u64 = 256;
 
 /// The longest the mailbox sleeps when idle with no armed timer.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
@@ -250,6 +273,10 @@ const IDLE_WAIT: Duration = Duration::from_millis(20);
 struct Node<T: Transport> {
     config: NodeConfig,
     transport: T,
+    /// The run being built for each peer (indexed by replica id): every
+    /// frame the current burst has produced for it so far. Handed to the
+    /// transport by [`Node::hand_over_runs`].
+    outbound: Vec<Vec<u8>>,
     replica: RccReplica<Pbft>,
     /// Batch-verification stage: fans frame authentication out to `pool`,
     /// verdicts return in arrival order. Also owns the signing side.
@@ -304,18 +331,21 @@ impl<T: Transport> Node<T> {
                 continue;
             };
             let drain_start = self.telemetry.now_nanos();
+            let mut frames = run::frame_count(&first);
             let mut burst = vec![first];
-            for _ in 0..DRAIN_BURST {
-                match self.transport.try_recv() {
-                    Some(bytes) => burst.push(bytes),
-                    None => break,
-                }
+            while frames < DRAIN_BURST {
+                let Some(run) = self.transport.try_recv() else {
+                    break;
+                };
+                frames += run::frame_count(&run);
+                burst.push(run);
             }
-            self.telemetry.queue_depth.set_max(burst.len() as u64);
+            self.telemetry.queue_depth.set_max(frames);
+            self.telemetry.burst_frames.record(frames);
             self.telemetry
                 .drain_us
                 .record(self.telemetry.now_nanos().saturating_sub(drain_start) / 1_000);
-            self.process_burst(burst);
+            self.process_burst(burst, frames);
             self.execute_released();
         }
         self.execute_released();
@@ -333,7 +363,7 @@ impl<T: Transport> Node<T> {
                 .map(|(&id, _)| id)
                 .collect();
             if due.is_empty() {
-                return;
+                break;
             }
             for timer in due {
                 self.timers.remove(&timer);
@@ -341,18 +371,22 @@ impl<T: Transport> Node<T> {
                 self.absorb(actions);
             }
         }
+        // What the timers sent leaves before the mailbox sleeps.
+        self.hand_over_runs();
     }
 
-    /// Decodes a drained burst, fans its authentication checks out to the
-    /// worker pool in one batch, and dispatches the frames **in arrival
-    /// order** with their verdicts — observably identical to inline
-    /// verification, minus the sequential crypto bill.
-    fn process_burst(&mut self, burst: Vec<Vec<u8>>) {
-        let mut frames: Vec<Option<Frame>> = Vec::with_capacity(burst.len());
+    /// Decodes a drained burst (`count` frames in `burst`'s runs, walked by
+    /// slice), fans its authentication checks out to the worker pool in one
+    /// batch, and dispatches the frames **in arrival order** with their
+    /// verdicts — observably identical to inline verification, minus the
+    /// sequential crypto bill — then hands every peer the run the burst
+    /// produced for it. A run's malformed tail is one decode failure.
+    fn process_burst(&mut self, burst: Vec<Vec<u8>>, count: u64) {
+        let mut frames: Vec<Option<Frame>> = Vec::with_capacity(count as usize);
         let mut jobs: Vec<VerifyJob> = Vec::new();
         let mut job_slots: Vec<usize> = Vec::new();
-        for bytes in &burst {
-            let mut frame = Frame::decode_frame(bytes).ok();
+        for bytes in burst.iter().flat_map(|run| run::frames(run)) {
+            let mut frame = bytes.ok().and_then(|bytes| Frame::decode_frame(bytes).ok());
             // The payload moves into the verify job and back out of it below:
             // the check needs the bytes, dispatch needs them afterwards, and
             // nobody needs two copies.
@@ -407,6 +441,7 @@ impl<T: Transport> Node<T> {
                 self.dispatch(frame, verdict);
             }
         }
+        self.hand_over_runs();
         self.telemetry
             .dispatch_us
             .record(self.telemetry.now_nanos().saturating_sub(dispatch_start) / 1_000);
@@ -560,12 +595,32 @@ impl<T: Transport> Node<T> {
             .record(self.telemetry.now_nanos().saturating_sub(execute_start) / 1_000);
     }
 
-    /// Tags an encoded consensus envelope for `to` and hands the frame to
-    /// the transport.
+    /// Tags an encoded consensus envelope for `to` and encodes the frame
+    /// straight into the run being built for that peer. The run leaves when
+    /// the burst ends, or here once it passes [`COALESCE_BYTES`].
     fn send(&mut self, to: ReplicaId, payload: &[u8]) {
+        let Some(run) = self.outbound.get_mut(to.index()) else {
+            return;
+        };
         let tag = self.verify.authenticator().tag_for_replica(to, payload);
-        let frame = Frame::encode_replica(self.config.replica, payload, &tag);
-        self.transport.send_to_replica(to, frame);
+        let from = self.config.replica;
+        run::pack_with(run, |out| {
+            Frame::encode_replica_into(out, from, payload, &tag)
+        });
+        if run.len() >= COALESCE_BYTES {
+            self.transport.send_to_replica(to, successor(run));
+        }
+    }
+
+    /// Hands every peer the run built for it since the last hand-over: one
+    /// `send_to_replica` per peer that has anything to receive.
+    fn hand_over_runs(&mut self) {
+        for (index, run) in self.outbound.iter_mut().enumerate() {
+            if !run.is_empty() {
+                self.transport
+                    .send_to_replica(ReplicaId(index as u32), successor(run));
+            }
+        }
     }
 
     /// Sends the released batch's certified digest back to the client node
@@ -638,6 +693,14 @@ impl<T: Transport> Node<T> {
             flight,
         }
     }
+}
+
+/// Takes a finished run out of its slot, leaving an empty one sized from what
+/// this one held: bursts on a link resemble their predecessors, and a buffer
+/// sized for the largest run there could be would sit idle on a quiet one.
+fn successor(run: &mut Vec<u8>) -> Vec<u8> {
+    let next = Vec::with_capacity(run.len());
+    std::mem::replace(run, next)
 }
 
 /// Compares the execution orders of a set of node reports on the overlap of

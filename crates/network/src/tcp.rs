@@ -7,21 +7,31 @@
 //!
 //! * **Per-peer ordered framed connections.** Each replica owns one
 //!   outbound connection per peer, driven by a writer thread that drains a
-//!   **bounded** queue ([`crate::transport::queue_capacity`]-sized, so a
-//!   primary can keep its full `out_of_order_window` pipeline in flight).
-//!   Frames on one connection are delivered in order; a full queue drops
-//!   the frame (consensus recovers via state sync/retransmission).
-//! * **One write per wake-up.** A writer that wakes to a backlog packs
-//!   every queued frame (until the buffer passes 64 KiB) into one buffer and
-//!   issues one `write_all`: on a `TCP_NODELAY` socket each write is a
-//!   syscall and a segment, and under load that is most of what a vote
-//!   costs. There is no timer: an idle link writes a lone frame the moment
-//!   it arrives. Frames share writes, never bytes — the receiver parses the
+//!   **bounded** queue of runs ([`crate::transport::queue_capacity`]-sized,
+//!   so a primary can keep its full `out_of_order_window` pipeline in
+//!   flight). Frames on one connection are delivered in order; a full queue
+//!   drops the run, every frame of it counted (consensus recovers via state
+//!   sync/retransmission).
+//! * **The run is the unit, out and in.** The mailbox thread builds one run
+//!   per peer per burst ([`crate::run`]: the `[len][frame]` records exactly
+//!   as they go on the socket) and hands it over when the burst ends. The
+//!   writer copies nothing in the common case: it takes a run off its queue
+//!   and issues one `write_all` for it — on a `TCP_NODELAY` socket each
+//!   write is a syscall and a segment, and under load that is most of what
+//!   a vote costs. Only when it wakes to a backlog does it append the runs
+//!   queued behind the first (until the write passes 64 KiB) so they share
+//!   the syscall. There is no timer: an idle link writes a lone frame the
+//!   moment its burst of one ends. The reader copies once per `read`: every
+//!   complete record the read finished leaves for the node inbox as one
+//!   run, one allocation and one channel send however many votes it holds;
+//!   a partial record waits in the reader's buffer for the rest of itself.
+//!   Frames share runs and writes, never bytes — the mailbox parses the
 //!   same `[len][frame]` records either way.
 //! * **Reconnect-on-drop.** A writer that loses its connection reconnects
-//!   with capped backoff and resumes draining its queue. Frames being
-//!   written at the moment of failure are lost — exactly the loss model
-//!   the protocols already tolerate.
+//!   with capped backoff and resumes draining its queue. A run being
+//!   written at the moment of failure is lost — exactly the loss model the
+//!   protocols already tolerate — and the next connection starts on a frame
+//!   boundary, behind a fresh `Hello`.
 //! * **Ingress.** One listener thread accepts connections and hands every
 //!   socket to the readiness-driven [`crate::event_loop::ClientEdge`]: a
 //!   small fixed pool of I/O threads multiplexing all client connections
@@ -35,10 +45,9 @@
 //! [`crate::frame::MAX_FRAME_BYTES`]; the frame bytes themselves carry the magic/version
 //! header of [`crate::frame`].
 
-use crate::event_loop::{
-    pack_frame, ClientEdge, EdgeConfig, FrameReader, OversizeFrame, ReplicaHandoff,
-};
+use crate::event_loop::{ClientEdge, EdgeConfig, FrameReader, ReplicaHandoff};
 use crate::frame::{Frame, PeerKind};
+use crate::run::{frame_count, pack_frame, OversizeFrame, COALESCE_BYTES};
 use crate::transport::{Transport, TransportStats};
 use rcc_common::{ClientId, ReplicaId};
 use rcc_telemetry::Counter;
@@ -49,11 +58,6 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Once a peer writer's buffer holds this many bytes it stops draining its
-/// queue and writes; what is still queued goes out with the next write. One
-/// frame may carry the buffer past the mark.
-const COALESCE_BYTES: usize = 64 * 1024;
 
 /// Writes one length-prefixed frame to a stream, in one write.
 pub fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
@@ -74,8 +78,9 @@ pub struct TcpTransport {
     inbox: Receiver<Vec<u8>>,
     peers: Vec<Option<SyncSender<Vec<u8>>>>,
     edge: ClientEdge,
-    /// Outbound consensus frames dropped on full per-peer queues.
-    peer_dropped: AtomicU64,
+    /// Consensus frames dropped on a full queue: outbound on a peer
+    /// writer's, inbound on the node inbox (the peer readers count here).
+    peer_dropped: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Blocking readers of replica peer links, spawned when the edge hands
@@ -119,6 +124,7 @@ impl TcpTransport {
             std::sync::mpsc::sync_channel::<Vec<u8>>(capacity.max(1) * (peer_addrs.len() + 4));
         let mut threads = Vec::new();
         let replica_readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let peer_dropped = Arc::new(AtomicU64::new(0));
 
         // Replica peer links leave the edge's sweep pool for a dedicated
         // blocking reader each: n - 1 inbound links at most, and their
@@ -127,12 +133,16 @@ impl TcpTransport {
             let shutdown = Arc::clone(&shutdown);
             let inbox_tx = inbox_tx.clone();
             let readers = Arc::clone(&replica_readers);
+            let dropped = Arc::clone(&peer_dropped);
             Arc::new(move |stream: TcpStream, residue: Vec<u8>| {
                 let shutdown = Arc::clone(&shutdown);
                 let inbox_tx = inbox_tx.clone();
+                let dropped = Arc::clone(&dropped);
                 let spawned = std::thread::Builder::new()
                     .name("rcc-peer-reader".to_string())
-                    .spawn(move || read_replica_frames(stream, residue, &shutdown, &inbox_tx));
+                    .spawn(move || {
+                        read_replica_runs(stream, residue, &shutdown, &inbox_tx, &dropped)
+                    });
                 if let Ok(handle) = spawned {
                     let mut guard = crate::lock_unpoisoned(&readers);
                     // Reap finished readers so reconnect-heavy lifetimes do
@@ -210,7 +220,7 @@ impl TcpTransport {
             inbox: inbox_rx,
             peers,
             edge,
-            peer_dropped: AtomicU64::new(0),
+            peer_dropped,
             shutdown,
             threads,
             replica_readers,
@@ -239,12 +249,14 @@ fn spawn_named(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<(
 /// Blocking reader of one replica peer link, taking over a socket the edge
 /// identified via its `Hello{Replica}` first frame. `residue` holds bytes
 /// the edge had already read past the hello; they are parsed first so no
-/// frame is lost in the handoff.
-fn read_replica_frames(
+/// frame is lost in the handoff. Every complete record one `read` finished
+/// goes to the inbox as one run.
+fn read_replica_runs(
     stream: TcpStream,
     residue: Vec<u8>,
     shutdown: &AtomicBool,
     inbox: &SyncSender<Vec<u8>>,
+    dropped: &AtomicU64,
 ) {
     // The edge ran this socket nonblocking; restore blocking mode with the
     // short read timeout every blocking reader uses to observe shutdown.
@@ -256,18 +268,20 @@ fn read_replica_frames(
     let mut buf = FrameReader::new(residue);
     let mut scratch = [0u8; 16 * 1024];
     loop {
-        loop {
-            match buf.next_frame() {
-                Ok(Some(frame)) => match inbox.try_send(frame) {
-                    // A full inbox drops the frame (bounded back-pressure);
-                    // consensus recovers lost messages via state sync.
-                    Ok(()) | Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => return,
-                },
-                Ok(None) => break,
-                // Oversized length prefix: the stream is poisoned.
-                Err(OversizeFrame) => return,
-            }
+        match buf.take_run() {
+            Ok(Some(run)) => match inbox.try_send(run) {
+                Ok(()) => {}
+                // A full inbox drops the run (bounded back-pressure) and
+                // counts what it held; consensus recovers lost messages via
+                // state sync.
+                Err(TrySendError::Full(run)) => {
+                    dropped.fetch_add(frame_count(&run), Ordering::Relaxed);
+                }
+                Err(TrySendError::Disconnected(_)) => return,
+            },
+            Ok(None) => {}
+            // Oversized length prefix: the stream is poisoned.
+            Err(OversizeFrame) => return,
         }
         if shutdown.load(Ordering::Relaxed) {
             return;
@@ -296,10 +310,10 @@ struct PeerWrites {
 }
 
 /// Writer side of one outbound peer link: connect (with capped backoff),
-/// announce ourselves, then wait for a frame, drain whatever else the queue
-/// holds by then into `buf` and write it all at once; on any write failure,
-/// reconnect and keep draining. Frames passed to a dead connection are lost
-/// by design.
+/// announce ourselves, then wait for a run and write it as it is — with
+/// whatever else the queue holds by then appended, so a backlog shares the
+/// write; on any write failure, reconnect and keep draining. Runs passed to a
+/// dead connection are lost by design.
 fn write_connection(
     me: ReplicaId,
     addr: SocketAddr,
@@ -307,8 +321,6 @@ fn write_connection(
     shutdown: &AtomicBool,
     written: &PeerWrites,
 ) {
-    // Allocated once per link, not per write.
-    let mut buf = Vec::with_capacity(COALESCE_BYTES);
     let mut backoff = Duration::from_millis(10);
     while !shutdown.load(Ordering::Relaxed) {
         let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
@@ -331,20 +343,16 @@ fn write_connection(
                 return;
             }
             match queue.recv_timeout(Duration::from_millis(200)) {
-                Ok(first) => {
-                    buf.clear();
-                    pack_frame(&mut buf, &first);
-                    let mut frames = 1;
-                    while buf.len() < COALESCE_BYTES {
+                Ok(mut run) => {
+                    while run.len() < COALESCE_BYTES {
                         let Ok(next) = queue.try_recv() else { break };
-                        pack_frame(&mut buf, &next);
-                        frames += 1;
+                        run.extend_from_slice(&next);
                     }
-                    if stream.write_all(&buf).is_err() {
+                    if stream.write_all(&run).is_err() {
                         break; // reconnect
                     }
                     written.writes.inc();
-                    written.frames.add(frames);
+                    written.frames.add(frame_count(&run));
                 }
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
@@ -358,13 +366,11 @@ impl Transport for TcpTransport {
         self.me
     }
 
-    fn send_to_replica(&self, to: ReplicaId, frame: Vec<u8>) {
+    fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         if let Some(Some(tx)) = self.peers.get(to.index()) {
-            match tx.try_send(frame) {
-                Err(TrySendError::Full(_)) => {
-                    self.peer_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+            if let Err(TrySendError::Full(run)) = tx.try_send(run) {
+                self.peer_dropped
+                    .fetch_add(frame_count(&run), Ordering::Relaxed);
             }
         }
     }

@@ -50,9 +50,12 @@ pub struct NodeTelemetry {
     pub(crate) dispatch_us: Histogram,
     /// Per-burst time spent executing newly released rounds, in µs.
     pub(crate) execute_us: Histogram,
-    /// High-water mark of the drained burst length — how deep the inbound
-    /// queue got between mailbox turns.
+    /// High-water mark of the drained burst length in frames — how deep the
+    /// inbound queue got between mailbox turns.
     pub(crate) queue_depth: Gauge,
+    /// Frames in each drained burst: what one mailbox turn verifies together
+    /// and, per peer, sends together.
+    pub(crate) burst_frames: Histogram,
 }
 
 impl NodeTelemetry {
@@ -68,6 +71,7 @@ impl NodeTelemetry {
             dispatch_us: registry.histogram("node.pipeline.dispatch_us"),
             execute_us: registry.histogram("node.pipeline.execute_us"),
             queue_depth: registry.gauge("node.pipeline.queue_depth"),
+            burst_frames: registry.histogram("node.pipeline.burst_frames"),
             registry,
         }
     }

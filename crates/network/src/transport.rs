@@ -2,7 +2,11 @@
 //!
 //! A [`Transport`] moves encoded frames between the processes (or threads)
 //! of a deployment; it knows nothing about their contents beyond "bytes".
-//! Two implementations exist:
+//! Between replicas, and into a replica's inbox, the unit it moves is the
+//! **run** of [`crate::run`]: the length-prefixed frames one mailbox burst
+//! produced for one peer, or one socket read delivered, packed end to end —
+//! one queue slot and one wake-up for all of them. Replies to clients
+//! travel frame by frame. Two implementations exist:
 //!
 //! * [`InProcessNetwork`] (here) — bounded channels between threads of one
 //!   process. No sockets, no reconnects; per-link ordered and lossless
@@ -13,10 +17,21 @@
 //!   back-pressure behaviour.
 //!
 //! Both share one delivery contract: sends are **best effort**. A full
-//! queue or a dead connection silently drops the frame — exactly the
-//! assumption the consensus layer is built for (state sync and
-//! retransmission recover lost messages; TCP merely makes loss rare).
+//! queue drops the run and counts every frame in it
+//! ([`TransportStats::dropped_frames`]); a dead connection loses it
+//! silently — exactly the assumption the consensus layer is built for
+//! (state sync and retransmission recover lost messages; TCP merely makes
+//! loss rare).
+//!
+//! What the queue capacities bound: [`queue_capacity`] counts *runs*. An
+//! outbound queue slot holds at most 64 KiB plus one frame (the mark at
+//! which the mailbox hands a run over mid-burst; a burst's worth is
+//! usually far less), an inbox slot at most one 16 KiB socket read plus the
+//! frame that read completed — or, from a client or an in-process peer,
+//! whatever one submission or one burst packed. A frame is bounded by
+//! [`crate::frame::MAX_FRAME_BYTES`].
 
+use crate::run;
 use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -28,8 +43,10 @@ use std::time::Duration;
 /// report transports without instrumentation return.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TransportStats {
-    /// Outbound frames dropped because a bounded queue (per-peer writer
-    /// queue, per-client connection queue, or an edge mailbox) was full.
+    /// Frames dropped because a bounded queue was full, in either direction:
+    /// outbound (per-peer writer queue, per-client connection queue, an edge
+    /// mailbox) and inbound (a peer reader finding the node inbox full). A
+    /// dropped run counts every frame it held.
     pub dropped_frames: u64,
     /// Client connections turned away at the admission cap (or because the
     /// edge was too overloaded to even register them).
@@ -58,19 +75,20 @@ pub trait Transport: Send {
     /// The replica this transport belongs to.
     fn me(&self) -> ReplicaId;
 
-    /// Queues `frame` for ordered delivery to a peer replica. Best effort:
-    /// the frame is dropped when the peer's bounded outbound queue is full
-    /// or its connection is down.
-    fn send_to_replica(&self, to: ReplicaId, frame: Vec<u8>);
+    /// Queues `run` — one or more length-prefixed frames, see [`crate::run`]
+    /// — for ordered delivery to a peer replica. Best effort: the whole run
+    /// is dropped when the peer's bounded outbound queue is full or its
+    /// connection is down.
+    fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>);
 
     /// Queues `frame` for delivery to a client over the connection that
     /// client opened. Dropped when the client is not connected.
     fn send_to_client(&self, to: ClientId, frame: Vec<u8>);
 
-    /// Receives the next inbound frame, waiting at most `timeout`.
+    /// Receives the next inbound run, waiting at most `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Vec<u8>>;
 
-    /// Receives an inbound frame if one is already queued.
+    /// Receives an inbound run if one is already queued.
     fn try_recv(&mut self) -> Option<Vec<u8>>;
 
     /// Tears the transport down (closes sockets, stops worker threads).
@@ -113,7 +131,8 @@ pub trait ClientChannel: Send {
 /// out-of-order pipeline in flight to every peer: for each of the `m`
 /// instances it may coordinate, `out_of_order_window` proposals plus the
 /// matching prepare/commit votes (≈ 3 consensus messages per slot), with
-/// headroom for state sync and checkpoint traffic.
+/// headroom for state sync and checkpoint traffic. The unit is runs, each
+/// of which holds at least one of those messages.
 pub fn queue_capacity(config: &SystemConfig) -> usize {
     ((config.out_of_order_window + 4) * config.instances.max(1) * 3 + 32).max(64)
 }
@@ -182,18 +201,17 @@ pub struct InProcessTransport {
     dropped: std::sync::atomic::AtomicU64,
 }
 
-/// `try_send` to a hub slot; returns `false` when the frame was dropped on
-/// a full queue (a missing or disconnected receiver is not a drop — there
-/// is no backlogged queue, just no peer).
-fn shared_send(senders: &SharedSenders, index: usize, frame: Vec<u8>) -> bool {
+/// `try_send` of a run to a hub slot; returns how many frames were dropped
+/// on a full queue (a missing or disconnected receiver is not a drop —
+/// there is no backlogged queue, just no peer).
+fn shared_send(senders: &SharedSenders, index: usize, run: Vec<u8>) -> u64 {
     let guard = crate::lock_unpoisoned(senders);
     if let Some(Some(tx)) = guard.get(index) {
-        match tx.try_send(frame) {
-            Err(TrySendError::Full(_)) => return false,
-            Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+        if let Err(TrySendError::Full(run)) = tx.try_send(run) {
+            return run::frame_count(&run);
         }
     }
-    true
+    0
 }
 
 impl Transport for InProcessTransport {
@@ -201,10 +219,13 @@ impl Transport for InProcessTransport {
         self.me
     }
 
-    fn send_to_replica(&self, to: ReplicaId, frame: Vec<u8>) {
-        if to != self.me && !shared_send(&self.replicas, to.index(), frame) {
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
+        if to != self.me {
+            let dropped = shared_send(&self.replicas, to.index(), run);
+            if dropped > 0 {
+                self.dropped
+                    .fetch_add(dropped, std::sync::atomic::Ordering::Relaxed);
+            }
         }
     }
 
@@ -252,7 +273,8 @@ impl ClientChannel for InProcessClientChannel {
     }
 
     fn submit(&mut self, to: ReplicaId, frame: Vec<u8>) {
-        shared_send(&self.replicas, to.index(), frame);
+        // A replica's inbox takes runs: this is a run of one.
+        shared_send(&self.replicas, to.index(), run::into_run(frame));
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Vec<u8>> {
@@ -265,6 +287,15 @@ mod tests {
     use super::*;
     use crate::frame::{Frame, PeerKind};
 
+    /// Packs `frames` into one run.
+    fn run_of(frames: &[&[u8]]) -> Vec<u8> {
+        let mut run = Vec::new();
+        for frame in frames {
+            run::pack_frame(&mut run, frame);
+        }
+        run
+    }
+
     #[test]
     fn in_process_frames_flow_between_replicas_and_clients() {
         let hub = InProcessNetwork::new(2, 16);
@@ -272,27 +303,61 @@ mod tests {
         let mut t1 = hub.transport(ReplicaId(1));
         let mut c = hub.client(ClientId(9));
 
+        // Replica to replica: the run arrives as it was sent, one channel
+        // operation for both of its frames.
         let hello = Frame::Hello {
             peer: PeerKind::Replica(ReplicaId(0)),
         };
-        t0.send_to_replica(ReplicaId(1), hello.encode_frame());
-        let bytes = t1.recv_timeout(Duration::from_millis(100)).expect("frame");
-        assert_eq!(Frame::decode_frame(&bytes).unwrap(), hello);
+        let sent = run_of(&[&hello.encode_frame(), b"second"]);
+        t0.send_to_replica(ReplicaId(1), sent.clone());
+        let got = t1.recv_timeout(Duration::from_millis(100)).expect("run");
+        assert_eq!(got, sent);
+        let mut frames = run::frames(&got);
+        let first = frames.next().expect("first record").expect("whole");
+        assert_eq!(Frame::decode_frame(first).unwrap(), hello);
+        assert_eq!(frames.next(), Some(Ok(&b"second"[..])));
+        assert_eq!(frames.next(), None);
+        assert!(t1.try_recv().is_none());
 
+        // A client submits a frame; the replica's inbox gets a run of one.
         c.submit(ReplicaId(1), b"submission".to_vec());
         assert_eq!(
-            t1.recv_timeout(Duration::from_millis(100)).as_deref(),
-            Some(&b"submission"[..])
+            t1.recv_timeout(Duration::from_millis(100)),
+            Some(run_of(&[b"submission"]))
         );
 
+        // Replies travel frame by frame.
         t0.send_to_client(ClientId(9), b"reply".to_vec());
         assert_eq!(
             c.recv_timeout(Duration::from_millis(100)).as_deref(),
             Some(&b"reply"[..])
         );
         // Sends to the hub's own replica or unknown clients vanish quietly.
-        t0.send_to_replica(ReplicaId(0), b"self".to_vec());
+        t0.send_to_replica(ReplicaId(0), run_of(&[b"self"]));
         t0.send_to_client(ClientId(404), b"nobody".to_vec());
+        assert_eq!(t0.stats().dropped_frames, 0);
+    }
+
+    #[test]
+    fn a_dropped_run_counts_every_frame_it_held() {
+        // Inbox capacity: 1 × n = 2 runs.
+        let hub = InProcessNetwork::new(2, 1);
+        let t0 = hub.transport(ReplicaId(0));
+        let mut t1 = hub.transport(ReplicaId(1));
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"a", b"b"]));
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"c"]));
+        assert_eq!(t0.stats().dropped_frames, 0);
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"d", b"e", b"f", b"g", b"h"]));
+        assert_eq!(t0.stats().dropped_frames, 5);
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"i"]));
+        assert_eq!(t0.stats().dropped_frames, 6);
+        // What was queued is intact and in order; room frees as it drains.
+        assert_eq!(t1.try_recv(), Some(run_of(&[b"a", b"b"])));
+        assert_eq!(t1.try_recv(), Some(run_of(&[b"c"])));
+        assert_eq!(t1.try_recv(), None);
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"j"]));
+        assert_eq!(t1.try_recv(), Some(run_of(&[b"j"])));
+        assert_eq!(t0.stats().dropped_frames, 6);
     }
 
     #[test]
@@ -301,13 +366,15 @@ mod tests {
         let t0 = hub.transport(ReplicaId(0));
         let old = hub.transport(ReplicaId(1));
         drop(old); // the "crashed" replica's inbox dies with it
-        t0.send_to_replica(ReplicaId(1), b"lost".to_vec());
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"lost"]));
         let mut reborn = hub.transport(ReplicaId(1));
-        t0.send_to_replica(ReplicaId(1), b"delivered".to_vec());
+        t0.send_to_replica(ReplicaId(1), run_of(&[b"delivered"]));
         assert_eq!(
-            reborn.recv_timeout(Duration::from_millis(100)).as_deref(),
-            Some(&b"delivered"[..])
+            reborn.recv_timeout(Duration::from_millis(100)),
+            Some(run_of(&[b"delivered"]))
         );
+        // No receiver is no backlog: nothing was dropped on a full queue.
+        assert_eq!(t0.stats().dropped_frames, 0);
     }
 
     #[test]
