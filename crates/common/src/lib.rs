@@ -18,7 +18,7 @@
 //! * [`config`] — system-wide configuration: number of replicas, fault
 //!   threshold, batching, pipelining, timeouts, and cryptography mode.
 //! * [`pool`] — the fixed worker pool (std threads + bounded channels)
-//!   shared by the staged verify/execute pipeline.
+//!   the node's signature verification fans out to.
 //! * [`rng`] — the SplitMix64 generator behind every piece of deterministic
 //!   randomness in the workspace (simulated jitter, workload contents).
 //! * [`status`] — the per-instance coordination status exposed by an RCC

@@ -1,8 +1,7 @@
 //! A fixed-size worker pool over std threads and bounded channels.
 //!
-//! The staged verify/execute pipeline fans work out to this pool: the
-//! `rcc-crypto` batch-verification stage authenticates inbound frames on it,
-//! and the `rcc-execution` conflict-aware executor runs its groups on it. The
+//! The node's batch-verification stage (`rcc_crypto::pipeline`) shares
+//! signature bursts with this pool; nothing else in a node runs on it. The
 //! pool is deliberately tiny — plain `std::thread` workers pulling boxed jobs
 //! from one bounded `sync_channel` — because the workspace vendors no async
 //! runtime and the pipeline's determinism argument is easiest to audit when
@@ -10,10 +9,11 @@
 //!
 //! Hand-off is per *worker*, never per *item*: [`WorkerPool::run_ordered`]
 //! puts the whole job list behind one shared cursor, wakes at most one
-//! runner per other worker it can use, and then runs jobs itself. A list of
-//! one job (or a pool of one worker) therefore never leaves the submitting
-//! thread, and a list of hundreds costs one boxed message per worker instead
-//! of one per job.
+//! runner per other worker it can use, and then runs jobs itself. The
+//! submitting thread is always one of the workers, so a pool `n` wide spawns
+//! `n − 1` threads: a pool of one is no thread at all, and a list of one job
+//! never leaves the submitting thread either. A list of hundreds costs one
+//! boxed message per worker instead of one per job.
 //!
 //! Determinism: every result travels with its submission index and is
 //! reassembled in that order, so callers observe submission order regardless
@@ -32,17 +32,19 @@ const QUEUE_PER_WORKER: usize = 4;
 /// A fixed pool of worker threads executing boxed jobs from a bounded queue.
 pub struct WorkerPool {
     injector: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The workers beside the submitting thread: one fewer than the width.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `workers` threads (`workers` is clamped to at least
-    /// one — a zero-width pipeline is a configuration error, not a mode).
+    /// A pool `workers` wide (clamped to at least one — a zero-width
+    /// pipeline is a configuration error, not a mode). The submitting thread
+    /// is one of the workers, so this spawns `workers − 1` threads.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let (injector, source) = sync_channel::<Job>(workers * QUEUE_PER_WORKER);
         let source = Arc::new(Mutex::new(source));
-        let workers = (0..workers)
+        let threads = (1..workers)
             .map(|i| {
                 let source: Arc<Mutex<Receiver<Job>>> = Arc::clone(&source);
                 std::thread::Builder::new()
@@ -67,13 +69,13 @@ impl WorkerPool {
             .collect();
         WorkerPool {
             injector: Some(injector),
-            workers,
+            threads,
         }
     }
 
-    /// Number of worker threads in the pool.
+    /// The pool's width: its threads plus the submitting thread.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.threads.len() + 1
     }
 
     /// Runs every job and returns the results **in submission order**,
@@ -192,7 +194,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the injector ends every worker's recv loop.
         self.injector.take();
-        for worker in self.workers.drain(..) {
+        for worker in self.threads.drain(..) {
             let _ = worker.join();
         }
     }

@@ -1,53 +1,18 @@
 //! The deterministic execution engine.
 //!
-//! Two entry points produce byte-identical results:
-//!
-//! * [`ExecutionEngine::execute_round`] — the sequential reference: every
-//!   transaction of the round applied in place, in the agreed order.
-//! * [`ExecutionEngine::execute_round_parallel`] — the pipelined path. It
-//!   first asks whether splitting the round can pay at all (the *work test*
-//!   below) and, when it cannot, runs the round through `execute_round`.
-//!   Otherwise the round's transactions are partitioned into independent
-//!   conflict groups (see [`crate::conflict`]), groups execute concurrently
-//!   on a [`WorkerPool`] with their writes buffered in per-group overlays,
-//!   and the overlays merge back in deterministic group order. Groups touch
-//!   provably disjoint written state and the storage fingerprints compose
-//!   by XOR over final records, so the merged state, ledger, summary, and
-//!   replies are bit-identical to the sequential path — the property the
-//!   `parallel_equivalence` harness pins across seeds and worker counts.
-//!
-//! # The work test
-//!
-//! Buffered-write concurrency only pays when analysis plus install cost less
-//! than the work they overlap. Count in point accesses: a round of `n`
-//! transactions doing `W` accesses' worth of work, `w` of them writes, on a
-//! pool `L` wide costs `W` in place; fanned out it costs `n` (one access set,
-//! one union-find step and one request clone per transaction), then at best
-//! `W / L` (perfectly balanced), then `w` (every buffered write installed a
-//! second time). The round fans out only if `n + W/L + w < W`. A point read
-//! or write is one access and a transfer two, so a round of those has
-//! `W ≤ 2n` and never passes; only scans carry more work than bookkeeping.
-//!
-//! A scan is *not* one access per record: walking a range costs about 7 ns
-//! a record against 1.1–1.4 µs for a point transaction (500 000-key table,
-//! `examples/work_test_probe.rs`), and on a two-worker pool fan-out broke
-//! even at 115–230 scanned records per access of the model. A scan therefore
-//! weighs one access plus one per `SCAN_RECORDS_PER_ACCESS` (256) records, set
-//! past the slowest measured break-even so that every round the test sends
-//! to the pool was measured faster there than in place.
+//! [`ExecutionEngine::execute_round`] is the one executor: it appends the
+//! released round's block to the ledger and applies every transaction in
+//! place, batches in the agreed instance order and requests in batch order
+//! (§III-A/B), on the calling thread. The results — state fingerprints,
+//! ledger, summary and replies — are pinned by
+//! `crates/execution/tests/known_answers.rs`.
 
-use crate::conflict::{access_set, conflict_groups};
 use crate::reply::{ClientReply, ExecutionOutcome};
-use rcc_common::pool::WorkerPool;
-use rcc_common::BatchId;
-use rcc_common::{Batch, ClientRequest, Digest, ReplicaId, Round, TransactionKind};
+use rcc_common::{Batch, BatchId, ReplicaId, Round, TransactionKind, WorkerPool};
 use rcc_crypto::hash::digest_batch;
 use rcc_storage::ledger::BlockEntry;
-use rcc_storage::table::Record;
 use rcc_storage::{AccountStore, Checkpoint, Ledger, RecordTable};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Summary statistics of everything the engine has executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -203,24 +168,11 @@ impl ExecutionEngine {
         }
     }
 
-    /// Appends the round's block to the ledger — the part of a round that
-    /// depends only on the agreed order, not on any outcome.
-    fn append_block<B: Borrow<Batch>>(&mut self, round: Round, ordered: &[(BatchId, B)]) -> Digest {
-        let entries: Vec<BlockEntry> = ordered
-            .iter()
-            .map(|(id, batch)| BlockEntry {
-                batch: *id,
-                digest: digest_batch(batch.borrow()),
-                transactions: batch.borrow().effective_transactions(),
-            })
-            .collect();
-        self.ledger.append(round, entries).digest
-    }
-
-    /// Executes one ordered round: the given `(batch id, batch)` pairs are
-    /// executed in the order provided, a block is appended to the ledger, and
-    /// one reply per client request is returned. Batches may be owned or
-    /// borrowed (`B` is `Batch` or `&Batch`).
+    /// Executes one ordered round: a block recording the given `(batch id,
+    /// batch)` pairs is appended to the ledger, the batches are executed in
+    /// place in the order provided, and one reply per client request is
+    /// returned. Batches may be owned or borrowed (`B` is `Batch` or
+    /// `&Batch`).
     ///
     /// The `round` is the RCC round (or the baseline's sequence number); the
     /// caller is responsible for having agreed on the order (Section III-B
@@ -230,7 +182,15 @@ impl ExecutionEngine {
         round: Round,
         ordered: &[(BatchId, B)],
     ) -> Vec<ClientReply> {
-        let block_digest = self.append_block(round, ordered);
+        let entries: Vec<BlockEntry> = ordered
+            .iter()
+            .map(|(id, batch)| BlockEntry {
+                batch: *id,
+                digest: digest_batch(batch.borrow()),
+                transactions: batch.borrow().effective_transactions(),
+            })
+            .collect();
+        let block_digest = self.ledger.append(round, entries).digest;
         let mut replies = Vec::new();
         let mut position: u32 = 0;
         for (_, batch) in ordered {
@@ -257,286 +217,17 @@ impl ExecutionEngine {
         replies
     }
 
-    /// Executes one ordered round, with non-conflicting transactions running
-    /// concurrently on `pool` when that can pay, producing results
-    /// byte-identical to [`ExecutionEngine::execute_round`] — same state
-    /// fingerprints, same ledger blocks, same summary, same replies in the
-    /// same order.
-    ///
-    /// A round that fails the work test (see the module docs) runs in place
-    /// through `execute_round`. Otherwise the ledger append, reply positions,
-    /// and summary counters are computed sequentially (they depend only on
-    /// the agreed order, not on outcomes); the transactions themselves
-    /// execute in conflict groups buffered against the shared pre-round
-    /// state, and each group's final writes and access counts merge back in
-    /// deterministic group order.
+    /// The name the benchmark's `round_par2_*` micro loops and shadow trace
+    /// still call (`benchmark/src/{micro,shadow}.rs`): a forward to
+    /// [`ExecutionEngine::execute_round`] that ignores `pool`. The
+    /// benchmark-only PR that retires those loops deletes it.
     pub fn execute_round_parallel<B: Borrow<Batch>>(
         &mut self,
         round: Round,
         ordered: &[(BatchId, B)],
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
     ) -> Vec<ClientReply> {
-        if !fan_out_pays(ordered, pool.workers()) {
-            return self.execute_round(round, ordered);
-        }
-        let block_digest = self.append_block(round, ordered);
-
-        // Flatten the round into its deterministic execution order: batches
-        // in instance-id order, requests in batch order, no-ops skipped.
-        // Positions are assigned here, before anything runs.
-        let mut txns: Vec<(u32, ClientRequest)> = Vec::new();
-        let mut sets = Vec::new();
-        let mut position: u32 = 0;
-        for (_, batch) in ordered {
-            self.summary.batches += 1;
-            for request in &batch.borrow().requests {
-                if request.is_noop() {
-                    self.summary.noops += 1;
-                    continue;
-                }
-                sets.push(access_set(&request.transaction.kind));
-                txns.push((position, request.clone()));
-                self.summary.transactions += 1;
-                position += 1;
-            }
-        }
-        self.summary.rounds += 1;
-
-        let groups = conflict_groups(&sets);
-        // Workers read the pre-round state concurrently; shared ownership
-        // is temporary and reclaimed below once every job has finished.
-        let base_table = Arc::new(std::mem::take(&mut self.table));
-        let base_accounts = Arc::new(std::mem::take(&mut self.accounts));
-        let mut slots: Vec<Option<(u32, ClientRequest)>> = txns.into_iter().map(Some).collect();
-        let replica = self.replica;
-        let jobs: Vec<_> = groups
-            .into_iter()
-            .map(|members| {
-                let members: Vec<(u32, ClientRequest)> = members
-                    .into_iter()
-                    .map(|i| slots[i].take().expect("each txn is in exactly one group"))
-                    .collect();
-                let table = Arc::clone(&base_table);
-                let accounts = Arc::clone(&base_accounts);
-                move || {
-                    let mut group = GroupExecution::new(&table, &accounts);
-                    let outcomes: Vec<(u32, ClientReply)> = members
-                        .into_iter()
-                        .map(|(pos, request)| {
-                            let outcome = group.execute(&request.transaction.kind);
-                            (
-                                pos,
-                                ClientReply {
-                                    request: request.id,
-                                    replica,
-                                    executed_in_round: round,
-                                    position_in_round: pos,
-                                    outcome,
-                                    block_digest,
-                                },
-                            )
-                        })
-                        .collect();
-                    group.finish(outcomes)
-                }
-            })
-            .collect();
-        let results = pool.run_ordered(jobs);
-
-        // Every job has returned, so the temporary shared ownership is back
-        // to exactly one reference each.
-        self.table = Arc::try_unwrap(base_table).expect("workers released the table");
-        self.accounts = Arc::try_unwrap(base_accounts).expect("workers released the accounts");
-
-        // Merge in deterministic group order. Groups write disjoint keys, so
-        // the order provably cannot matter — it is fixed anyway so that any
-        // future invariant violation shows up as a deterministic divergence,
-        // not a heisenbug.
-        let mut replies: Vec<(u32, ClientReply)> = Vec::with_capacity(position as usize);
-        for result in results {
-            for (key, record) in result.records {
-                self.table.install(key, record.payload, record.version);
-            }
-            for (account, balance) in result.balances {
-                self.accounts.set_balance(account, balance);
-            }
-            self.table.note_accesses(result.reads, result.writes);
-            replies.extend(result.outcomes);
-        }
-        replies.sort_by_key(|(pos, _)| *pos);
-        replies.into_iter().map(|(_, reply)| reply).collect()
-    }
-}
-
-/// Records of a range a scan walks in the time one point access takes, for
-/// the work test: the break-evens measured on a two-worker pool sat at 115
-/// to 230 (see the module docs), and erring high errs towards in place.
-const SCAN_RECORDS_PER_ACCESS: u64 = 256;
-
-/// The work test (see the module docs): with `n` transactions doing `W`
-/// point accesses' worth of work, `w` of them writes, on a pool `L` wide —
-/// analysis, the best-case share and the install together must cost less
-/// than executing in place: `n + W/L + w < W`.
-fn fan_out_pays<B: Borrow<Batch>>(ordered: &[(BatchId, B)], workers: usize) -> bool {
-    let (mut transactions, mut work, mut written) = (0u64, 0u64, 0u64);
-    for request in ordered.iter().flat_map(|(_, b)| &b.borrow().requests) {
-        let (accesses, writes) = match &request.transaction.kind {
-            TransactionKind::NoOp => continue,
-            TransactionKind::YcsbRead { .. } | TransactionKind::BalanceQuery { .. } => (1, 0),
-            TransactionKind::YcsbWrite { .. }
-            | TransactionKind::YcsbReadModifyWrite { .. }
-            | TransactionKind::Deposit { .. } => (1, 1),
-            TransactionKind::YcsbScan { count, .. } => {
-                (1 + u64::from(*count) / SCAN_RECORDS_PER_ACCESS, 0)
-            }
-            TransactionKind::Transfer { .. } => (2, 2),
-        };
-        transactions += 1;
-        work += accesses;
-        written += writes;
-    }
-    let width = workers as u64;
-    width > 1 && transactions + work.div_ceil(width) + written < work
-}
-
-/// What one conflict group produced: its buffered writes and statistics.
-struct GroupResult {
-    records: BTreeMap<u64, Record>,
-    balances: BTreeMap<u32, i64>,
-    reads: u64,
-    writes: u64,
-    outcomes: Vec<(u32, ClientReply)>,
-}
-
-/// Executes one conflict group against the shared pre-round state, buffering
-/// all writes in overlays. The semantics of every operation mirror
-/// [`ExecutionEngine`]'s sequential `execute_kind` exactly — versions,
-/// access-counter increments, entry creation, and outcome payloads included.
-/// Other groups cannot observe or disturb this group's keys (that is what
-/// the conflict partition guarantees), so overlay-over-base reads see
-/// precisely the state the sequential schedule would have seen.
-struct GroupExecution<'a> {
-    table: &'a RecordTable,
-    accounts: &'a AccountStore,
-    records: BTreeMap<u64, Record>,
-    balances: BTreeMap<u32, i64>,
-    reads: u64,
-    writes: u64,
-}
-
-impl<'a> GroupExecution<'a> {
-    fn new(table: &'a RecordTable, accounts: &'a AccountStore) -> Self {
-        GroupExecution {
-            table,
-            accounts,
-            records: BTreeMap::new(),
-            balances: BTreeMap::new(),
-            reads: 0,
-            writes: 0,
-        }
-    }
-
-    fn record(&self, key: u64) -> Option<&Record> {
-        self.records.get(&key).or_else(|| self.table.peek(key))
-    }
-
-    fn balance(&self, account: u32) -> i64 {
-        self.balances
-            .get(&account)
-            .copied()
-            .unwrap_or_else(|| self.accounts.balance(account))
-    }
-
-    fn write(&mut self, key: u64, payload: Vec<u8>) -> u64 {
-        self.writes += 1;
-        let version = self.record(key).map(|r| r.version + 1).unwrap_or(0);
-        self.records.insert(key, Record { payload, version });
-        version
-    }
-
-    fn execute(&mut self, kind: &TransactionKind) -> ExecutionOutcome {
-        match kind {
-            TransactionKind::YcsbRead { key } => {
-                self.reads += 1;
-                match self.record(*key) {
-                    Some(record) => ExecutionOutcome::ReadResult {
-                        bytes: record.payload.len(),
-                        found: true,
-                    },
-                    None => ExecutionOutcome::ReadResult {
-                        bytes: 0,
-                        found: false,
-                    },
-                }
-            }
-            TransactionKind::YcsbWrite { key, value } => {
-                let version = self.write(*key, value.clone());
-                ExecutionOutcome::WriteApplied { version }
-            }
-            TransactionKind::YcsbReadModifyWrite { key, delta } => {
-                self.reads += 1;
-                let mut payload = self
-                    .record(*key)
-                    .map(|r| r.payload.clone())
-                    .unwrap_or_default();
-                payload.extend_from_slice(delta);
-                let version = self.write(*key, payload);
-                ExecutionOutcome::WriteApplied { version }
-            }
-            TransactionKind::YcsbScan { start, count } => {
-                self.reads += *count as u64;
-                // Base records in range, plus overlay-created keys the base
-                // does not know. Writers inside the range are necessarily in
-                // this group, so the overlay is the only delta to consider.
-                let end = start.saturating_add(*count as u64);
-                let created = self
-                    .records
-                    .range(*start..end)
-                    .filter(|(key, _)| self.table.peek(**key).is_none())
-                    .count();
-                ExecutionOutcome::ScanResult {
-                    records: self.table.count_range(*start, *count) + created,
-                }
-            }
-            TransactionKind::Transfer {
-                from,
-                to,
-                min_balance,
-                amount,
-            } => {
-                let applied = self.balance(*from) > *min_balance;
-                if applied {
-                    let debited = self.balance(*from) - amount;
-                    self.balances.insert(*from, debited);
-                    let credited = self.balance(*to) + amount;
-                    self.balances.insert(*to, credited);
-                }
-                ExecutionOutcome::TransferResult {
-                    applied,
-                    from_balance: self.balance(*from),
-                    to_balance: self.balance(*to),
-                }
-            }
-            TransactionKind::Deposit { account, amount } => {
-                let balance = self.balance(*account) + amount;
-                self.balances.insert(*account, balance);
-                ExecutionOutcome::Balance { balance }
-            }
-            TransactionKind::BalanceQuery { account } => ExecutionOutcome::Balance {
-                balance: self.balance(*account),
-            },
-            TransactionKind::NoOp => ExecutionOutcome::NoOp,
-        }
-    }
-
-    fn finish(self, outcomes: Vec<(u32, ClientReply)>) -> GroupResult {
-        GroupResult {
-            records: self.records,
-            balances: self.balances,
-            reads: self.reads,
-            writes: self.writes,
-            outcomes,
-        }
+        self.execute_round(round, ordered)
     }
 }
 
@@ -560,87 +251,6 @@ mod tests {
         BatchId {
             instance: InstanceId(instance),
             round,
-        }
-    }
-
-    /// `batches` batches of `scans` scans of `count` records each, every
-    /// scan followed by a write into the range it walked: each pair is its
-    /// own conflict group, 100 000 keys from the next.
-    fn scan_round(batches: u64, scans: u64, count: u32) -> Vec<(BatchId, Batch)> {
-        (0..batches)
-            .map(|b| {
-                let requests = (0..scans)
-                    .flat_map(|s| {
-                        let start = (b * scans + s) * 100_000;
-                        let scan = TransactionKind::YcsbScan { start, count };
-                        [
-                            ClientRequest::new(ClientId(b), 2 * s, Transaction::new(scan)),
-                            write_request(b, 2 * s + 1, start + 5),
-                        ]
-                    })
-                    .collect();
-                (batch_id(b as u32, 0), Batch::new(requests))
-            })
-            .collect()
-    }
-
-    fn point_round() -> Vec<(BatchId, Batch)> {
-        (0..4)
-            .map(|i| {
-                let writes = (0..100).map(|k| write_request(i, k, i * 100 + k)).collect();
-                (batch_id(i as u32, 0), Batch::new(writes))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn the_work_test_sends_only_scan_heavy_rounds_to_the_pool() {
-        // Point accesses: W = n, so no pool width makes fan-out pay.
-        assert!(!fan_out_pays(&point_round(), 2));
-        assert!(!fan_out_pays(&point_round(), 64));
-        // Transfers do two accesses and install both.
-        let transfer = ClientRequest::new(ClientId(1), 0, Transaction::transfer(0, 1, 0, 5));
-        let transfers = vec![(batch_id(0, 0), Batch::new(vec![transfer; 100]))];
-        assert!(!fan_out_pays(&transfers, 8));
-        // Scan + write pairs: n = 2, w = 1, W = 2 + count / 256 per pair,
-        // so two workers need count / 256 > 4 and eight need > 10 / 7.
-        assert!(!fan_out_pays(&scan_round(4, 10, 1_024), 2));
-        assert!(fan_out_pays(&scan_round(4, 10, 1_280), 2));
-        assert!(!fan_out_pays(&scan_round(4, 10, 256), 8));
-        assert!(fan_out_pays(&scan_round(4, 10, 512), 8));
-        // A one-worker pool has nobody to share with; neither has an empty
-        // round or one of no-op filler.
-        assert!(!fan_out_pays(&scan_round(4, 10, 100_000), 1));
-        assert!(!fan_out_pays::<Batch>(&[], 8));
-        let filler = vec![(batch_id(0, 0), Batch::noop(InstanceId(0), 0))];
-        assert!(!fan_out_pays(&filler, 8));
-    }
-
-    #[test]
-    fn both_sides_of_the_work_test_match_the_sequential_engine() {
-        for ordered in [point_round(), scan_round(4, 10, 4_096)] {
-            let mut sequential = ExecutionEngine::with_ycsb_table(ReplicaId(0), 1_000, 8);
-            let expected = sequential.execute_round(0, &ordered);
-            for workers in [1, 2, 4] {
-                let pool = WorkerPool::new(workers);
-                let mut parallel = ExecutionEngine::with_ycsb_table(ReplicaId(0), 1_000, 8);
-                let replies = parallel.execute_round_parallel(0, &ordered, &pool);
-                assert_eq!(replies, expected, "{workers} workers");
-                assert_eq!(parallel.state_fingerprint(), sequential.state_fingerprint());
-                assert_eq!(
-                    parallel.table().read_count(),
-                    sequential.table().read_count()
-                );
-                assert_eq!(
-                    parallel.table().write_count(),
-                    sequential.table().write_count()
-                );
-                assert_eq!(parallel.summary(), sequential.summary());
-                assert_eq!(
-                    parallel.ledger().head_digest(),
-                    sequential.ledger().head_digest()
-                );
-            }
         }
     }
 

@@ -8,10 +8,10 @@
 //! substrate (`rcc-storage`), appends the resulting block to the ledger, and
 //! produces the per-client replies that replicas send back.
 //!
-//! Execution comes in two provably equivalent flavours: the sequential
-//! reference path, and a conflict-aware parallel path ([`conflict`]) that
-//! executes non-conflicting transactions of a released round concurrently
-//! on a worker pool while conflicting ones keep the agreed order.
+//! There is one executor: every released round runs in place, in the agreed
+//! order ([`engine`]). [`conflict`] partitions a round into conflict groups;
+//! the engine does not use it — the benchmark measures groups per round
+//! with it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,7 +4,6 @@
 //! rcc-node cluster [--replicas N] [--instances M] [--clients C]
 //!                  [--batch-size B] [--crypto none|mac|pk] [--seed S]
 //!                  [--duration-ms D] [--window W] [--in-process]
-//!                  [--execution-workers W]
 //!                  [--io-threads T] [--max-clients L]
 //!                  [--min-completed Q] [--stats-out FILE]
 //!                  [--telemetry-interval MS] [--telemetry-out FILE]
@@ -100,7 +99,7 @@ fn main() {
 
 const USAGE: &str = "usage:\n  rcc-node cluster [--replicas N] [--instances M] [--clients C] \
 [--batch-size B] [--crypto none|mac|pk] [--seed S] [--duration-ms D] [--window W] \
-[--in-process] [--execution-workers W] [--io-threads T] [--max-clients L] \
+[--in-process] [--io-threads T] [--max-clients L] \
 [--min-completed Q] [--stats-out FILE] \
 [--telemetry-interval MS] [--telemetry-out FILE] [--dump-events] \
 [--kill R --kill-after-ms K --down-for-ms T] \
@@ -109,7 +108,7 @@ const USAGE: &str = "usage:\n  rcc-node cluster [--replicas N] [--instances M] [
 --stream S [--window W] --duration-ms D\n";
 
 /// The flags each subcommand defines.
-const CLUSTER_FLAGS: [&str; 22] = [
+const CLUSTER_FLAGS: [&str; 21] = [
     "--replicas",
     "--instances",
     "--clients",
@@ -119,7 +118,6 @@ const CLUSTER_FLAGS: [&str; 22] = [
     "--duration-ms",
     "--window",
     "--in-process",
-    "--execution-workers",
     "--io-threads",
     "--max-clients",
     "--min-completed",
@@ -256,16 +254,6 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
         },
         clients: flags.int("--clients", 2)? as usize,
         client_window: flags.int("--window", 4)? as usize,
-        execution_workers: {
-            let workers = flags.int(
-                "--execution-workers",
-                rcc_network::DEFAULT_EXECUTION_WORKERS as u64,
-            )? as usize;
-            if workers == 0 {
-                return Err("--execution-workers must be at least 1".into());
-            }
-            workers
-        },
         io_threads: {
             let threads =
                 flags.int("--io-threads", rcc_network::DEFAULT_IO_THREADS as u64)? as usize;
@@ -599,7 +587,7 @@ fn cmd_replica(flags: &Flags) -> Result<(), String> {
         NodeConfig {
             system: file.system,
             replica,
-            execution_workers: file.execution_workers,
+            execution_workers: rcc_network::DEFAULT_EXECUTION_WORKERS,
         },
         transport,
     )

@@ -12,7 +12,7 @@
 use crate::event_loop::EdgeConfig;
 use crate::fleet::{run_fleet_observed, Endpoints, FleetPlan};
 use crate::mangle::{MangleConfig, MangledTransport};
-use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeReport};
+use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeReport, DEFAULT_EXECUTION_WORKERS};
 use crate::tcp::TcpTransport;
 use crate::telemetry::{EdgeTelemetry, NodeTelemetry};
 use crate::transport::{queue_capacity, InProcessNetwork, Transport};
@@ -67,9 +67,6 @@ pub struct ClusterPlan {
     /// frames pass through a seeded [`crate::mangle::ByteMangler`] (each
     /// replica gets its own stream derived from the configured seed).
     pub mangle: Option<MangleConfig>,
-    /// Width of each node's verify/execute worker pool
-    /// (`--execution-workers` on the CLI).
-    pub execution_workers: usize,
     /// Width of each node's client-edge I/O thread pool (TCP only;
     /// `--io-threads` on the CLI).
     pub io_threads: usize,
@@ -98,7 +95,6 @@ impl ClusterPlan {
             run_for: Duration::from_millis(2_000),
             restart: None,
             mangle: None,
-            execution_workers: crate::node::DEFAULT_EXECUTION_WORKERS,
             io_threads: crate::event_loop::DEFAULT_IO_THREADS,
             max_clients: crate::event_loop::DEFAULT_MAX_CLIENTS,
             telemetry_interval: None,
@@ -117,6 +113,15 @@ impl ClusterPlan {
         plan.client_window = 2;
         plan.run_for = Duration::from_millis(10_000);
         plan
+    }
+}
+
+/// What `replica` runs with, first incarnation or restart.
+fn node_config(plan: &ClusterPlan, replica: ReplicaId) -> NodeConfig {
+    NodeConfig {
+        system: plan.system.clone(),
+        replica,
+        execution_workers: DEFAULT_EXECUTION_WORKERS,
     }
 }
 
@@ -216,11 +221,7 @@ where
         sleep_until((kill_at + restart.down_for).min(deadline));
         let transport = respawn(restart.replica);
         let node = spawn_node(
-            NodeConfig {
-                system: plan.system.clone(),
-                replica: restart.replica,
-                execution_workers: plan.execution_workers,
-            },
+            node_config(plan, restart.replica),
             BoxedTransport(transport),
         )
         // rcc-lint: allow(panic) — orchestration harness: a restart the
@@ -320,11 +321,7 @@ fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {
     let nodes: Vec<Option<NodeHandle>> = ReplicaId::all(n)
         .map(|replica| {
             let node = spawn_node(
-                NodeConfig {
-                    system: plan.system.clone(),
-                    replica,
-                    execution_workers: plan.execution_workers,
-                },
+                node_config(plan, replica),
                 BoxedTransport(maybe_mangled(hub.transport(replica), plan.mangle, replica)),
             )
             // rcc-lint: allow(panic) — orchestration harness: no nodes,
@@ -365,11 +362,7 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
         .map(|(index, listener)| {
             let replica = ReplicaId(index as u32);
             let node = spawn_node(
-                NodeConfig {
-                    system: plan.system.clone(),
-                    replica,
-                    execution_workers: plan.execution_workers,
-                },
+                node_config(plan, replica),
                 BoxedTransport(maybe_mangled(
                     TcpTransport::with_listener_and_edge(
                         replica,

@@ -16,7 +16,6 @@
 //! replica = 0
 //! listen = "127.0.0.1:7100"
 //! peers = ["127.0.0.1:7100", "127.0.0.1:7101", "127.0.0.1:7102", "127.0.0.1:7103"]
-//! execution_workers = 4   # verify/execute worker-pool width
 //! io_threads = 2          # client-edge sweep threads (readiness pool)
 //! max_clients = 4096      # client-edge admission cap
 //! ```
@@ -38,9 +37,6 @@ pub struct DeploymentFile {
     pub listen: Option<String>,
     /// Every replica's address, indexed by replica id (`peers = [...]`).
     pub peers: Vec<String>,
-    /// Width of the node's verify/execute worker pool
-    /// (`execution_workers = N`; defaults to 4).
-    pub execution_workers: usize,
     /// Width of the client-edge I/O thread pool (`io_threads = N`;
     /// defaults to [`crate::event_loop::DEFAULT_IO_THREADS`]).
     pub io_threads: usize,
@@ -61,7 +57,6 @@ pub fn parse_deployment(text: &str) -> Result<DeploymentFile, String> {
     let mut replica = None;
     let mut listen = None;
     let mut peers = Vec::new();
-    let mut execution_workers = crate::node::DEFAULT_EXECUTION_WORKERS;
     let mut io_threads = crate::event_loop::DEFAULT_IO_THREADS;
     let mut max_clients = crate::event_loop::DEFAULT_MAX_CLIENTS;
 
@@ -116,12 +111,6 @@ pub fn parse_deployment(text: &str) -> Result<DeploymentFile, String> {
                 peers = parse_string_array(value)
                     .ok_or_else(|| context("peers must be a single-line array of strings"))?
             }
-            "execution_workers" => {
-                execution_workers = parse_int(value)
-                    .filter(|&v| v >= 1)
-                    .ok_or_else(|| context("execution_workers must be a positive integer"))?
-                    as usize
-            }
             "io_threads" => {
                 io_threads = parse_int(value)
                     .filter(|&v| v >= 1)
@@ -157,7 +146,6 @@ pub fn parse_deployment(text: &str) -> Result<DeploymentFile, String> {
         replica,
         listen,
         peers,
-        execution_workers,
         io_threads,
         max_clients,
     })
@@ -200,7 +188,6 @@ mod tests {
             replica = 1            # this node
             listen = "127.0.0.1:7101"
             peers = ["127.0.0.1:7100", "127.0.0.1:7101", "127.0.0.1:7102", "127.0.0.1:7103"]
-            execution_workers = 8
             "#,
         )
         .expect("parses");
@@ -212,22 +199,15 @@ mod tests {
         assert_eq!(file.replica, Some(ReplicaId(1)));
         assert_eq!(file.listen.as_deref(), Some("127.0.0.1:7101"));
         assert_eq!(file.peers.len(), 4);
-        assert_eq!(file.execution_workers, 8);
     }
 
     #[test]
-    fn execution_workers_defaults_and_rejects_zero() {
-        let file = parse_deployment("n = 4").expect("parses");
-        assert_eq!(
-            file.execution_workers,
-            crate::node::DEFAULT_EXECUTION_WORKERS
-        );
-        assert!(parse_deployment("execution_workers = 0")
+    fn the_removed_execution_workers_key_is_unknown() {
+        // The pool it sized serves `pk` verification alone, at the width
+        // every launcher passes; a file that still sets it is refused.
+        assert!(parse_deployment("execution_workers = 4")
             .unwrap_err()
-            .contains("positive"));
-        assert!(parse_deployment("execution_workers = \"four\"")
-            .unwrap_err()
-            .contains("positive"));
+            .contains("unknown key `execution_workers`"));
     }
 
     #[test]

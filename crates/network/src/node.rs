@@ -28,7 +28,7 @@
 //! peer reader sends the inbox one run per socket read (one allocation, one
 //! copy, one channel send for every vote the read completed) and the client
 //! edge a run of one per submission. The mailbox drains runs until the burst
-//! holds [`DRAIN_BURST`] frames and walks their records by slice — nothing
+//! holds `DRAIN_BURST` frames and walks their records by slice — nothing
 //! is copied between the reader's buffer and `Frame::decode_frame`.
 //! Outbound, the node keeps one run per peer: `send` MACs the payload for
 //! its recipient and encodes the frame straight into that peer's run, and
@@ -57,15 +57,12 @@
 //! MAC bursts (and mode `none`) verify right here on the mailbox thread — a
 //! vote's HMAC is 0.23 µs, 32 of them measured 42.2 µs through the pool
 //! against ≈ 7.5 µs inline — and only signature bursts (`pk`) are shared
-//! with the [`WorkerPool`], the mailbox thread checking alongside. The
-//! crypto mode decides; no option does (`rcc_crypto::pipeline` has the
-//! numbers and why `pk` keeps the fan-out). After every burst the node
-//! executes newly released rounds through
-//! [`ExecutionEngine::execute_round_parallel`] on the same pool: in place
-//! when the round is point reads and writes, in conflict-free groups when
-//! it has work to split, with results bit-identical to sequential execution
-//! either way (see `crates/execution/tests/`). The pool width is
-//! [`NodeConfig::execution_workers`] (`--execution-workers` on the CLI).
+//! with a [`WorkerPool`] [`NodeConfig::execution_workers`] wide, the
+//! mailbox thread checking alongside. The crypto mode decides; no option
+//! does (`rcc_crypto::pipeline` has the numbers and why `pk` keeps the
+//! fan-out), and outside `pk` the pool is one wide, which is no thread at
+//! all. After every burst the mailbox thread executes newly released rounds
+//! in place through [`ExecutionEngine::execute_round`].
 //!
 //! Replies implement §III-A: every replica sends the released batch's
 //! certified digest to the client node that submitted it (recovered from
@@ -78,7 +75,7 @@ use crate::telemetry::NodeTelemetry;
 use crate::transport::{Transport, TransportStats};
 use rcc_common::codec::{Decode, Encode};
 use rcc_common::{
-    Batch, BatchId, ClientId, Digest, ReplicaId, Round, SystemConfig, Time, WorkerPool,
+    Batch, BatchId, ClientId, CryptoMode, Digest, ReplicaId, Round, SystemConfig, Time, WorkerPool,
 };
 use rcc_core::{RccMessage, RccReplica};
 use rcc_crypto::{Authenticator, DeploymentKeys, VerifyJob, VerifyPool, VerifySource};
@@ -93,7 +90,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Pool width used when a deployment does not configure one.
+/// The signature-verification pool width every launcher passes.
 pub const DEFAULT_EXECUTION_WORKERS: usize = 4;
 
 /// Configuration of one deployed replica node.
@@ -103,8 +100,9 @@ pub struct NodeConfig {
     pub system: SystemConfig,
     /// Which replica this node is.
     pub replica: ReplicaId,
-    /// Width of the node's verify/execute worker pool (the staged
-    /// pipeline's parallel lane; clamped to at least 1).
+    /// Width of the node's signature-verification pool, the mailbox
+    /// thread included (clamped to at least 1). Only `CryptoMode::PublicKey`
+    /// uses it; in any other mode the node builds its pool one wide.
     pub execution_workers: usize,
 }
 
@@ -232,14 +230,19 @@ pub fn spawn_node(
             let keys = DeploymentKeys::generate(&config.system);
             let auth = Authenticator::new(config.system.crypto, keys.replica_keys(config.replica));
             let replica = RccReplica::over_pbft(config.system.clone(), config.replica);
-            let pool = Arc::new(WorkerPool::new(config.execution_workers));
+            // Only signature bursts leave the mailbox thread
+            // (`rcc_crypto::pipeline`): a wider pool in any other mode would
+            // be threads that never wake.
+            let width = match config.system.crypto {
+                CryptoMode::PublicKey => config.execution_workers,
+                CryptoMode::None | CryptoMode::Mac => 1,
+            };
             let engine = ExecutionEngine::new(config.replica);
             let node = Node {
                 outbound: vec![Vec::new(); config.system.n],
                 transport,
                 replica,
-                verify: VerifyPool::new(auth, Arc::clone(&pool)),
-                pool,
+                verify: VerifyPool::new(auth, Arc::new(WorkerPool::new(width))),
                 engine,
                 next_exec_round: 0,
                 config,
@@ -278,11 +281,10 @@ struct Node<T: Transport> {
     /// transport by [`Node::hand_over_runs`].
     outbound: Vec<Vec<u8>>,
     replica: RccReplica<Pbft>,
-    /// Batch-verification stage: fans frame authentication out to `pool`,
-    /// verdicts return in arrival order. Also owns the signing side.
+    /// Batch-verification stage: checks frame authentication (on its pool
+    /// in `pk` mode), verdicts return in arrival order. Also owns the
+    /// signing side.
     verify: VerifyPool,
-    /// Shared verify/execute worker pool.
-    pool: Arc<WorkerPool>,
     /// Deterministic execution engine fed by released rounds.
     engine: ExecutionEngine,
     /// Next released round the engine has not executed yet. Checkpoint
@@ -376,11 +378,10 @@ impl<T: Transport> Node<T> {
     }
 
     /// Decodes a drained burst (`count` frames in `burst`'s runs, walked by
-    /// slice), fans its authentication checks out to the worker pool in one
-    /// batch, and dispatches the frames **in arrival order** with their
-    /// verdicts — observably identical to inline verification, minus the
-    /// sequential crypto bill — then hands every peer the run the burst
-    /// produced for it. A run's malformed tail is one decode failure.
+    /// slice), verifies its authentication checks in one batch, and
+    /// dispatches the frames **in arrival order** with their verdicts —
+    /// observably identical to frame-by-frame verification — then hands
+    /// every peer the run the burst produced for it. A run's malformed tail is one decode failure.
     fn process_burst(&mut self, burst: Vec<Vec<u8>>, count: u64) {
         let mut frames: Vec<Option<Frame>> = Vec::with_capacity(count as usize);
         let mut jobs: Vec<VerifyJob> = Vec::new();
@@ -561,8 +562,8 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// Executes every newly released round the replica retains through the
-    /// conflict-aware parallel engine. Checkpoint adoption can jump the
+    /// Executes every newly released round the replica retains, in place.
+    /// Checkpoint adoption can jump the
     /// release frontier past rounds this node never saw (they were pruned
     /// cluster-wide); execution resumes at the first retained round, which
     /// is exactly what the restart-robust ledger comparison in
@@ -585,9 +586,7 @@ impl<T: Transport> Node<T> {
             // Replies to clients travel via the §III-A digest protocol
             // (`Action::Commit` → `reply`); the engine's own reply records
             // are not re-sent here.
-            let _ = self
-                .engine
-                .execute_round_parallel(released.round, &ordered, &self.pool);
+            let _ = self.engine.execute_round(released.round, &ordered);
             self.next_exec_round = released.round + 1;
         }
         self.telemetry

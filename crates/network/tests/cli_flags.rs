@@ -40,6 +40,12 @@ fn removed_flags_are_rejected() {
         &["client", "--config", "deployment.toml", "--instance", "1"],
         "--instance",
     );
+    // `cluster --execution-workers W` went when execution stopped using
+    // the pool it sized.
+    assert_usage_error(
+        &["cluster", "--in-process", "--execution-workers", "4"],
+        "--execution-workers",
+    );
 }
 
 #[test]

@@ -48,7 +48,6 @@ fn fleet_connections_multiplex_over_a_fixed_thread_pool() {
     let mut plan = ClusterPlan::client_edge_smoke();
     plan.clients = 64;
     plan.run_for = Duration::from_millis(4_000);
-    plan.execution_workers = 2;
 
     let stop = Arc::new(AtomicBool::new(false));
     let peak_threads = Arc::new(AtomicUsize::new(0));

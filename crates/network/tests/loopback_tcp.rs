@@ -23,10 +23,6 @@ fn plan(transport: TransportKind, run_ms: u64) -> ClusterPlan {
         transport,
         clients: 2,
         client_window: 4,
-        // Stress the conflict-aware executor: every release executes
-        // across a 4-worker pool, and the ledger-digest assertions below
-        // prove it stayed bit-identical across replicas.
-        execution_workers: 4,
         run_for: Duration::from_millis(run_ms),
         restart: None,
         mangle: None,

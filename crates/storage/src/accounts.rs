@@ -54,15 +54,6 @@ impl AccountStore {
         }
     }
 
-    /// Sets `account`'s recorded balance outright, creating the entry when
-    /// missing — the merge half of the parallel executor (deposits and
-    /// withdrawals buffered in a group overlay land here). Note that entry
-    /// *presence* matters to the fingerprint, so this mirrors the entry
-    /// creation `deposit`/`withdraw` would have performed.
-    pub fn set_balance(&mut self, account: u32, balance: i64) {
-        self.balances.insert(account, balance);
-    }
-
     /// Number of accounts with a recorded balance.
     pub fn len(&self) -> usize {
         self.balances.len()

@@ -85,8 +85,7 @@ impl RecordTable {
         self.records.get(&key)
     }
 
-    /// Reads without updating access statistics (used by scans and state
-    /// inspection).
+    /// Reads without updating access statistics (state inspection).
     pub fn peek(&self, key: u64) -> Option<&Record> {
         self.records.get(&key)
     }
@@ -121,40 +120,9 @@ impl RecordTable {
     /// number of existing records touched.
     pub fn scan(&mut self, start: u64, count: u32) -> usize {
         self.reads += count as u64;
-        self.count_range(start, count)
-    }
-
-    /// Number of existing records in `[start, start + count)` without
-    /// touching the access statistics — the read-only half of [`scan`],
-    /// used by the parallel executor's workers against the shared base
-    /// table.
-    ///
-    /// [`scan`]: RecordTable::scan
-    pub fn count_range(&self, start: u64, count: u32) -> usize {
         self.records
             .range(start..start.saturating_add(count as u64))
             .count()
-    }
-
-    /// Installs a record at an explicit version, maintaining the fingerprint
-    /// but **not** the access counters — the merge half of the parallel
-    /// executor. Because the fingerprint composes by XOR, installing only a
-    /// key's *final* record is equivalent to replaying every intermediate
-    /// write (the intermediate contributions cancel pairwise).
-    pub fn install(&mut self, key: u64, payload: Vec<u8>, version: u64) {
-        if let Some(old) = self.records.get(&key) {
-            self.fingerprint ^= mix(key, old.version, &old.payload);
-        }
-        self.fingerprint ^= mix(key, version, &payload);
-        self.records.insert(key, Record { payload, version });
-    }
-
-    /// Adds externally counted read/write operations to the access
-    /// statistics — the counters a parallel group accumulated while its
-    /// writes were still buffered in an overlay.
-    pub fn note_accesses(&mut self, reads: u64, writes: u64) {
-        self.reads += reads;
-        self.writes += writes;
     }
 
     /// Number of write operations applied (excluding initialization).
@@ -168,8 +136,7 @@ impl RecordTable {
     }
 
     /// The incrementally maintained state fingerprint. Two replicas that
-    /// applied the same writes in any order-preserving schedule have the
-    /// same fingerprint.
+    /// applied the same writes in the same order have the same fingerprint.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

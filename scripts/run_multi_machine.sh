@@ -33,7 +33,6 @@ BATCH_SIZE=100
 CRYPTO="mac"
 SEED=42
 WINDOW=4
-EXECUTION_WORKERS=4
 IO_THREADS=2
 MAX_CLIENTS=4096
 BINARY="./target/release/rcc-node"
@@ -53,7 +52,6 @@ flags:
   --crypto none|mac|pk      frame authentication mode (default $CRYPTO)
   --seed S                  deployment seed (default $SEED)
   --window W                per-client closed-loop window (default $WINDOW)
-  --execution-workers W     verify/execute pool width per node (default $EXECUTION_WORKERS)
   --io-threads T            client-edge sweep threads per node (default $IO_THREADS)
   --max-clients L           client-edge admission cap per node (default $MAX_CLIENTS)
   --binary PATH             rcc-node path, local and remote (default $BINARY)
@@ -74,7 +72,6 @@ while [ $# -gt 0 ]; do
         --crypto) CRYPTO="$2"; shift 2 ;;
         --seed) SEED="$2"; shift 2 ;;
         --window) WINDOW="$2"; shift 2 ;;
-        --execution-workers) EXECUTION_WORKERS="$2"; shift 2 ;;
         --io-threads) IO_THREADS="$2"; shift 2 ;;
         --max-clients) MAX_CLIENTS="$2"; shift 2 ;;
         --binary) BINARY="$2"; shift 2 ;;
@@ -115,7 +112,6 @@ seed = $SEED
 replica = $index
 listen = "${ADDRS[$index]}"
 peers = [$PEERS]
-execution_workers = $EXECUTION_WORKERS
 io_threads = $IO_THREADS
 max_clients = $MAX_CLIENTS
 EOF
