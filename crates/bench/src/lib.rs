@@ -9,9 +9,12 @@
 //! submitted inside the window.
 //!
 //! Results are emitted as CSV (one row per experiment, machine-readable, the
-//! format CI archives) and as a Markdown table (human-readable). Both are
-//! deterministic: the same seed and matrix produce byte-identical output,
-//! which is what makes regression comparison across PRs meaningful.
+//! format CI archives) and as a Markdown table (human-readable). Every count
+//! and latency column is read from the run's `sim.*` telemetry snapshot when
+//! the row is rendered; a [`RunResult`] copies nothing out of its
+//! [`SimReport`]. Both outputs are deterministic: the same seed and matrix
+//! produce byte-identical output, which is what makes regression comparison
+//! across PRs meaningful.
 //! `docs/EVALUATION.md` documents every knob and how the output columns map
 //! onto the axes of Fig. 7 and Fig. 8 of the paper.
 
@@ -23,7 +26,6 @@ use rcc_sim::{
     simulate_pbft, simulate_rcc_over_pbft, AdversaryAttack, AdversarySpec, FaultKind, FaultScript,
     NetworkModel, SimConfig, SimReport,
 };
-use rcc_telemetry::{FlightEvent, Snapshot};
 use std::fmt::Write as _;
 
 /// Which consensus system a row measures.
@@ -419,7 +421,8 @@ impl ExperimentSpec {
     }
 }
 
-/// Measurements of one experiment.
+/// Measurements of one experiment: the two windowed throughputs the runner
+/// computes, and the simulator's report every other column is read from.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// The experiment that was run.
@@ -431,45 +434,27 @@ pub struct RunResult {
     /// fault runs this isolates the post-recovery steady state from the
     /// outage; the `recovery` preset's sanity floor checks this column.
     pub tail_tps: f64,
-    /// Mean client latency in milliseconds.
-    pub latency_mean_ms: f64,
-    /// Median client latency in milliseconds.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile client latency in milliseconds.
-    pub latency_p99_ms: f64,
-    /// Transactions that reached the `f + 1` commit quorum over the whole
-    /// run.
-    pub committed_transactions: u64,
-    /// Batches that reached the `f + 1` commit quorum over the whole run.
-    pub committed_batches: u64,
-    /// Messages delivered between replicas.
-    pub messages_delivered: u64,
-    /// Bytes delivered between replicas.
-    pub bytes_delivered: u64,
-    /// Simulation events processed.
-    pub events_processed: u64,
-    /// `SuspectPrimary` actions observed.
-    pub suspicions: u64,
-    /// `ViewChanged` actions observed.
-    pub view_changes: u64,
-    /// Client hand-offs performed by the Section III-E assignment policy.
-    pub client_handoffs: u64,
-    /// Peak per-slot log entries retained by any single replica at any
-    /// point of the run — the memory-pressure column. Bounded by
-    /// O(`checkpoint_interval` × m) with §III-D checkpointing; the
-    /// `long-horizon` preset gates it in CI via `rcc-bench --max-retained`.
-    pub peak_retained_log: u64,
-    /// Strikes landed by the adaptive adversary (0 in non-adaptive runs).
-    pub adversary_strikes: u64,
-    /// The run's event-trace fingerprint (equal ⇒ identical run).
-    pub trace_fingerprint: u64,
-    /// The run's end-of-run telemetry registry snapshot (the `sim.*` metric
-    /// catalog in `docs/OBSERVABILITY.md`); the counter columns above are
-    /// sourced from it.
-    pub telemetry: Snapshot,
-    /// The run's flight-recorder trace (view changes, σ-lag detections,
-    /// checkpoint stabilizations, client hand-offs), oldest first.
-    pub flight: Vec<FlightEvent>,
+    /// The run's report: `sim.*` snapshot, event count, trace fingerprint
+    /// (equal ⇒ identical run) and flight trace.
+    pub report: SimReport,
+}
+
+impl RunResult {
+    /// Client latency in milliseconds: the mean, p50 and p99 of the
+    /// `sim.latency_us` histogram (virtual microseconds).
+    fn latency_ms(&self) -> (f64, f64, f64) {
+        let latency = self
+            .report
+            .telemetry
+            .histogram("sim.latency_us")
+            .cloned()
+            .unwrap_or_default();
+        (
+            latency.mean() / 1e3,
+            latency.percentile(0.5) as f64 / 1e3,
+            latency.percentile(0.99) as f64 / 1e3,
+        )
+    }
 }
 
 /// Runs one experiment with the given phasing.
@@ -488,36 +473,14 @@ pub fn run_spec(spec: &ExperimentSpec, phases: &Phases) -> RunResult {
     if let Some(adversary) = spec.fault.adversary(phases.measure_start()) {
         config = config.with_adversary(adversary);
     }
-    let report: SimReport = match spec.protocol {
+    let report = match spec.protocol {
         ProtocolKind::RccPbft => simulate_rcc_over_pbft(config),
         ProtocolKind::Pbft => simulate_pbft(config),
     };
-    // The counter columns are sourced from the run's telemetry registry —
-    // the same numbers every other consumer of the snapshot sees — so a
-    // drift between the report's native counters and the registry would
-    // show up in the CSV immediately.
-    let counter = |name: &str| report.telemetry.counter(name).unwrap_or(0);
-    // `sim.latency_us` is in virtual microseconds.
-    let latency = &report.latency;
     RunResult {
         throughput_tps: report.throughput_over(phases.measure_start(), phases.measure_end()),
         tail_tps: report.throughput_over(phases.tail_start(), phases.measure_end()),
-        latency_mean_ms: latency.mean() / 1e3,
-        latency_p50_ms: latency.percentile(0.5) as f64 / 1e3,
-        latency_p99_ms: latency.percentile(0.99) as f64 / 1e3,
-        committed_transactions: counter("sim.committed_txns"),
-        committed_batches: counter("sim.committed_batches"),
-        messages_delivered: counter("sim.messages"),
-        bytes_delivered: counter("sim.bytes"),
-        events_processed: report.events_processed,
-        suspicions: counter("sim.suspicions"),
-        view_changes: counter("sim.view_changes"),
-        client_handoffs: counter("sim.client_handoffs"),
-        peak_retained_log: report.telemetry.gauge("sim.peak_retained_log").unwrap_or(0),
-        adversary_strikes: counter("sim.adversary_strikes"),
-        trace_fingerprint: report.trace_fingerprint,
-        telemetry: report.telemetry,
-        flight: report.flight,
+        report,
         spec,
     }
 }
@@ -580,6 +543,8 @@ impl CampaignResults {
         );
         for row in &self.rows {
             let s = &row.spec;
+            let (mean, p50, p99) = row.latency_ms();
+            let count = |name| row.report.count(name);
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{:016x}",
@@ -594,20 +559,20 @@ impl CampaignResults {
                 s.seed,
                 row.throughput_tps,
                 row.tail_tps,
-                row.latency_mean_ms,
-                row.latency_p50_ms,
-                row.latency_p99_ms,
-                row.committed_transactions,
-                row.committed_batches,
-                row.messages_delivered,
-                row.bytes_delivered,
-                row.events_processed,
-                row.suspicions,
-                row.view_changes,
-                row.client_handoffs,
-                row.peak_retained_log,
-                row.adversary_strikes,
-                row.trace_fingerprint,
+                mean,
+                p50,
+                p99,
+                count("sim.committed_txns"),
+                count("sim.committed_batches"),
+                count("sim.messages"),
+                count("sim.bytes"),
+                row.report.events_processed,
+                count("sim.suspicions"),
+                count("sim.view_changes"),
+                count("sim.client_handoffs"),
+                count("sim.peak_retained_log"),
+                count("sim.adversary_strikes"),
+                row.report.trace_fingerprint,
             );
         }
         out
@@ -632,7 +597,7 @@ impl CampaignResults {
     pub fn to_telemetry_jsonl(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&row.telemetry.to_jsonl(&Self::row_label(&row.spec)));
+            out.push_str(&row.report.telemetry.to_jsonl(&Self::row_label(&row.spec)));
         }
         out
     }
@@ -644,7 +609,7 @@ impl CampaignResults {
         let mut out = String::new();
         for row in &self.rows {
             out.push_str(&rcc_telemetry::dump_jsonl(
-                &row.flight,
+                &row.report.flight,
                 &Self::row_label(&row.spec),
             ));
         }
@@ -661,6 +626,7 @@ impl CampaignResults {
         );
         for row in &self.rows {
             let s = &row.spec;
+            let (_, p50, p99) = row.latency_ms();
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.1} | {:.1} | {} | {} | {} |",
@@ -673,11 +639,11 @@ impl CampaignResults {
                 s.crypto_name(),
                 row.throughput_tps,
                 row.tail_tps,
-                row.latency_p50_ms,
-                row.latency_p99_ms,
-                row.view_changes,
-                row.client_handoffs,
-                row.peak_retained_log,
+                p50,
+                p99,
+                row.report.count("sim.view_changes"),
+                row.report.count("sim.client_handoffs"),
+                row.report.count("sim.peak_retained_log"),
             );
         }
         out
@@ -968,7 +934,10 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + results.rows.len());
         assert!(csv.starts_with("protocol,network,fault,n,f,m,"));
         for row in &results.rows {
-            assert!(row.committed_transactions > 0, "rows must make progress");
+            assert!(
+                row.report.count("sim.committed_txns") > 0,
+                "rows must make progress"
+            );
         }
     }
 
@@ -998,7 +967,7 @@ mod tests {
         };
         let row = run_spec(&spec, &phases);
         assert_eq!(row.spec.m, 1);
-        assert!(row.committed_transactions > 0);
+        assert!(row.report.count("sim.committed_txns") > 0);
     }
 
     #[test]
@@ -1076,9 +1045,12 @@ mod tests {
             cooldown: Duration::from_millis(50),
         };
         let row = run_spec(&spec, &phases);
-        assert!(row.adversary_strikes > 0, "the adversary never struck");
         assert!(
-            row.committed_transactions > 0,
+            row.report.count("sim.adversary_strikes") > 0,
+            "the adversary never struck"
+        );
+        assert!(
+            row.report.count("sim.committed_txns") > 0,
             "chaos run stopped committing"
         );
     }

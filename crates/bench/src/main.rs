@@ -150,7 +150,11 @@ fn main() -> ExitCode {
             );
         }
     });
-    if results.rows.iter().any(|r| r.committed_transactions == 0) {
+    if results
+        .rows
+        .iter()
+        .any(|r| r.report.count("sim.committed_txns") == 0)
+    {
         eprintln!("error: a run committed zero transactions — the simulator is broken");
         return ExitCode::FAILURE;
     }
@@ -188,7 +192,7 @@ fn main() -> ExitCode {
                 row.spec.fault.name(),
                 row.spec.seed,
             );
-            eprint!("{}", rcc_telemetry::dump_text(&row.flight));
+            eprint!("{}", rcc_telemetry::dump_text(&row.report.flight));
         }
     }
     // The floor gate runs *after* the results are on disk and stdout, so a
@@ -218,7 +222,7 @@ fn main() -> ExitCode {
                 // detection? view-change loop? hand-off storm?) is visible in
                 // the CI log without a re-run.
                 let violation = rcc_telemetry::FlightEvent {
-                    at_nanos: row.flight.last().map_or(0, |event| event.at_nanos),
+                    at_nanos: row.report.flight.last().map_or(0, |event| event.at_nanos),
                     source: 0,
                     kind: rcc_telemetry::FlightEventKind::FloorViolation {
                         observed: row.tail_tps as u64,
@@ -228,7 +232,7 @@ fn main() -> ExitCode {
                 if args.dump_events {
                     eprint!("{}", rcc_telemetry::dump_text(&[violation]));
                 } else {
-                    let mut trace = row.flight.clone();
+                    let mut trace = row.report.flight.clone();
                     trace.push(violation);
                     eprint!("{}", rcc_telemetry::dump_text(&trace));
                 }
@@ -241,7 +245,8 @@ fn main() -> ExitCode {
     if let Some(cap) = args.max_retained {
         let mut failed = false;
         for row in &results.rows {
-            if row.peak_retained_log > cap {
+            let peak = row.report.count("sim.peak_retained_log");
+            if peak > cap {
                 failed = true;
                 eprintln!(
                     "error: peak retained log above the cap: {} {} fault={} \
@@ -249,13 +254,13 @@ fn main() -> ExitCode {
                     row.spec.protocol.name(),
                     row.spec.network.name(),
                     row.spec.fault.name(),
-                    row.peak_retained_log,
+                    peak,
                 );
                 // Same rationale as the floor gate: the flight trace shows
                 // whether checkpoints stabilized at all (and how far apart)
                 // without a re-run.
                 if !args.dump_events {
-                    eprint!("{}", rcc_telemetry::dump_text(&row.flight));
+                    eprint!("{}", rcc_telemetry::dump_text(&row.report.flight));
                 }
             }
         }

@@ -8,6 +8,9 @@
 //! [`rcc_workload::DriverSession`] (closed loop, `f + 1` matching replies,
 //! the §III-E failover policy) whose links the fleet sweeps — sockets over
 //! TCP, a polled channel in process.
+//!
+//! A replica killed and restarted mid-run reports once, its counts read
+//! from both incarnations' merged snapshot ([`ClusterOutcome::reports`]).
 
 use crate::event_loop::EdgeConfig;
 use crate::fleet::{run_fleet_observed, Endpoints, FleetPlan};
@@ -151,12 +154,11 @@ fn maybe_mangled(
 #[derive(Clone, Debug)]
 pub struct ClusterOutcome {
     /// Final report of every replica. A restarted node reports its
-    /// post-rejoin consensus state, but its *observability* fields —
-    /// [`crate::transport::TransportStats`], the metric snapshot, and the
-    /// flight trace — cover both incarnations (see [`TransportStats::merged`]
-    /// semantics: counts accumulate, `peak_clients` is a max-merge).
-    ///
-    /// [`TransportStats::merged`]: crate::transport::TransportStats::merged
+    /// post-rejoin consensus state, but its *observability* — the metric
+    /// snapshot, the flight trace, and every count field read from the
+    /// snapshot (the node's `replies_sent` … `view_changes` as well as its
+    /// `transport` counts) — covers both incarnations: counters add, and
+    /// gauges such as `transport.peak_clients` take the maximum.
     pub reports: Vec<NodeReport>,
     /// Per-client statistics, in stream order.
     pub clients: Vec<SessionStats>,
@@ -195,11 +197,11 @@ pub fn run_local_cluster(plan: &ClusterPlan) -> ClusterOutcome {
 ///
 /// Returns the killed node's final report, if the plan killed one. The
 /// crash loses *consensus* state by design — the replacement starts empty
-/// and catches up — but the first incarnation's delivery-boundary counters
-/// and telemetry describe load the cluster really absorbed, so [`finish`]
-/// folds them into the replacement's report instead of under-counting the
-/// run. (Discarding this report was the bug that made `peak_clients`
-/// report only the post-restart high-water mark.)
+/// and catches up — but the first incarnation's telemetry describes load
+/// the cluster really absorbed, so [`finish`] folds it into the
+/// replacement's report instead of under-counting the run. (Discarding this
+/// report was the bug that made `peak_clients` report only the post-restart
+/// high-water mark.)
 fn run_timeline<R>(
     plan: &ClusterPlan,
     started: Instant,
@@ -306,12 +308,8 @@ impl Transport for BoxedTransport {
     fn shutdown(&mut self) {
         self.0.shutdown()
     }
-
-    fn stats(&self) -> crate::transport::TransportStats {
-        self.0.stats()
-    }
-    fn edge_telemetry(&self) -> Option<EdgeTelemetry> {
-        self.0.edge_telemetry()
+    fn telemetry(&self) -> &EdgeTelemetry {
+        self.0.telemetry()
     }
 }
 
@@ -480,23 +478,61 @@ fn finish(nodes: Vec<Option<NodeHandle>>, killed: Option<NodeReport>) -> Vec<Nod
             node.shutdown().expect("node thread panicked")
         })
         .collect();
-    // Fold the killed incarnation's observability into its replacement's
-    // report: delivery counters accumulate and peaks max-merge
-    // (`TransportStats::merged`), metric snapshots merge name-wise, and the
-    // pre-kill flight trace precedes the replacement's. Consensus state
-    // (digests, ledger, fingerprints) stays the replacement's alone — the
-    // crash really did lose it.
     if let Some(killed) = killed {
         if let Some(report) = reports
             .iter_mut()
             .find(|report| report.replica == killed.replica)
         {
-            report.transport = killed.transport.merged(report.transport);
-            report.telemetry = killed.telemetry.merged(&report.telemetry);
-            let mut flight = killed.flight;
-            flight.append(&mut report.flight);
-            report.flight = flight;
+            fold_restart(report, killed);
         }
     }
     reports
+}
+
+/// Folds the killed incarnation's observability into its replacement's
+/// report: the metric snapshots merge name-wise ([`Snapshot::merged`]:
+/// counters add, gauges max-merge), the pre-kill flight trace precedes the
+/// replacement's, and every count field is read again from the merged
+/// snapshot. Consensus state (digests, ledger, fingerprints) stays the
+/// replacement's alone — the crash really did lose it.
+fn fold_restart(report: &mut NodeReport, killed: NodeReport) {
+    report.telemetry = killed.telemetry.merged(&report.telemetry);
+    let mut flight = killed.flight;
+    flight.append(&mut report.flight);
+    report.flight = flight;
+    report.read_counts();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report whose only content is its snapshot.
+    fn report_of(counters: &[(&str, u64)], peak_clients: u64) -> NodeReport {
+        let mut report = NodeReport {
+            telemetry: Snapshot {
+                counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+                gauges: vec![("transport.peak_clients".to_string(), peak_clients)],
+                histograms: Vec::new(),
+            },
+            ..NodeReport::default()
+        };
+        report.read_counts();
+        report
+    }
+
+    #[test]
+    fn a_restart_fold_adds_counts_and_keeps_the_highest_peak() {
+        let killed = report_of(&[("node.replies_sent", 70), ("node.view_changes", 1)], 40);
+        let mut replacement = report_of(
+            &[("node.replies_sent", 30), ("transport.dropped_frames", 9)],
+            25,
+        );
+        fold_restart(&mut replacement, killed);
+        assert_eq!(replacement.replies_sent, 100);
+        assert_eq!(replacement.view_changes, 1);
+        assert_eq!(replacement.transport.dropped_frames, 9);
+        // Two incarnations that peaked at 40 and 25 clients peaked at 40.
+        assert_eq!(replacement.transport.peak_clients, 40);
+    }
 }

@@ -58,21 +58,20 @@
 //! up. TCP's own flow control then pushes back to the client; nothing is
 //! buffered without bound and nothing is silently dropped on the read
 //! path. On the write path every connection has a bounded outbound queue;
-//! overflow drops the frame and increments the dropped-frame counter
-//! surfaced through [`crate::transport::TransportStats`].
+//! overflow drops the frame and increments `transport.dropped_frames` in the
+//! edge's [`EdgeTelemetry`], the transport's registry.
 
 use crate::frame::{
     peek_kind, Frame, PeerKind, KIND_CLIENT_REJECT, KIND_CLIENT_REPLY, KIND_CLIENT_SUBMIT,
 };
 use crate::run::{pack_frame, record_len, OversizeFrame, PREFIX};
 use crate::telemetry::EdgeTelemetry;
-use crate::transport::TransportStats;
 use rcc_common::{ClientId, Digest, ReplicaId};
-use rcc_telemetry::FlightEventKind;
+use rcc_telemetry::{Counter, FlightEventKind};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -370,15 +369,6 @@ impl NbConn {
 /// per-peer reader there).
 pub type ReplicaHandoff = Arc<dyn Fn(TcpStream, Vec<u8>) + Send + Sync>;
 
-/// Per-edge counters, shared by all I/O threads.
-#[derive(Default)]
-struct EdgeStats {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    dropped: AtomicU64,
-    peak: AtomicU64,
-}
-
 /// What one registered connection is, after its first frame.
 enum Peer {
     /// No frame yet; timed out after [`HELLO_TIMEOUT`].
@@ -426,7 +416,7 @@ type Routes = Arc<Mutex<BTreeMap<u64, Route>>>;
 pub struct ClientEdge {
     mailboxes: Vec<SyncSender<EdgeCommand>>,
     routes: Routes,
-    stats: Arc<EdgeStats>,
+    /// Admission-control state, not a metric: the clients registered now.
     active: Arc<AtomicUsize>,
     next: Arc<AtomicUsize>,
     threads: Vec<JoinHandle<()>>,
@@ -439,7 +429,7 @@ pub struct ClientEdge {
 #[derive(Clone)]
 pub struct EdgeRegistrar {
     mailboxes: Vec<SyncSender<EdgeCommand>>,
-    stats: Arc<EdgeStats>,
+    rejected: Counter,
     next: Arc<AtomicUsize>,
 }
 
@@ -449,14 +439,11 @@ impl EdgeRegistrar {
     /// drops the socket (the client observes a closed connection and
     /// fails over per §III-E) and counts it as rejected.
     pub fn register(&self, stream: TcpStream) {
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
         let turn = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = turn % self.mailboxes.len().max(1);
         match self.mailboxes.get(slot) {
             Some(mailbox) if mailbox.try_send(EdgeCommand::Register(stream)).is_ok() => {}
-            _ => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            }
+            _ => self.rejected.inc(),
         }
     }
 }
@@ -465,21 +452,20 @@ impl ClientEdge {
     /// Spawns the edge's I/O threads for replica `me`. Client frames are
     /// forwarded into `inbox`, each as a run of one (the record as it was
     /// read, prefix included); sockets that turn out to be replica peer
-    /// links are passed to `on_replica`. The edge observes `shutdown` and
-    /// stops sweeping once it is raised (join via [`ClientEdge::join`]).
+    /// links are passed to `on_replica`. Every sweep thread counts and
+    /// records into `telemetry`, the owning transport's bundle. The edge
+    /// observes `shutdown` and stops sweeping once it is raised (join via
+    /// [`ClientEdge::join`]).
     pub fn spawn(
         me: ReplicaId,
         config: EdgeConfig,
         inbox: SyncSender<Vec<u8>>,
         on_replica: ReplicaHandoff,
         shutdown: Arc<AtomicBool>,
+        telemetry: EdgeTelemetry,
     ) -> std::io::Result<ClientEdge> {
         let routes: Routes = Arc::new(Mutex::new(BTreeMap::new()));
-        let stats = Arc::new(EdgeStats::default());
         let active = Arc::new(AtomicUsize::new(0));
-        // One bundle for the whole edge: clones share the registry and the
-        // flight ring, so all sweep threads record into the same cells.
-        let telemetry = EdgeTelemetry::new();
         let mut mailboxes = Vec::new();
         let mut threads = Vec::new();
         for index in 0..config.io_threads.max(1) {
@@ -490,7 +476,6 @@ impl ClientEdge {
                 config,
                 inbox: inbox.clone(),
                 routes: Arc::clone(&routes),
-                stats: Arc::clone(&stats),
                 active: Arc::clone(&active),
                 shutdown: Arc::clone(&shutdown),
                 on_replica: Arc::clone(&on_replica),
@@ -506,7 +491,6 @@ impl ClientEdge {
         Ok(ClientEdge {
             mailboxes,
             routes,
-            stats,
             active,
             next: Arc::new(AtomicUsize::new(0)),
             threads,
@@ -514,10 +498,10 @@ impl ClientEdge {
         })
     }
 
-    /// The edge's telemetry bundle: sweep-latency histogram, per-connection
-    /// queue-occupancy gauge, and the admission flight recorder. Clones
-    /// share the underlying registry, so snapshots here observe the sweep
-    /// threads live.
+    /// The edge's telemetry bundle: the `transport.*` counters,
+    /// sweep-latency histogram, per-connection queue-occupancy gauge, and
+    /// the admission flight recorder. Clones share the underlying registry,
+    /// so snapshots here observe the sweep threads live.
     pub fn telemetry(&self) -> &EdgeTelemetry {
         &self.telemetry
     }
@@ -526,7 +510,7 @@ impl ClientEdge {
     pub fn registrar(&self) -> EdgeRegistrar {
         EdgeRegistrar {
             mailboxes: self.mailboxes.clone(),
-            stats: Arc::clone(&self.stats),
+            rejected: self.telemetry.rejected_connections.clone(),
             next: Arc::clone(&self.next),
         }
     }
@@ -550,9 +534,7 @@ impl ClientEdge {
         };
         match mailbox.try_send(EdgeCommand::Deliver(route.conn, frame)) {
             Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(TrySendError::Full(_)) => self.telemetry.dropped_frames.inc(),
             Err(TrySendError::Disconnected(_)) => {}
         }
     }
@@ -565,16 +547,6 @@ impl ClientEdge {
     /// Number of sweep threads serving the edge.
     pub fn io_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// The edge's counters, in transport-stat form.
-    pub fn stats(&self) -> TransportStats {
-        TransportStats {
-            dropped_frames: self.stats.dropped.load(Ordering::Relaxed),
-            rejected_connections: self.stats.rejected.load(Ordering::Relaxed),
-            accepted_connections: self.stats.accepted.load(Ordering::Relaxed),
-            peak_clients: self.stats.peak.load(Ordering::Relaxed),
-        }
     }
 
     /// Joins the I/O threads. The shared shutdown flag must already be
@@ -596,7 +568,6 @@ struct IoThread {
     config: EdgeConfig,
     inbox: SyncSender<Vec<u8>>,
     routes: Routes,
-    stats: Arc<EdgeStats>,
     active: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
     on_replica: ReplicaHandoff,
@@ -690,7 +661,7 @@ impl IoThread {
                     entry.inflight = entry.inflight.saturating_sub(1);
                 }
                 if !entry.conn.enqueue(&frame) {
-                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.dropped_frames.inc();
                 }
             }
         }
@@ -843,9 +814,7 @@ impl IoThread {
             self.active.fetch_sub(1, Ordering::Relaxed);
             return false;
         }
-        self.stats
-            .peak
-            .fetch_max(prior as u64 + 1, Ordering::Relaxed);
+        self.telemetry.peak_clients.set_max(prior as u64 + 1);
         true
     }
 
@@ -854,7 +823,7 @@ impl IoThread {
     /// "connection refused — fail over") and doom the connection, which
     /// closes once the reject flushes.
     fn reject(&self, entry: &mut EdgeConn) {
-        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.rejected_connections.inc();
         self.telemetry.event(
             self.me.0,
             FlightEventKind::AdmissionReject {
@@ -1089,6 +1058,7 @@ mod tests {
             inbox_tx,
             on_replica,
             Arc::clone(&shutdown),
+            EdgeTelemetry::new(),
         )
         .unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1167,8 +1137,9 @@ mod tests {
             .unwrap();
         let mut scratch = [0u8; 8];
         assert_eq!(second.read(&mut scratch).unwrap_or(0), 0);
-        assert_eq!(edge.stats().rejected_connections, 1);
-        assert_eq!(edge.stats().peak_clients, 1);
+        let snapshot = edge.telemetry().snapshot();
+        assert_eq!(snapshot.counter("transport.rejected_connections"), Some(1));
+        assert_eq!(snapshot.gauge("transport.peak_clients"), Some(1));
         shutdown.store(true, Ordering::Relaxed);
     }
 
@@ -1197,8 +1168,9 @@ mod tests {
         // …nothing reached the node, and no admission slot was taken.
         assert!(inbox.try_recv().is_err());
         assert_eq!(edge.active_clients(), 0);
-        assert_eq!(edge.stats().peak_clients, 0);
-        assert_eq!(edge.stats().rejected_connections, 0);
+        let snapshot = edge.telemetry().snapshot();
+        assert_eq!(snapshot.gauge("transport.peak_clients"), Some(0));
+        assert_eq!(snapshot.counter("transport.rejected_connections"), Some(0));
         shutdown.store(true, Ordering::Relaxed);
     }
 

@@ -294,12 +294,8 @@ impl<T: Transport> Transport for MangledTransport<T> {
         self.inner.shutdown()
     }
 
-    fn stats(&self) -> crate::transport::TransportStats {
-        self.inner.stats()
-    }
-
-    fn edge_telemetry(&self) -> Option<crate::telemetry::EdgeTelemetry> {
-        self.inner.edge_telemetry()
+    fn telemetry(&self) -> &crate::telemetry::EdgeTelemetry {
+        self.inner.telemetry()
     }
 }
 

@@ -107,7 +107,7 @@ pub struct NodeConfig {
 }
 
 /// What a node measured and held when it shut down.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NodeReport {
     /// The replica that produced the report.
     pub replica: ReplicaId,
@@ -133,29 +133,48 @@ pub struct NodeReport {
     /// Combined fingerprint of the engine's post-execution state (record
     /// table ⊕ account store).
     pub state_fingerprint: u64,
-    /// Client replies sent.
+    /// Client replies sent: `node.replies_sent`.
     pub replies_sent: u64,
-    /// Frames that arrived but failed authentication.
+    /// Frames that arrived but failed authentication: `node.auth_failures`.
     pub auth_failures: u64,
-    /// Frames (or payloads) that arrived but failed to decode.
+    /// Frames (or payloads) that arrived but failed to decode:
+    /// `node.decode_failures`.
     pub decode_failures: u64,
-    /// `SuspectPrimary` actions the replica raised.
+    /// `SuspectPrimary` actions the replica raised: `node.suspicions`.
     pub suspicions: u64,
-    /// `ViewChanged` actions the replica raised.
+    /// `ViewChanged` actions the replica raised: `node.view_changes`.
     pub view_changes: u64,
-    /// Transport-edge counters: frames dropped on bounded outbound queues
-    /// (previously silent), connections rejected at the admission cap, and
-    /// the client-connection high-water mark.
+    /// The transport's delivery-boundary counts: `transport.dropped_frames`,
+    /// `transport.rejected_connections` and `transport.peak_clients`.
     pub transport: TransportStats,
-    /// End-of-run snapshot of the node's metric registry (the
-    /// `node.pipeline.*` catalog in `docs/OBSERVABILITY.md`): per-burst
-    /// stage timings of the drain → verify → dispatch → execute pipeline
-    /// and the drained-burst high-water mark.
+    /// End-of-run snapshot of the node's and its transport's metric
+    /// registries (the `node.*`, `transport.*` and `edge.*` catalog in
+    /// `docs/OBSERVABILITY.md`). The count fields above are read out of it
+    /// when the node stops (and again after a restart fold), never kept
+    /// beside it.
     pub telemetry: Snapshot,
     /// The node's flight-recorder trace (σ-lag suspicions and completed
     /// view changes), oldest first, timestamped in wall nanoseconds since
     /// the node started.
     pub flight: Vec<FlightEvent>,
+}
+
+impl NodeReport {
+    /// Re-reads every count field from [`NodeReport::telemetry`]: the one
+    /// place they are filled, at shutdown and again after a restart fold.
+    pub(crate) fn read_counts(&mut self) {
+        let counter = |name: &str| self.telemetry.counter(name).unwrap_or(0);
+        self.replies_sent = counter("node.replies_sent");
+        self.auth_failures = counter("node.auth_failures");
+        self.decode_failures = counter("node.decode_failures");
+        self.suspicions = counter("node.suspicions");
+        self.view_changes = counter("node.view_changes");
+        self.transport = TransportStats {
+            dropped_frames: counter("transport.dropped_frames"),
+            rejected_connections: counter("transport.rejected_connections"),
+            peak_clients: self.telemetry.gauge("transport.peak_clients").unwrap_or(0),
+        };
+    }
 }
 
 /// Why spawning or stopping a node failed.
@@ -248,11 +267,6 @@ pub fn spawn_node(
                 config,
                 timers: BTreeMap::new(),
                 epoch: Instant::now(),
-                replies_sent: 0,
-                auth_failures: 0,
-                decode_failures: 0,
-                suspicions: 0,
-                view_changes: 0,
                 telemetry: thread_telemetry,
             };
             node.run(stop_rx)
@@ -294,13 +308,9 @@ struct Node<T: Transport> {
     /// Armed wall-clock timers: protocol `TimerId` → absolute logical time.
     timers: BTreeMap<TimerId, Time>,
     epoch: Instant,
-    replies_sent: u64,
-    auth_failures: u64,
-    decode_failures: u64,
-    suspicions: u64,
-    view_changes: u64,
-    /// Pipeline stage timings, queue-depth high-water, and the consensus
-    /// flight recorder (shared with the spawn-side [`NodeHandle`]).
+    /// Pipeline stage timings, queue-depth high-water, what the node
+    /// counted, and the consensus flight recorder (shared with the
+    /// spawn-side [`NodeHandle`]).
     telemetry: NodeTelemetry,
 }
 
@@ -413,7 +423,7 @@ impl<T: Transport> Node<T> {
                 }),
                 Some(_) => None,
                 None => {
-                    self.decode_failures += 1;
+                    self.telemetry.decode_failures.inc();
                     None
                 }
             };
@@ -455,13 +465,13 @@ impl<T: Transport> Node<T> {
             Frame::Hello { .. } => {} // transport-level concern; nothing to do
             Frame::Replica { from, payload, .. } => {
                 if from == self.config.replica || verified != Some(true) {
-                    self.auth_failures += 1;
+                    self.telemetry.auth_failures.inc();
                     return;
                 }
                 let message = match RccMessage::<PbftMessage>::decode_all(&payload) {
                     Ok(message) => message,
                     Err(_) => {
-                        self.decode_failures += 1;
+                        self.telemetry.decode_failures.inc();
                         return;
                     }
                 };
@@ -475,13 +485,13 @@ impl<T: Transport> Node<T> {
                 ..
             } => {
                 if verified != Some(true) {
-                    self.auth_failures += 1;
+                    self.telemetry.auth_failures.inc();
                     return;
                 }
                 let batch = match Batch::decode_all(&payload) {
                     Ok(batch) => batch,
                     Err(_) => {
-                        self.decode_failures += 1;
+                        self.telemetry.decode_failures.inc();
                         return;
                     }
                 };
@@ -540,7 +550,7 @@ impl<T: Transport> Node<T> {
                 }
                 Action::Commit(slot) => self.reply(slot.digest, &slot.batch),
                 Action::SuspectPrimary { primary, .. } => {
-                    self.suspicions += 1;
+                    self.telemetry.suspicions.inc();
                     self.telemetry.event(
                         self.config.replica.0,
                         FlightEventKind::SigmaLagDetected {
@@ -549,7 +559,7 @@ impl<T: Transport> Node<T> {
                     );
                 }
                 Action::ViewChanged { view, new_primary } => {
-                    self.view_changes += 1;
+                    self.telemetry.view_changes.inc();
                     self.telemetry.event(
                         self.config.replica.0,
                         FlightEventKind::ViewChangeCompleted {
@@ -648,25 +658,24 @@ impl<T: Transport> Node<T> {
                 tag,
             };
             self.transport.send_to_client(client, frame.encode_frame());
-            self.replies_sent += 1;
+            self.telemetry.replies_sent.inc();
         }
     }
 
     fn report(&self) -> NodeReport {
-        // Fold the client edge's telemetry (TCP only) into the node's own:
-        // one snapshot per node covers both the mailbox pipeline and the
-        // readiness edge, and the flight trace interleaves consensus events
-        // with admission rejections by wall timestamp. The two clocks are
-        // anchored within the same spawn call, so the merge order is
-        // faithful to within that setup window.
-        let mut telemetry = self.telemetry.snapshot();
+        // Fold the transport's telemetry into the node's own: one snapshot
+        // per node covers the mailbox pipeline, the delivery boundary and
+        // (over TCP) the readiness edge, and the flight trace interleaves
+        // consensus events with admission rejections by wall timestamp. The
+        // two clocks are anchored within the same spawn call, so the merge
+        // order is faithful to within that setup window. Counter snapshots
+        // stay readable after `shutdown` joined the I/O threads.
+        let transport = self.transport.telemetry();
+        let telemetry = self.telemetry.snapshot().merged(&transport.snapshot());
         let mut flight = self.telemetry.flight_events();
-        if let Some(edge) = self.transport.edge_telemetry() {
-            telemetry = telemetry.merged(&edge.snapshot());
-            flight.extend(edge.flight_events());
-            flight.sort_by_key(|event| event.at_nanos);
-        }
-        NodeReport {
+        flight.extend(transport.flight_events());
+        flight.sort_by_key(|event| event.at_nanos);
+        let mut report = NodeReport {
             replica: self.config.replica,
             instances: self.config.system.instances,
             executed_batches: self.replica.committed_prefix(),
@@ -680,17 +689,12 @@ impl<T: Transport> Node<T> {
                 .map(|block| (block.round, block.content_digest()))
                 .collect(),
             state_fingerprint: self.engine.state_fingerprint(),
-            replies_sent: self.replies_sent,
-            auth_failures: self.auth_failures,
-            decode_failures: self.decode_failures,
-            suspicions: self.suspicions,
-            view_changes: self.view_changes,
-            // Counter snapshots stay readable after `shutdown` joined the
-            // I/O threads, so report order does not matter.
-            transport: self.transport.stats(),
             telemetry,
             flight,
-        }
+            ..NodeReport::default()
+        };
+        report.read_counts();
+        report
     }
 }
 
@@ -781,17 +785,7 @@ mod tests {
                 .into_iter()
                 .map(|b| Digest::from_bytes([b; 32]))
                 .collect(),
-            ledger_head: Digest::ZERO,
-            ledger_blocks: Vec::new(),
-            state_fingerprint: 0,
-            replies_sent: 0,
-            auth_failures: 0,
-            decode_failures: 0,
-            suspicions: 0,
-            view_changes: 0,
-            transport: TransportStats::default(),
-            telemetry: Snapshot::default(),
-            flight: Vec::new(),
+            ..NodeReport::default()
         }
     }
 

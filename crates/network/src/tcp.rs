@@ -48,12 +48,13 @@
 use crate::event_loop::{ClientEdge, EdgeConfig, FrameReader, ReplicaHandoff};
 use crate::frame::{Frame, PeerKind};
 use crate::run::{frame_count, pack_frame, OversizeFrame, COALESCE_BYTES};
-use crate::transport::{Transport, TransportStats};
+use crate::telemetry::EdgeTelemetry;
+use crate::transport::Transport;
 use rcc_common::{ClientId, ReplicaId};
 use rcc_telemetry::Counter;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -78,9 +79,6 @@ pub struct TcpTransport {
     inbox: Receiver<Vec<u8>>,
     peers: Vec<Option<SyncSender<Vec<u8>>>>,
     edge: ClientEdge,
-    /// Consensus frames dropped on a full queue: outbound on a peer
-    /// writer's, inbound on the node inbox (the peer readers count here).
-    peer_dropped: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Blocking readers of replica peer links, spawned when the edge hands
@@ -124,7 +122,9 @@ impl TcpTransport {
             std::sync::mpsc::sync_channel::<Vec<u8>>(capacity.max(1) * (peer_addrs.len() + 4));
         let mut threads = Vec::new();
         let replica_readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let peer_dropped = Arc::new(AtomicU64::new(0));
+        // One registry for the whole transport: the edge, the peer readers
+        // and writers, and the sends below all count into it.
+        let telemetry = EdgeTelemetry::new();
 
         // Replica peer links leave the edge's sweep pool for a dedicated
         // blocking reader each: n - 1 inbound links at most, and their
@@ -133,11 +133,11 @@ impl TcpTransport {
             let shutdown = Arc::clone(&shutdown);
             let inbox_tx = inbox_tx.clone();
             let readers = Arc::clone(&replica_readers);
-            let dropped = Arc::clone(&peer_dropped);
+            let dropped = telemetry.dropped_frames.clone();
             Arc::new(move |stream: TcpStream, residue: Vec<u8>| {
                 let shutdown = Arc::clone(&shutdown);
                 let inbox_tx = inbox_tx.clone();
-                let dropped = Arc::clone(&dropped);
+                let dropped = dropped.clone();
                 let spawned = std::thread::Builder::new()
                     .name("rcc-peer-reader".to_string())
                     .spawn(move || {
@@ -158,6 +158,7 @@ impl TcpTransport {
             inbox_tx.clone(),
             on_replica,
             Arc::clone(&shutdown),
+            telemetry.clone(),
         )
         // rcc-lint: allow(panic) — transport construction at node boot: a
         // host that cannot spawn the edge's I/O threads cannot run the
@@ -193,11 +194,10 @@ impl TcpTransport {
             }));
         }
 
-        // Egress: one bounded queue + writer thread per peer. The writers
-        // count into the edge's registry, which is the transport's.
+        // Egress: one bounded queue + writer thread per peer.
         let written = PeerWrites {
-            writes: edge.telemetry().counter("transport.peer_writes"),
-            frames: edge.telemetry().counter("transport.peer_frames"),
+            writes: telemetry.counter("transport.peer_writes"),
+            frames: telemetry.counter("transport.peer_frames"),
         };
         let mut peers = Vec::with_capacity(peer_addrs.len());
         for (index, addr) in peer_addrs.iter().enumerate() {
@@ -220,17 +220,10 @@ impl TcpTransport {
             inbox: inbox_rx,
             peers,
             edge,
-            peer_dropped,
             shutdown,
             threads,
             replica_readers,
         }
-    }
-
-    /// Number of client connections currently registered at the edge
-    /// (observability for tests and summaries).
-    pub fn active_clients(&self) -> usize {
-        self.edge.active_clients()
     }
 }
 
@@ -256,7 +249,7 @@ fn read_replica_runs(
     residue: Vec<u8>,
     shutdown: &AtomicBool,
     inbox: &SyncSender<Vec<u8>>,
-    dropped: &AtomicU64,
+    dropped: &Counter,
 ) {
     // The edge ran this socket nonblocking; restore blocking mode with the
     // short read timeout every blocking reader uses to observe shutdown.
@@ -274,9 +267,7 @@ fn read_replica_runs(
                 // A full inbox drops the run (bounded back-pressure) and
                 // counts what it held; consensus recovers lost messages via
                 // state sync.
-                Err(TrySendError::Full(run)) => {
-                    dropped.fetch_add(frame_count(&run), Ordering::Relaxed);
-                }
+                Err(TrySendError::Full(run)) => dropped.add(frame_count(&run)),
                 Err(TrySendError::Disconnected(_)) => return,
             },
             Ok(None) => {}
@@ -369,8 +360,7 @@ impl Transport for TcpTransport {
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         if let Some(Some(tx)) = self.peers.get(to.index()) {
             if let Err(TrySendError::Full(run)) = tx.try_send(run) {
-                self.peer_dropped
-                    .fetch_add(frame_count(&run), Ordering::Relaxed);
+                self.edge.telemetry().dropped_frames.add(frame_count(&run));
             }
         }
     }
@@ -405,14 +395,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn stats(&self) -> TransportStats {
-        let mut stats = self.edge.stats();
-        stats.dropped_frames += self.peer_dropped.load(Ordering::Relaxed);
-        stats
-    }
-
-    fn edge_telemetry(&self) -> Option<crate::telemetry::EdgeTelemetry> {
-        Some(self.edge.telemetry().clone())
+    fn telemetry(&self) -> &EdgeTelemetry {
+        self.edge.telemetry()
     }
 }
 

@@ -5,11 +5,17 @@
 //!
 //! * [`NodeTelemetry`] — owned by each `rcc-node` mailbox thread. Times the
 //!   staged pipeline (drain → verify → dispatch → execute) per burst,
-//!   tracks the drained-burst high-water mark, and flight-records consensus
+//!   tracks the drained-burst high-water mark, counts what the node did
+//!   (`node.replies_sent`, `node.auth_failures`, `node.decode_failures`,
+//!   `node.suspicions`, `node.view_changes`), and flight-records consensus
 //!   events (σ-lag suspicions, completed view changes).
-//! * [`EdgeTelemetry`] — owned by a [`crate::event_loop::ClientEdge`].
-//!   Times event-loop sweeps, tracks per-connection outbound-queue
-//!   occupancy, and flight-records admission rejections.
+//! * [`EdgeTelemetry`] — owned by every [`crate::Transport`] (and by the
+//!   client fleet). Counts drops and admission (`transport.*`); over TCP
+//!   the [`crate::event_loop::ClientEdge`] also times its sweeps, tracks
+//!   per-connection outbound-queue occupancy, and flight-records admission
+//!   rejections into it.
+//!
+//! These registries are the only place a deployment counts anything.
 //!
 //! Both bundles stamp flight events with a [`WallClock`] anchored at
 //! construction — the sanctioned `std::time` seam of the telemetry layer —
@@ -56,6 +62,16 @@ pub struct NodeTelemetry {
     /// Frames in each drained burst: what one mailbox turn verifies together
     /// and, per peer, sends together.
     pub(crate) burst_frames: Histogram,
+    /// Client replies sent.
+    pub(crate) replies_sent: Counter,
+    /// Frames that arrived but failed authentication.
+    pub(crate) auth_failures: Counter,
+    /// Frames (or payloads) that arrived but failed to decode.
+    pub(crate) decode_failures: Counter,
+    /// `SuspectPrimary` actions the replica raised.
+    pub(crate) suspicions: Counter,
+    /// `ViewChanged` actions the replica raised.
+    pub(crate) view_changes: Counter,
 }
 
 impl NodeTelemetry {
@@ -72,6 +88,11 @@ impl NodeTelemetry {
             execute_us: registry.histogram("node.pipeline.execute_us"),
             queue_depth: registry.gauge("node.pipeline.queue_depth"),
             burst_frames: registry.histogram("node.pipeline.burst_frames"),
+            replies_sent: registry.counter("node.replies_sent"),
+            auth_failures: registry.counter("node.auth_failures"),
+            decode_failures: registry.counter("node.decode_failures"),
+            suspicions: registry.counter("node.suspicions"),
+            view_changes: registry.counter("node.view_changes"),
             registry,
         }
     }
@@ -103,8 +124,8 @@ impl Default for NodeTelemetry {
     }
 }
 
-/// Pre-registered handles for everything the client edge's I/O threads
-/// measure.
+/// Pre-registered handles for everything a transport counts at its delivery
+/// boundary and its client edge's I/O threads measure.
 #[derive(Clone)]
 pub struct EdgeTelemetry {
     registry: Registry,
@@ -115,6 +136,16 @@ pub struct EdgeTelemetry {
     pub(crate) sweep_us: Histogram,
     /// High-water mark of any single connection's outbound-queue occupancy.
     pub(crate) conn_queue_peak: Gauge,
+    /// Frames dropped because a bounded queue was full, in either direction:
+    /// outbound (a peer writer's queue, a connection's queue, an edge
+    /// mailbox, an in-process channel) and inbound (a peer reader finding
+    /// the node inbox full). A dropped run counts every frame it held.
+    pub(crate) dropped_frames: Counter,
+    /// Client connections turned away at the admission cap (or because the
+    /// edge was too overloaded to even register them).
+    pub(crate) rejected_connections: Counter,
+    /// Most simultaneously-live client connections observed.
+    pub(crate) peak_clients: Gauge,
 }
 
 impl EdgeTelemetry {
@@ -127,6 +158,9 @@ impl EdgeTelemetry {
             flight: FlightRecorder::new(EDGE_FLIGHT_CAPACITY),
             sweep_us: registry.histogram("edge.sweep_us"),
             conn_queue_peak: registry.gauge("edge.conn_queue_peak"),
+            dropped_frames: registry.counter("transport.dropped_frames"),
+            rejected_connections: registry.counter("transport.rejected_connections"),
+            peak_clients: registry.gauge("transport.peak_clients"),
             registry,
         }
     }

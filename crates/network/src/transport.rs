@@ -17,9 +17,9 @@
 //!   back-pressure behaviour.
 //!
 //! Both share one delivery contract: sends are **best effort**. A full
-//! queue drops the run and counts every frame in it
-//! ([`TransportStats::dropped_frames`]); a dead connection loses it
-//! silently — exactly the assumption the consensus layer is built for
+//! queue drops the run and counts every frame in it (the
+//! `transport.dropped_frames` counter of the transport's
+//! [`Transport::telemetry`]); a dead connection loses it silently — exactly the assumption the consensus layer is built for
 //! (state sync and retransmission recover lost messages; TCP merely makes
 //! loss rare).
 //!
@@ -32,42 +32,24 @@
 //! [`crate::frame::MAX_FRAME_BYTES`].
 
 use crate::run;
+use crate::telemetry::EdgeTelemetry;
 use rcc_common::{ClientId, ReplicaId, SystemConfig};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Counters a transport accumulates at its delivery boundary. All counts
-/// are monotone over the transport's life; `Default` is the all-zero
-/// report transports without instrumentation return.
+/// A transport's delivery-boundary counts, as `NodeReport` carries them: a
+/// view of the `transport.*` metrics in the node's telemetry snapshot,
+/// never counted on its own.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TransportStats {
-    /// Frames dropped because a bounded queue was full, in either direction:
-    /// outbound (per-peer writer queue, per-client connection queue, an edge
-    /// mailbox) and inbound (a peer reader finding the node inbox full). A
-    /// dropped run counts every frame it held.
+    /// `transport.dropped_frames`: frames dropped on a full bounded queue.
     pub dropped_frames: u64,
-    /// Client connections turned away at the admission cap (or because the
-    /// edge was too overloaded to even register them).
+    /// `transport.rejected_connections`: client connections turned away.
     pub rejected_connections: u64,
-    /// Client connections the edge accepted over its life.
-    pub accepted_connections: u64,
-    /// Most simultaneously-live client connections observed.
+    /// `transport.peak_clients`: most simultaneously-live client connections.
     pub peak_clients: u64,
-}
-
-impl TransportStats {
-    /// Merges two reports (used when one transport layers over another,
-    /// e.g. the chaos mangler forwarding its inner transport's counters).
-    pub fn merged(self, other: TransportStats) -> TransportStats {
-        TransportStats {
-            dropped_frames: self.dropped_frames + other.dropped_frames,
-            rejected_connections: self.rejected_connections + other.rejected_connections,
-            accepted_connections: self.accepted_connections + other.accepted_connections,
-            peak_clients: self.peak_clients.max(other.peak_clients),
-        }
-    }
 }
 
 /// The I/O boundary a deployed replica node runs against.
@@ -95,19 +77,10 @@ pub trait Transport: Send {
     /// Called once when the owning node shuts down.
     fn shutdown(&mut self) {}
 
-    /// Delivery-boundary counters (dropped frames, admission rejections).
-    /// Transports without instrumentation report zeros.
-    fn stats(&self) -> TransportStats {
-        TransportStats::default()
-    }
-
-    /// The client-edge telemetry bundle, when this transport runs a
-    /// readiness-driven edge (TCP). The owning node folds the edge's sweep
-    /// metrics and admission flight events into its report; transports
-    /// without an edge report `None`.
-    fn edge_telemetry(&self) -> Option<crate::telemetry::EdgeTelemetry> {
-        None
-    }
+    /// The transport's telemetry bundle: its delivery-boundary counters
+    /// (`transport.*`) and, over TCP, the client edge's sweep metrics and
+    /// admission flight events. The owning node folds it into its report.
+    fn telemetry(&self) -> &EdgeTelemetry;
 }
 
 /// A client's connection bundle: a way to submit frames to each replica and
@@ -174,7 +147,7 @@ impl InProcessNetwork {
             replicas: Arc::clone(&self.replicas),
             clients: Arc::clone(&self.clients),
             inbox: rx,
-            dropped: std::sync::atomic::AtomicU64::new(0),
+            telemetry: EdgeTelemetry::new(),
         }
     }
 
@@ -197,8 +170,8 @@ pub struct InProcessTransport {
     replicas: SharedSenders,
     clients: SharedClients,
     inbox: Receiver<Vec<u8>>,
-    /// Outbound frames this endpoint dropped on full bounded queues.
-    dropped: std::sync::atomic::AtomicU64,
+    /// Counts the frames this endpoint dropped on full bounded queues.
+    telemetry: EdgeTelemetry,
 }
 
 /// `try_send` of a run to a hub slot; returns how many frames were dropped
@@ -222,10 +195,7 @@ impl Transport for InProcessTransport {
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         if to != self.me {
             let dropped = shared_send(&self.replicas, to.index(), run);
-            if dropped > 0 {
-                self.dropped
-                    .fetch_add(dropped, std::sync::atomic::Ordering::Relaxed);
-            }
+            self.telemetry.dropped_frames.add(dropped);
         }
     }
 
@@ -233,8 +203,7 @@ impl Transport for InProcessTransport {
         let guard = crate::lock_unpoisoned(&self.clients);
         if let Some(tx) = guard.get(&to.0) {
             if let Err(TrySendError::Full(_)) = tx.try_send(frame) {
-                self.dropped
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.telemetry.dropped_frames.inc();
             }
         }
     }
@@ -247,11 +216,8 @@ impl Transport for InProcessTransport {
         self.inbox.try_recv().ok()
     }
 
-    fn stats(&self) -> TransportStats {
-        TransportStats {
-            dropped_frames: self.dropped.load(std::sync::atomic::Ordering::Relaxed),
-            ..TransportStats::default()
-        }
+    fn telemetry(&self) -> &EdgeTelemetry {
+        &self.telemetry
     }
 }
 
@@ -296,6 +262,14 @@ mod tests {
         run
     }
 
+    /// The endpoint's `transport.dropped_frames`, as its snapshot reads.
+    fn dropped(transport: &InProcessTransport) -> Option<u64> {
+        transport
+            .telemetry()
+            .snapshot()
+            .counter("transport.dropped_frames")
+    }
+
     #[test]
     fn in_process_frames_flow_between_replicas_and_clients() {
         let hub = InProcessNetwork::new(2, 16);
@@ -335,7 +309,7 @@ mod tests {
         // Sends to the hub's own replica or unknown clients vanish quietly.
         t0.send_to_replica(ReplicaId(0), run_of(&[b"self"]));
         t0.send_to_client(ClientId(404), b"nobody".to_vec());
-        assert_eq!(t0.stats().dropped_frames, 0);
+        assert_eq!(dropped(&t0), Some(0));
     }
 
     #[test]
@@ -346,18 +320,18 @@ mod tests {
         let mut t1 = hub.transport(ReplicaId(1));
         t0.send_to_replica(ReplicaId(1), run_of(&[b"a", b"b"]));
         t0.send_to_replica(ReplicaId(1), run_of(&[b"c"]));
-        assert_eq!(t0.stats().dropped_frames, 0);
+        assert_eq!(dropped(&t0), Some(0));
         t0.send_to_replica(ReplicaId(1), run_of(&[b"d", b"e", b"f", b"g", b"h"]));
-        assert_eq!(t0.stats().dropped_frames, 5);
+        assert_eq!(dropped(&t0), Some(5));
         t0.send_to_replica(ReplicaId(1), run_of(&[b"i"]));
-        assert_eq!(t0.stats().dropped_frames, 6);
+        assert_eq!(dropped(&t0), Some(6));
         // What was queued is intact and in order; room frees as it drains.
         assert_eq!(t1.try_recv(), Some(run_of(&[b"a", b"b"])));
         assert_eq!(t1.try_recv(), Some(run_of(&[b"c"])));
         assert_eq!(t1.try_recv(), None);
         t0.send_to_replica(ReplicaId(1), run_of(&[b"j"]));
         assert_eq!(t1.try_recv(), Some(run_of(&[b"j"])));
-        assert_eq!(t0.stats().dropped_frames, 6);
+        assert_eq!(dropped(&t0), Some(6));
     }
 
     #[test]
@@ -374,36 +348,7 @@ mod tests {
             Some(run_of(&[b"delivered"]))
         );
         // No receiver is no backlog: nothing was dropped on a full queue.
-        assert_eq!(t0.stats().dropped_frames, 0);
-    }
-
-    #[test]
-    fn transport_stats_merge_sums_counts_and_maxes_peaks() {
-        // Pins the per-field semantics `cluster::run_timeline` relies on
-        // when folding a killed node's report into its replacement's:
-        // monotone counts accumulate across the restart, while
-        // `peak_clients` is a high-water mark — two incarnations that each
-        // peaked at k clients peaked at k, not 2k.
-        let before = TransportStats {
-            dropped_frames: 3,
-            rejected_connections: 5,
-            accepted_connections: 70,
-            peak_clients: 40,
-        };
-        let after = TransportStats {
-            dropped_frames: 10,
-            rejected_connections: 1,
-            accepted_connections: 30,
-            peak_clients: 25,
-        };
-        let merged = before.merged(after);
-        assert_eq!(merged.dropped_frames, 13);
-        assert_eq!(merged.rejected_connections, 6);
-        assert_eq!(merged.accepted_connections, 100);
-        assert_eq!(merged.peak_clients, 40);
-        // Symmetric, and the identity is the all-zero default.
-        assert_eq!(after.merged(before), merged);
-        assert_eq!(before.merged(TransportStats::default()), before);
+        assert_eq!(dropped(&t0), Some(0));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rcc_crypto::{AuthTag, Authenticator, DeploymentKeys};
 use rcc_network::run::{frames, pack_frame};
 use rcc_network::{
     run_local_cluster, spawn_node, verify_identical_ledgers, verify_identical_orders, ClusterPlan,
-    Frame, NodeConfig, NodeHandle, NodeReport, Transport, TransportKind,
+    EdgeTelemetry, Frame, NodeConfig, NodeHandle, NodeReport, Transport, TransportKind,
 };
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm};
 use rcc_protocols::pbft::{Pbft, PbftMessage};
@@ -57,6 +57,7 @@ enum Call {
 struct Logged {
     inbox: Receiver<Vec<u8>>,
     log: Arc<Mutex<Vec<Call>>>,
+    telemetry: EdgeTelemetry,
 }
 
 impl Transport for Logged {
@@ -74,6 +75,9 @@ impl Transport for Logged {
     }
     fn try_recv(&mut self) -> Option<Vec<u8>> {
         self.inbox.try_recv().ok()
+    }
+    fn telemetry(&self) -> &EdgeTelemetry {
+        &self.telemetry
     }
 }
 
@@ -95,6 +99,7 @@ impl UnderTest {
         let transport = Logged {
             inbox: receiver,
             log: Arc::clone(&log),
+            telemetry: EdgeTelemetry::new(),
         };
         let config = NodeConfig {
             system: system.clone(),

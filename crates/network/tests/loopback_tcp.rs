@@ -67,6 +67,21 @@ fn assert_healthy(outcome: &rcc_network::ClusterOutcome) {
                 .unwrap_or_else(|| panic!("{} registered no {stage}", report.replica));
             assert!(hist.count > 0, "{} recorded no {stage}", report.replica);
         }
+        // Every count the report carries is a snapshot counter of the name
+        // `BENCHMARK.json` gives it, and the field only reads it (for a
+        // restarted replica, both sides cover both incarnations).
+        let counter = |name| report.telemetry.counter(name);
+        assert!(counter("node.replies_sent") > Some(0), "{}", report.replica);
+        for (name, field) in [
+            ("node.replies_sent", report.replies_sent),
+            ("node.auth_failures", report.auth_failures),
+            ("node.decode_failures", report.decode_failures),
+            ("node.suspicions", report.suspicions),
+            ("node.view_changes", report.view_changes),
+            ("transport.dropped_frames", report.transport.dropped_frames),
+        ] {
+            assert_eq!(counter(name), Some(field), "{} {name}", report.replica);
+        }
     }
 }
 

@@ -37,6 +37,14 @@ fn transport(me: ReplicaId, listener: TcpListener, peers: Vec<SocketAddr>) -> Tc
     TcpTransport::with_listener_and_edge(me, listener, peers, CAPACITY, EdgeConfig::default())
 }
 
+/// The transport's `transport.dropped_frames`, as its snapshot reads.
+fn dropped(transport: &TcpTransport) -> u64 {
+    let snapshot = transport.telemetry().snapshot();
+    snapshot
+        .counter("transport.dropped_frames")
+        .expect("registered")
+}
+
 /// 1 B to 200 kB: mostly vote-sized, some proposal-sized, a few larger than
 /// the 64 KiB at which the writer stops draining, and both extremes.
 fn seeded_frames() -> Vec<Vec<u8>> {
@@ -168,11 +176,11 @@ fn coalesced_frames_arrive_whole_in_order_and_links_resume_on_a_frame_boundary()
         );
     }
     assert!(b.pending.is_empty(), "more frames arrived than were sent");
-    assert_eq!(a.stats().dropped_frames, 0);
-    assert_eq!(b.transport.stats().dropped_frames, 0);
+    assert_eq!(dropped(&a), 0);
+    assert_eq!(dropped(&b.transport), 0);
     // The writer counts a write once it returned, which the last frame's
     // arrival can beat. It counts frames, not runs.
-    let telemetry = a.edge_telemetry().expect("a TCP transport");
+    let telemetry = a.telemetry();
     let give_up = Instant::now() + Duration::from_secs(5);
     let counters = loop {
         let counters = telemetry.snapshot();
@@ -269,11 +277,11 @@ fn a_full_inbox_drops_whole_runs_and_counts_every_frame_in_them() {
         }
         a.send_to_replica(ReplicaId(1), run);
     }
-    assert_eq!(a.stats().dropped_frames, 0, "the sender's queue had room");
+    assert_eq!(dropped(&a), 0, "the sender's queue had room");
 
     // Nothing is taken off the inbox until its reader has run into it full.
     let give_up = Instant::now() + Duration::from_secs(20);
-    while b.stats().dropped_frames == 0 {
+    while dropped(&b) == 0 {
         assert!(Instant::now() < give_up, "the inbox never filled");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -281,12 +289,12 @@ fn a_full_inbox_drops_whole_runs_and_counts_every_frame_in_them() {
     // as dropped by the reader that found it full — none vanished, and what
     // did arrive is whole and in order.
     let mut arrived: Vec<u64> = Vec::new();
-    while arrived.len() as u64 + b.stats().dropped_frames < SENT {
+    while arrived.len() as u64 + dropped(&b) < SENT {
         assert!(
             Instant::now() < give_up,
             "{} arrived, {} dropped",
             arrived.len(),
-            b.stats().dropped_frames
+            dropped(&b)
         );
         let Some(run) = b.recv_timeout(Duration::from_millis(10)) else {
             continue;
@@ -301,7 +309,7 @@ fn a_full_inbox_drops_whole_runs_and_counts_every_frame_in_them() {
             }
         }
     }
-    assert_eq!(arrived.len() as u64 + b.stats().dropped_frames, SENT);
+    assert_eq!(arrived.len() as u64 + dropped(&b), SENT);
     assert!(!arrived.is_empty(), "what fitted was delivered");
     assert!(arrived.windows(2).all(|pair| pair[0] < pair[1]), "in order");
 }

@@ -48,7 +48,7 @@ use rcc_common::{
 };
 use rcc_crypto::CryptoCostModel;
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm, TimerId, WireMessage};
-use rcc_telemetry::{FlightEvent, FlightEventKind, HistogramSnapshot, Snapshot};
+use rcc_telemetry::{FlightEvent, FlightEventKind, Snapshot};
 use rcc_workload::{Client, ClientMode, InstanceAssignment, ReplyOutcome};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -146,52 +146,19 @@ impl SimConfig {
     }
 }
 
-/// Everything measured by one simulation run. The counters, the peak and
-/// the latency distribution are read out of the run's telemetry handles
-/// when it ends — the same numbers [`SimReport::telemetry`] holds under
-/// their `sim.*` names.
+/// Everything measured by one simulation run. Every count, peak and
+/// distribution (commits, messages, failure handling, the retained-log peak,
+/// client latency) is a `sim.*` metric of [`SimReport::telemetry`], read
+/// from there ([`SimReport::count`]); the report copies none of them out.
 #[derive(Clone, Debug)]
 pub struct SimReport {
-    /// Client transactions that reached the `f + 1` commit quorum (no-op
-    /// filler batches are excluded).
-    pub committed_transactions: u64,
-    /// Batches that reached the `f + 1` commit quorum.
-    pub committed_batches: u64,
     /// Quorum-committed transaction throughput as a bucketed time series.
     pub throughput: ThroughputMeter,
-    /// Client-perceived latency (submission → quorum-completing reply at
-    /// the client) of batches submitted inside the measurement window, in
-    /// virtual microseconds: the `sim.latency_us` histogram. Percentiles
-    /// are bucket upper bounds (8 sub-buckets per power of two, so at most
-    /// 12.5 % above the sample); the mean is exact.
-    pub latency: HistogramSnapshot,
     /// Events processed by the simulation loop.
     pub events_processed: u64,
-    /// Messages delivered between replicas.
-    pub messages_delivered: u64,
-    /// Bytes delivered between replicas.
-    pub bytes_delivered: u64,
-    /// `SuspectPrimary` actions observed across all replicas.
-    pub suspicions: u64,
-    /// `ViewChanged` actions observed across all replicas.
-    pub view_changes: u64,
-    /// Client hand-offs performed by the Section III-E assignment policy
-    /// (drains off failing instances plus σ-spaced returns).
-    pub client_handoffs: u64,
-    /// Target acquisitions performed by the adaptive adversary (0 when no
-    /// adversary was configured).
-    pub adversary_strikes: u64,
-    /// Peak per-slot log entries retained by any single replica at any point
-    /// of the run ([`ByzantineCommitAlgorithm::retained_log_entries`],
-    /// sampled after every event). With §III-D checkpointing this stays
-    /// bounded by O(`checkpoint_interval` × m) regardless of the horizon;
-    /// without it, it grows with the length of the run.
-    pub peak_retained_log: u64,
     /// Chained fingerprint over every processed event; equal fingerprints ⇒
     /// identical event traces.
     pub trace_fingerprint: u64,
-    /// The configured virtual horizon.
-    pub horizon: Duration,
     /// End-of-run snapshot of the run's metric registry (the `sim.*`
     /// catalog in `docs/OBSERVABILITY.md`). All values derive from virtual
     /// time and seeded randomness, so two same-seed runs produce equal
@@ -207,6 +174,16 @@ impl SimReport {
     /// Average quorum-committed throughput (txn/s) over `[start, end)`.
     pub fn throughput_over(&self, start: Time, end: Time) -> f64 {
         self.throughput.throughput_over(start, end)
+    }
+
+    /// The `sim.*` counter or gauge `name` of [`SimReport::telemetry`] (0
+    /// when the run never registered it).
+    pub fn count(&self, name: &str) -> u64 {
+        let telemetry = &self.telemetry;
+        telemetry
+            .counter(name)
+            .or_else(|| telemetry.gauge(name))
+            .unwrap_or(0)
     }
 }
 
@@ -574,24 +551,12 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                 }
             }
         }
-        let telemetry = &self.telemetry;
         let report = SimReport {
-            committed_transactions: telemetry.committed_txns.value(),
-            committed_batches: telemetry.committed_batches.value(),
             throughput: self.throughput,
-            latency: telemetry.latency_us.snapshot(),
             events_processed: self.events_processed,
-            messages_delivered: telemetry.messages.value(),
-            bytes_delivered: telemetry.bytes.value(),
-            suspicions: telemetry.suspicions.value(),
-            view_changes: telemetry.view_changes.value(),
-            client_handoffs: telemetry.client_handoffs.value(),
-            adversary_strikes: telemetry.adversary_strikes.value(),
-            peak_retained_log: telemetry.peak_retained_log.value(),
             trace_fingerprint: self.trace,
-            horizon: self.config.horizon,
-            telemetry: telemetry.snapshot(),
-            flight: telemetry.flight_events(),
+            telemetry: self.telemetry.snapshot(),
+            flight: self.telemetry.flight_events(),
         };
         (report, self.nodes.into_iter().map(|n| n.bca).collect())
     }

@@ -51,15 +51,15 @@ fn three_adaptive_coordinator_kills_preserve_safety_and_liveness() {
     for seed in [3u64, 17, 1789] {
         let report = simulate_rcc_over_pbft(config(seed).with_adversary(kill_adversary()));
         assert!(
-            report.adversary_strikes >= 3,
+            report.count("sim.adversary_strikes") >= 3,
             "seed {seed}: only {} strikes landed",
-            report.adversary_strikes
+            report.count("sim.adversary_strikes")
         );
         assert!(
-            report.view_changes >= 3,
+            report.count("sim.view_changes") >= 3,
             "seed {seed}: {} view changes for {} coordinator kills",
-            report.view_changes,
-            report.adversary_strikes
+            report.count("sim.view_changes"),
+            report.count("sim.adversary_strikes")
         );
         // Liveness after the campaign: the final second of the run — long
         // after the third (final) strike's victim revived — still commits.
@@ -98,7 +98,7 @@ fn adaptive_silence_respects_the_corruption_budget_and_keeps_committing() {
         .with_adversary(adversary);
     let report = simulate_rcc_over_pbft(config);
     assert!(
-        report.adversary_strikes >= 2,
+        report.count("sim.adversary_strikes") >= 2,
         "the adversary never re-targeted"
     );
     let tail = report.throughput_over(Time::from_millis(4_000), Time::from_millis(5_900));
@@ -148,10 +148,11 @@ fn kitchen_sink_chaos_holds_safety() {
             .with_adversary(kill_adversary()),
     );
     assert!(
-        report.committed_transactions > 0,
+        report.count("sim.committed_txns") > 0,
         "chaos halted the cluster"
     );
-    assert!(report.adversary_strikes > 0, "the adversary never engaged");
+    let strikes = report.count("sim.adversary_strikes");
+    assert!(strikes > 0, "the adversary never engaged");
 }
 
 /// Chaos runs are bit-deterministic: the same seed replays the identical
@@ -184,8 +185,7 @@ fn chaos_runs_are_bit_deterministic_per_seed() {
         a.trace_fingerprint, b.trace_fingerprint,
         "same seed, different trace"
     );
-    assert_eq!(a.committed_transactions, b.committed_transactions);
-    assert_eq!(a.adversary_strikes, b.adversary_strikes);
+    assert_eq!(a.telemetry, b.telemetry, "every count and strike, too");
     let c = run(6);
     assert_ne!(
         a.trace_fingerprint, c.trace_fingerprint,

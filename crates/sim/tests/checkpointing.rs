@@ -38,10 +38,10 @@ fn retained_log_is_bounded_by_the_checkpoint_interval_not_the_horizon() {
     let long = simulate_rcc_over_pbft(config(9, Duration::from_secs(6)));
     // The long run does proportionally more work …
     assert!(
-        long.committed_batches > 2 * short.committed_batches,
+        long.count("sim.committed_batches") > 2 * short.count("sim.committed_batches"),
         "the long horizon must commit more ({} vs {})",
-        long.committed_batches,
-        short.committed_batches
+        long.count("sim.committed_batches"),
+        short.count("sim.committed_batches")
     );
     // … but the peak retained log does not grow with the horizon: it is
     // bounded by a constant multiple of `checkpoint_interval × m` (retained
@@ -51,20 +51,21 @@ fn retained_log_is_bounded_by_the_checkpoint_interval_not_the_horizon() {
     let m = 4u64;
     let bound = 12 * INTERVAL * m;
     assert!(
-        long.peak_retained_log <= bound,
+        long.count("sim.peak_retained_log") <= bound,
         "peak retained log {} exceeds the O(checkpoint_interval × m) bound {}",
-        long.peak_retained_log,
+        long.count("sim.peak_retained_log"),
         bound
     );
     assert!(
-        long.peak_retained_log <= short.peak_retained_log + 2 * INTERVAL * m,
+        long.count("sim.peak_retained_log")
+            <= short.count("sim.peak_retained_log") + 2 * INTERVAL * m,
         "the peak must not scale with the horizon ({} short vs {} long)",
-        short.peak_retained_log,
-        long.peak_retained_log
+        short.count("sim.peak_retained_log"),
+        long.count("sim.peak_retained_log")
     );
     // Checkpointing actually engaged (the bound above is not vacuous).
     assert!(
-        long.committed_batches as u64 > bound,
+        long.count("sim.committed_batches") > bound,
         "the run must be long enough that an unpruned log would violate the bound"
     );
 }
@@ -130,5 +131,5 @@ fn a_long_crashed_replica_catches_up_from_a_checkpoint_transfer() {
             assert_eq!(reference, released, "round {} diverged", released.round);
         }
     }
-    assert!(report.committed_transactions > 0);
+    assert!(report.count("sim.committed_txns") > 0);
 }

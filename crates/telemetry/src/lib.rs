@@ -4,12 +4,14 @@
 //! Every layer of the workspace measures itself through the same three
 //! primitives, pre-registered in a [`Registry`] at setup time:
 //!
-//! * [`Counter`] — a monotonic count, sharded over a few cache-line-padded
-//!   atomics so concurrent increments (the node pipeline, the edge's I/O
-//!   threads) never contend on one cell. Scrape sums the shards.
+//! * [`Counter`] — a monotonic count: one cache-line-padded atomic, so two
+//!   counters never share a line. Its writers are few and mostly alone —
+//!   the single-threaded simulator, a node's mailbox thread (about one
+//!   increment per reply), the peer writers (one per socket write), the
+//!   edge threads (only on rejects and drops) — so a cell is not sharded.
 //! * [`Gauge`] — a level or high-water mark (queue depth, peak
-//!   connections); [`Gauge::set_max`] is the fetch-max idiom the transport
-//!   layer already uses for `peak_clients`.
+//!   connections), the same padded atomic; [`Gauge::set_max`] is the
+//!   fetch-max behind `transport.peak_clients`.
 //! * [`Histogram`] — a fixed-bucket log-scale distribution (8 sub-buckets
 //!   per power of two, ≤ ~6% relative bucket error) for stage timings and
 //!   latencies. [`LocalHistogram`] is the same bucket layout without
@@ -18,7 +20,8 @@
 //! The hot path — `inc`/`add`/`set`/`record` — performs **no allocation and
 //! takes no lock**: handles are `Arc`s onto fixed-size atomic cells created
 //! at registration. Locking happens only at registration and scrape, both
-//! off the measured paths.
+//! off the measured paths. Handles only write: a value is read back through
+//! a [`Snapshot`], the one view every report and renderer shares.
 //!
 //! Determinism: metric values are exact integer counts, so any
 //! interleaving of the same multiset of operations scrapes the same
@@ -48,13 +51,8 @@ pub use flight::{dump_jsonl, dump_text, FlightEvent, FlightEventKind, FlightReco
 pub use snapshot::{HistogramSnapshot, Snapshot};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Counter shards: enough to spread a node's few concurrent writers
-/// (mailbox thread, I/O sweeps, worker pool) across cache lines without
-/// bloating every counter.
-const SHARDS: usize = 8;
 
 /// Log-scale bucket layout: values `0..8` get exact buckets, then 8 linear
 /// sub-buckets per power of two up to `u64::MAX` — 496 buckets, ≤ ~6%
@@ -86,59 +84,15 @@ fn bucket_upper(index: usize) -> u64 {
     lower + ((1u64 << (top - 3)) - 1)
 }
 
+/// One atomic on a cache line of its own.
 #[repr(align(64))]
+#[derive(Default)]
 struct PaddedAtomic(AtomicU64);
-
-impl PaddedAtomic {
-    const fn zero() -> PaddedAtomic {
-        PaddedAtomic(AtomicU64::new(0))
-    }
-}
-
-/// Registration order of threads, used to scatter them over counter
-/// shards. Not a hash: ids are dense, so successive threads land on
-/// successive shards.
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-fn shard_index() -> usize {
-    THREAD_SHARD.with(|shard| *shard)
-}
-
-struct CounterCell {
-    shards: [PaddedAtomic; SHARDS],
-}
-
-impl CounterCell {
-    fn new() -> CounterCell {
-        CounterCell {
-            shards: [
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-                PaddedAtomic::zero(),
-            ],
-        }
-    }
-
-    fn sum(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, shard| {
-            acc.saturating_add(shard.0.load(Ordering::Relaxed))
-        })
-    }
-}
 
 /// A monotonic counter handle. Cloning shares the cell.
 #[derive(Clone)]
 pub struct Counter {
-    cell: Arc<CounterCell>,
+    cell: Arc<PaddedAtomic>,
 }
 
 impl Counter {
@@ -149,42 +103,26 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if let Some(shard) = self.cell.shards.get(shard_index()) {
-            shard.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.0.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// The current total across shards.
-    pub fn value(&self) -> u64 {
-        self.cell.sum()
-    }
-}
-
-struct GaugeCell {
-    value: AtomicU64,
 }
 
 /// A gauge handle: a level ([`Gauge::set`]) or a high-water mark
 /// ([`Gauge::set_max`]). Cloning shares the cell.
 #[derive(Clone)]
 pub struct Gauge {
-    cell: Arc<GaugeCell>,
+    cell: Arc<PaddedAtomic>,
 }
 
 impl Gauge {
     /// Stores `value`.
     pub fn set(&self, value: u64) {
-        self.cell.value.store(value, Ordering::Relaxed);
+        self.cell.0.store(value, Ordering::Relaxed);
     }
 
     /// Raises the gauge to `value` if it is higher (high-water mark).
     pub fn set_max(&self, value: u64) {
-        self.cell.value.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.cell.value.load(Ordering::Relaxed)
+        self.cell.0.fetch_max(value, Ordering::Relaxed);
     }
 }
 
@@ -337,8 +275,8 @@ impl LocalHistogram {
 
 #[derive(Clone)]
 enum Metric {
-    Counter(Arc<CounterCell>),
-    Gauge(Arc<GaugeCell>),
+    Counter(Arc<PaddedAtomic>),
+    Gauge(Arc<PaddedAtomic>),
     Histogram(Arc<HistogramCell>),
 }
 
@@ -377,11 +315,11 @@ impl Registry {
         let mut metrics = lock_unpoisoned(&self.metrics);
         let metric = metrics
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(CounterCell::new())));
+            .or_insert_with(|| Metric::Counter(Arc::default()));
         match metric {
             Metric::Counter(cell) => Counter { cell: cell.clone() },
             _ => Counter {
-                cell: Arc::new(CounterCell::new()),
+                cell: Arc::default(),
             },
         }
     }
@@ -389,17 +327,13 @@ impl Registry {
     /// The gauge registered as `name` (registering it on first use).
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut metrics = lock_unpoisoned(&self.metrics);
-        let metric = metrics.entry(name.to_string()).or_insert_with(|| {
-            Metric::Gauge(Arc::new(GaugeCell {
-                value: AtomicU64::new(0),
-            }))
-        });
+        let metric = metrics
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Gauge(Arc::default()));
         match metric {
             Metric::Gauge(cell) => Gauge { cell: cell.clone() },
             _ => Gauge {
-                cell: Arc::new(GaugeCell {
-                    value: AtomicU64::new(0),
-                }),
+                cell: Arc::default(),
             },
         }
     }
@@ -424,10 +358,12 @@ impl Registry {
         let mut snapshot = Snapshot::default();
         for (name, metric) in metrics.iter() {
             match metric {
-                Metric::Counter(cell) => snapshot.counters.push((name.clone(), cell.sum())),
+                Metric::Counter(cell) => snapshot
+                    .counters
+                    .push((name.clone(), cell.0.load(Ordering::Relaxed))),
                 Metric::Gauge(cell) => snapshot
                     .gauges
-                    .push((name.clone(), cell.value.load(Ordering::Relaxed))),
+                    .push((name.clone(), cell.0.load(Ordering::Relaxed))),
                 Metric::Histogram(cell) => {
                     snapshot.histograms.push((name.clone(), cell.snapshot()))
                 }
@@ -498,7 +434,6 @@ mod tests {
         for thread in threads {
             thread.join().expect("counter thread");
         }
-        assert_eq!(counter.value(), 4000);
         assert_eq!(registry.snapshot().counter("ops"), Some(4000));
     }
 
@@ -508,7 +443,7 @@ mod tests {
         let gauge = registry.gauge("depth");
         gauge.set(5);
         gauge.set_max(3);
-        assert_eq!(gauge.value(), 5, "set_max never lowers");
+        assert_eq!(registry.snapshot().gauge("depth"), Some(5), "never lowers");
         gauge.set_max(9);
         assert_eq!(registry.snapshot().gauge("depth"), Some(9));
     }

@@ -34,7 +34,7 @@ fn main() {
     // back to a weaker driver or quietly print an empty table.
     for row in &results.rows {
         assert!(
-            row.committed_transactions > 0,
+            row.report.count("sim.committed_txns") > 0,
             "simulator made no progress for n={} m={}: the discrete-event \
              simulator is broken (no silent fallback exists)",
             row.spec.n,
@@ -50,7 +50,7 @@ fn main() {
         results
             .rows
             .iter()
-            .map(|r| r.committed_transactions)
+            .map(|r| r.report.count("sim.committed_txns"))
             .sum::<u64>()
     );
     println!(
