@@ -19,7 +19,6 @@
 //! onto the axes of Fig. 7 and Fig. 8 of the paper.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use rcc_common::{CryptoMode, Duration, ReplicaId, SystemConfig, Time};
 use rcc_sim::{

@@ -20,6 +20,11 @@
 //! tags) lives in `rcc-network`; this module only defines how individual
 //! values become bytes.
 
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
+
 use crate::batch::{Batch, BatchId};
 use crate::digest::Digest;
 use crate::ids::{ClientId, InstanceId, ReplicaId};

@@ -31,7 +31,6 @@
 //! crates can be tested in isolation and the whole stack stays deterministic.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod codec;

@@ -19,6 +19,11 @@
 //! reassembled in that order, so callers observe submission order regardless
 //! of which thread ran which job or finished first.
 
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -44,6 +49,11 @@ impl WorkerPool {
         let workers = workers.max(1);
         let (injector, source) = sync_channel::<Job>(workers * QUEUE_PER_WORKER);
         let source = Arc::new(Mutex::new(source));
+        #[expect(
+            clippy::expect_used,
+            reason = "pool construction happens at node boot; an OS that cannot spawn a thread \
+                      leaves no degraded mode to fall back to"
+        )]
         let threads = (1..workers)
             .map(|i| {
                 let source: Arc<Mutex<Receiver<Job>>> = Arc::clone(&source);
@@ -61,9 +71,6 @@ impl WorkerPool {
                             Err(_) => return, // pool dropped: drain and exit
                         }
                     })
-                    // rcc-lint: allow(panic) — pool construction happens at
-                    // node boot; an OS that cannot spawn a thread leaves no
-                    // degraded mode to fall back to.
                     .expect("spawn worker thread")
             })
             .collect();
@@ -84,6 +91,11 @@ impl WorkerPool {
     /// enqueues at most `min(workers, jobs) − 1` runners (one boxed message
     /// each, whatever the number of jobs), then claims jobs from the same
     /// cursor as they do. A panic inside a job re-raises on the caller.
+    #[expect(
+        clippy::expect_used,
+        reason = "each `expect` below states an invariant of a live pool; the one that can \
+                  fail on purpose re-raises a job's panic on the submitting thread"
+    )]
     pub fn run_ordered<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -99,11 +111,11 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             jobs: jobs.into_iter().map(|job| Mutex::new(Some(job))).collect(),
         });
-        // rcc-lint: allow(unbounded-channel) — occupancy is bounded by the
-        // runners enqueued below: each sends at most one message.
-        let (results_tx, results_rx) = std::sync::mpsc::channel::<Vec<(usize, T)>>();
-        // rcc-lint: allow(panic) — the injector `Option` exists solely so
-        // `Drop` can hang up the channel; a live pool always holds it.
+        // Each runner enqueued below sends at most one message, so `send`
+        // never blocks.
+        let (results_tx, results_rx) = sync_channel::<Vec<(usize, T)>>(helpers);
+        // The injector `Option` exists solely so `Drop` can hang up the
+        // channel; a live pool always holds it.
         let injector = self.injector.as_ref().expect("pool is live");
         for _ in 0..helpers {
             let claims = Arc::clone(&claims);
@@ -119,9 +131,9 @@ impl WorkerPool {
                         let _ = results_tx.send(done);
                     }
                 }))
-                // rcc-lint: allow(panic) — workers only exit after the
-                // injector is dropped; a send failing on a live pool means
-                // a worker thread died, which propagates that panic.
+                // Workers only exit after the injector is dropped; a send
+                // failing on a live pool means a worker thread died, which
+                // propagates that panic.
                 .expect("worker pool hung up");
         }
         drop(results_tx);
@@ -136,18 +148,18 @@ impl WorkerPool {
             if missing == 0 {
                 break;
             }
-            // rcc-lint: allow(panic) — results are missing and every runner
-            // has hung up, so one of them panicked mid-job and dropped its
-            // results; re-raising the panic on the submitting thread is
-            // deliberate (silently returning fewer results would corrupt
-            // the ordered pipeline downstream).
+            // Results are missing and every runner has hung up, so one of
+            // them panicked mid-job and dropped its results; re-raising the
+            // panic on the submitting thread is deliberate (silently
+            // returning fewer results would corrupt the ordered pipeline
+            // downstream).
             done = results_rx.recv().expect("a worker panicked mid-job");
         }
         slots
             .into_iter()
-            // rcc-lint: allow(panic) — every index below `total` is claimed
-            // exactly once and the loop above counted `total` results in,
-            // so each slot is filled by construction.
+            // Every index below `total` is claimed exactly once and the loop
+            // above counted `total` results in, so each slot is filled by
+            // construction.
             .map(|slot| slot.expect("every index reported"))
             .collect()
     }

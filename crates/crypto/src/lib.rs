@@ -21,7 +21,6 @@
 //!   millions of simulated messages.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod authenticator;
 pub mod cost;

@@ -20,6 +20,11 @@
 //!   even this mode does not pay for the hand-off; it is kept for the real
 //!   crate (ROADMAP "Carried debt") and CI's pk smoke keeps it exercised.
 
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
+
 use crate::authenticator::{AuthTag, Authenticator};
 use rcc_common::{ClientId, CryptoMode, ReplicaId, WorkerPool};
 use std::sync::Arc;

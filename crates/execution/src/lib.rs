@@ -14,7 +14,8 @@
 //! with it.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod conflict;
 pub mod engine;

@@ -57,6 +57,11 @@
 //! Every subcommand rejects a `--flag` it does not define (exit status 2,
 //! usage on stderr) instead of running without it.
 
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
+
 use rcc_common::{CryptoMode, ReplicaId};
 use rcc_network::cluster::{ClusterPlan, RestartPlan};
 use rcc_network::{

@@ -183,8 +183,11 @@ impl ClusterOutcome {
 /// Panics when the plan's system configuration is invalid or (TCP) when
 /// localhost sockets cannot be bound.
 pub fn run_local_cluster(plan: &ClusterPlan) -> ClusterOutcome {
-    // rcc-lint: allow(panic) — orchestration harness (see `# Panics`): an
-    // invalid plan is a caller bug, not a runtime condition to recover.
+    #[expect(
+        clippy::expect_used,
+        reason = "orchestration harness (see `# Panics`): an invalid plan is a caller bug, not \
+                  a runtime condition to recover"
+    )]
     plan.system.validate().expect("invalid cluster plan");
     match plan.transport {
         TransportKind::InProcess => run_in_process(plan),
@@ -222,12 +225,15 @@ where
         }
         sleep_until((kill_at + restart.down_for).min(deadline));
         let transport = respawn(restart.replica);
+        #[expect(
+            clippy::expect_used,
+            reason = "orchestration harness: a restart the host refuses is a scenario failure, \
+                      reported by process exit"
+        )]
         let node = spawn_node(
             node_config(plan, restart.replica),
             BoxedTransport(transport),
         )
-        // rcc-lint: allow(panic) — orchestration harness: a restart the
-        // host refuses is a scenario failure, reported by process exit.
         .expect("respawn restarted node");
         nodes[index] = Some(node);
     }
@@ -318,12 +324,14 @@ fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {
     let hub = InProcessNetwork::new(n, queue_capacity(&plan.system));
     let nodes: Vec<Option<NodeHandle>> = ReplicaId::all(n)
         .map(|replica| {
+            #[expect(
+                clippy::expect_used,
+                reason = "orchestration harness: no nodes, no scenario"
+            )]
             let node = spawn_node(
                 node_config(plan, replica),
                 BoxedTransport(maybe_mangled(hub.transport(replica), plan.mangle, replica)),
             )
-            // rcc-lint: allow(panic) — orchestration harness: no nodes,
-            // no scenario.
             .expect("spawn in-process node");
             Some(node)
         })
@@ -339,14 +347,17 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
     let n = plan.system.n;
     // Bind every listener first (ephemeral ports) so all addresses are
     // known before any node starts dialing.
+    #[expect(
+        clippy::expect_used,
+        reason = "orchestration harness: localhost that cannot bind ephemeral ports cannot host \
+                  the cluster"
+    )]
     let listeners: Vec<TcpListener> = (0..n)
-        // rcc-lint: allow(panic) — orchestration harness: localhost that
-        // cannot bind ephemeral ports cannot host the cluster.
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind localhost listener"))
         .collect();
+    #[expect(clippy::expect_used, reason = "orchestration harness, same as above")]
     let addrs: Vec<SocketAddr> = listeners
         .iter()
-        // rcc-lint: allow(panic) — orchestration harness, same as above.
         .map(|l| l.local_addr().expect("listener address"))
         .collect();
     let capacity = queue_capacity(&plan.system);
@@ -359,6 +370,10 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
         .enumerate()
         .map(|(index, listener)| {
             let replica = ReplicaId(index as u32);
+            #[expect(
+                clippy::expect_used,
+                reason = "orchestration harness: no nodes, no scenario"
+            )]
             let node = spawn_node(
                 node_config(plan, replica),
                 BoxedTransport(maybe_mangled(
@@ -373,8 +388,6 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
                     replica,
                 )),
             )
-            // rcc-lint: allow(panic) — orchestration harness: no nodes,
-            // no scenario.
             .expect("spawn TCP node");
             Some(node)
         })
@@ -388,10 +401,12 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
         let listener = loop {
             match TcpListener::bind(addr) {
                 Ok(listener) => break listener,
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "orchestration harness: a restart address stuck in TIME_WAIT past \
+                              the deadline fails the scenario loudly"
+                )]
                 Err(e) => {
-                    // rcc-lint: allow(panic) — orchestration harness: a
-                    // restart address stuck in TIME_WAIT past the deadline
-                    // fails the scenario loudly.
                     assert!(
                         Instant::now() < rebind_deadline,
                         "could not re-bind {addr} for restart: {e}"
@@ -436,13 +451,15 @@ where
         plan.run_for,
     );
     let fleet_telemetry = EdgeTelemetry::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "orchestration harness: a fleet the host cannot spawn ends the scenario"
+    )]
     let fleet = {
         let telemetry = fleet_telemetry.clone();
         std::thread::Builder::new()
             .name("rcc-fleet".to_string())
             .spawn(move || run_fleet_observed(&fleet_plan, &telemetry))
-            // rcc-lint: allow(panic) — orchestration harness: a fleet the
-            // host cannot spawn ends the scenario.
             .expect("spawn fleet driver")
     };
     let emitter = spawn_telemetry_emitter(plan, &nodes, fleet_telemetry.clone(), started, deadline);
@@ -450,11 +467,12 @@ where
     if let Some(thread) = emitter {
         let _ = thread.join();
     }
-    let clients = fleet
-        .join()
-        // rcc-lint: allow(panic) — orchestration harness: re-raise a fleet
-        // driver's panic instead of reporting a partial outcome.
-        .expect("fleet driver panicked");
+    #[expect(
+        clippy::expect_used,
+        reason = "orchestration harness: re-raise a fleet driver's panic instead of reporting a \
+                  partial outcome"
+    )]
+    let clients = fleet.join().expect("fleet driver panicked");
     let reports = finish(nodes, killed);
     ClusterOutcome {
         reports,
@@ -466,15 +484,16 @@ where
 
 /// Shuts every node down and collects the final reports.
 fn finish(nodes: Vec<Option<NodeHandle>>, killed: Option<NodeReport>) -> Vec<NodeReport> {
+    #[expect(
+        clippy::expect_used,
+        reason = "orchestration harness: every node is live here by construction (run_timeline \
+                  respawns what it kills), and a node that panicked mid-run must fail the \
+                  scenario rather than vanish from the safety comparison"
+    )]
     let mut reports: Vec<NodeReport> = nodes
         .into_iter()
         .map(|handle| {
-            // rcc-lint: allow(panic) — orchestration harness: every node is
-            // live here by construction (run_timeline respawns what it kills).
             let node = handle.expect("every node live at run end");
-            // rcc-lint: allow(panic) — orchestration harness: a node that
-            // panicked mid-run must fail the scenario rather than vanish
-            // from the safety comparison.
             node.shutdown().expect("node thread panicked")
         })
         .collect();

@@ -199,6 +199,12 @@ pub fn run_fleet(plan: &FleetPlan) -> Vec<SessionStats> {
 /// # Panics
 ///
 /// Same harness semantics as [`run_fleet`].
+#[expect(
+    clippy::expect_used,
+    reason = "load-generation harness: a host that cannot spawn the driver threads cannot run \
+              the scenario, and a driver thread's panic re-raises instead of reporting a \
+              partial fleet"
+)]
 pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<SessionStats> {
     let keys = DeploymentKeys::generate(&plan.system);
     let started = Instant::now();
@@ -239,16 +245,11 @@ pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<Se
                 .spawn(move || {
                     drive_chunk(system, sessions, started, deadline, index as u32, telemetry)
                 })
-                // rcc-lint: allow(panic) — load-generation harness: a host
-                // that cannot spawn the driver threads cannot run the
-                // scenario.
                 .expect("spawn fleet driver thread")
         })
         .collect();
     threads
         .into_iter()
-        // rcc-lint: allow(panic) — load-generation harness: re-raise a
-        // driver thread's panic instead of reporting a partial fleet.
         .flat_map(|thread| thread.join().expect("fleet driver thread panicked"))
         .collect()
 }
@@ -313,7 +314,10 @@ fn drive_chunk(
 /// One sweep pass over one session's sockets: re-dial down links
 /// (budgeted), flush/fill every connection, dispatch decoded frames into
 /// the session. Returns `true` when anything moved.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one sweep pass threads the chunk's shared state through by reference"
+)]
 fn sweep_sockets(
     system: &SystemConfig,
     links: &mut [Link],

@@ -40,7 +40,10 @@
 //! the frame diagram and thread model.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
 
 pub mod cluster;
 pub mod config;

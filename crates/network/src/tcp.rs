@@ -152,6 +152,11 @@ impl TcpTransport {
                 }
             })
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "transport construction at node boot: a host that cannot spawn the edge's I/O \
+                      threads cannot run the node, so failing loudly is the only honest mode"
+        )]
         let edge = ClientEdge::spawn(
             me,
             edge_config,
@@ -160,20 +165,19 @@ impl TcpTransport {
             Arc::clone(&shutdown),
             telemetry.clone(),
         )
-        // rcc-lint: allow(panic) — transport construction at node boot: a
-        // host that cannot spawn the edge's I/O threads cannot run the
-        // node, so failing loudly is the only honest mode.
         .expect("spawn client-edge I/O threads");
 
         // Ingress: one accept loop handing every socket to the edge.
         {
             let shutdown = Arc::clone(&shutdown);
+            #[expect(
+                clippy::expect_used,
+                reason = "transport construction at node boot: without a nonblocking listener the \
+                          accept loop can never observe shutdown, so failing loudly is the only \
+                          honest mode"
+            )]
             listener
                 .set_nonblocking(true)
-                // rcc-lint: allow(panic) — transport construction at node
-                // boot: without a nonblocking listener the accept loop can
-                // never observe shutdown, so failing loudly is the only
-                // honest mode.
                 .expect("listener nonblocking");
             let edge_for_accept = edge.registrar();
             threads.push(spawn_named("rcc-accept", move || {
@@ -229,13 +233,15 @@ impl TcpTransport {
 
 /// Spawns one of the transport's own threads under a name `/proc` and a
 /// debugger can show.
+#[expect(
+    clippy::expect_used,
+    reason = "transport construction at node boot: a host that cannot spawn the acceptor or a \
+              peer writer cannot run the node, so failing loudly is the only honest mode"
+)]
 fn spawn_named(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name.to_string())
         .spawn(body)
-        // rcc-lint: allow(panic) — transport construction at node boot: a
-        // host that cannot spawn the acceptor or a peer writer cannot run
-        // the node, so failing loudly is the only honest mode.
         .expect("spawn transport thread")
 }
 

@@ -2,7 +2,8 @@
 //! messages: every variant of every deployed message type round-trips
 //! canonically, and malformed inputs — truncations, corruptions, version
 //! skew — are rejected with typed errors, never panics or silent
-//! mis-parses.
+//! mis-parses. The same generators pin the tag byte of every variant, and
+//! the frame constants, to `docs/WIRE_FORMAT.md`.
 
 use rcc_common::codec::{Decode, Encode, WireError};
 use rcc_common::{
@@ -11,7 +12,7 @@ use rcc_common::{
 };
 use rcc_core::RccMessage;
 use rcc_crypto::{AuthTag, MacTag, Signature};
-use rcc_network::{ByteMangler, Frame, MangleConfig, PeerKind, WIRE_VERSION};
+use rcc_network::{ByteMangler, Frame, MangleConfig, PeerKind, MAX_FRAME_BYTES, WIRE_VERSION};
 use rcc_protocols::pbft::PbftMessage;
 use rcc_storage::Checkpoint;
 
@@ -30,8 +31,8 @@ fn blob(rng: &mut SplitMix64, max: usize) -> Vec<u8> {
 
 /// A transaction of every kind, cycled deterministically so each run covers
 /// all variants many times.
-fn transaction(rng: &mut SplitMix64, variant: u64) -> Transaction {
-    let kind = match variant % 8 {
+fn transaction_kind(rng: &mut SplitMix64, variant: u64) -> TransactionKind {
+    match variant % 8 {
         0 => TransactionKind::NoOp,
         1 => TransactionKind::YcsbRead {
             key: rng.next_u64(),
@@ -61,8 +62,7 @@ fn transaction(rng: &mut SplitMix64, variant: u64) -> Transaction {
         _ => TransactionKind::BalanceQuery {
             account: rng.next_u64() as u32,
         },
-    };
-    Transaction::new(kind)
+    }
 }
 
 fn batch(rng: &mut SplitMix64) -> Batch {
@@ -70,7 +70,8 @@ fn batch(rng: &mut SplitMix64) -> Batch {
     let mut requests = Vec::with_capacity(len as usize);
     for _ in 0..len {
         let (client, sequence, variant) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
-        let mut request = ClientRequest::new(ClientId(client), sequence, transaction(rng, variant));
+        let transaction = Transaction::new(transaction_kind(rng, variant));
+        let mut request = ClientRequest::new(ClientId(client), sequence, transaction);
         if rng.next_below(2) == 0 {
             request.assigned_instance = Some(InstanceId(rng.next_u64() as u32));
         }
@@ -172,15 +173,21 @@ fn auth_tag(rng: &mut SplitMix64, variant: u64) -> AuthTag {
     }
 }
 
+fn peer_kind(rng: &mut SplitMix64, variant: u64) -> PeerKind {
+    match variant % 2 {
+        0 => PeerKind::Replica(ReplicaId(rng.next_u64() as u32)),
+        _ => PeerKind::Client(ClientId(rng.next_u64())),
+    }
+}
+
 fn frame(rng: &mut SplitMix64, variant: u64) -> Frame {
     match variant % 6 {
-        0 => Frame::Hello {
-            peer: if rng.next_below(2) == 0 {
-                PeerKind::Replica(ReplicaId(rng.next_u64() as u32))
-            } else {
-                PeerKind::Client(ClientId(rng.next_u64()))
-            },
-        },
+        0 => {
+            let peer_variant = rng.next_below(2);
+            Frame::Hello {
+                peer: peer_kind(rng, peer_variant),
+            }
+        }
         1 => {
             let (inner, tag_variant) = (rng.next_u64(), rng.next_u64());
             Frame::Replica {
@@ -463,4 +470,125 @@ fn cross_version_frames_are_rejected() {
             );
         }
     }
+}
+
+/// `(tag, variant)` for one value of each variant `generate` makes, sorted
+/// by tag: the tag is byte `at` of `encode`'s output and the variant is the
+/// name `Debug` prints. `generate(rng, i)` makes variant `i` modulo the
+/// variant count, so the first name seen twice ends the cycle.
+fn encoded_tags<T: std::fmt::Debug>(
+    generate: fn(&mut SplitMix64, u64) -> T,
+    encode: fn(&T) -> Vec<u8>,
+    at: usize,
+) -> Vec<(u8, String)> {
+    let mut rng = SplitMix64::new(10);
+    let mut rows: Vec<(u8, String)> = Vec::new();
+    for variant in 0.. {
+        let value = generate(&mut rng, variant);
+        let name: String = format!("{value:?}")
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        if rows.iter().any(|(_, seen)| *seen == name) {
+            break;
+        }
+        rows.push((encode(&value)[at], name));
+    }
+    rows.sort();
+    rows
+}
+
+/// The two cells of a two-column Markdown table row (`| a | b |`).
+fn table_row(line: &str) -> Option<(&str, &str)> {
+    match line.split('|').map(str::trim).collect::<Vec<_>>()[..] {
+        ["", left, right, ""] => Some((left, right)),
+        _ => None,
+    }
+}
+
+/// The `(tag, variant)` rows of `ty`'s table in the wire-format doc.
+fn documented_tags(doc: &str, ty: &str) -> Vec<(u8, String)> {
+    let heading = format!("### `{ty}`");
+    doc.lines()
+        .skip_while(|line| *line != heading)
+        .skip(1)
+        .take_while(|line| !line.starts_with("### "))
+        .filter_map(table_row)
+        .filter_map(|(tag, variant)| Some((tag.parse().ok()?, variant.trim_matches('`').into())))
+        .collect()
+}
+
+/// The value cell of constant `name` in the doc's frame-header table.
+fn documented_constant<'a>(doc: &'a str, name: &str) -> &'a str {
+    let key = format!("`{name}`");
+    doc.lines()
+        .filter_map(table_row)
+        .find_map(|(constant, value)| (constant == key).then(|| value.trim_matches('`')))
+        .unwrap_or_else(|| panic!("docs/WIRE_FORMAT.md has no `{name}` row"))
+}
+
+/// The tag tables and frame constants of `docs/WIRE_FORMAT.md` are what the
+/// codec puts on the wire. The tags are read off encoded bytes, one value per
+/// variant of each tagged type, so a renumbered tag fails here even when
+/// encode and decode were changed together and every round trip still
+/// passes. On a mismatch the message is the table to paste into the doc.
+#[test]
+fn wire_tags_match_the_wire_format_doc() {
+    let doc = include_str!("../../../docs/WIRE_FORMAT.md");
+    // A frame is magic (2 B), version, then its kind tag; a `Hello`'s body
+    // opens with its `PeerKind` tag.
+    let hello = |&peer: &PeerKind| Frame::Hello { peer }.encode_frame();
+    let encoded = [
+        ("AuthTag", encoded_tags(auth_tag, AuthTag::encoded, 0)),
+        ("Frame", encoded_tags(frame, Frame::encode_frame, 3)),
+        (
+            "PbftMessage",
+            encoded_tags(pbft_message, PbftMessage::encoded, 0),
+        ),
+        ("PeerKind", encoded_tags(peer_kind, hello, 4)),
+        ("RccMessage", encoded_tags(rcc_message, |m| m.encoded(), 0)),
+        (
+            "TransactionKind",
+            encoded_tags(transaction_kind, TransactionKind::encoded, 0),
+        ),
+    ];
+
+    let documented: Vec<&str> = doc
+        .lines()
+        .filter_map(|line| line.strip_prefix("### `")?.strip_suffix('`'))
+        .collect();
+    let checked: Vec<&str> = encoded.iter().map(|(ty, _)| *ty).collect();
+    assert_eq!(documented, checked, "docs/WIRE_FORMAT.md's tagged types");
+
+    let stale: Vec<String> = encoded
+        .iter()
+        .filter(|(ty, rows)| documented_tags(doc, ty) != *rows)
+        .map(|(ty, rows)| {
+            let table: String = rows
+                .iter()
+                .map(|(tag, variant)| format!("| {tag} | `{variant}` |\n"))
+                .collect();
+            format!("### `{ty}` should read:\n\n| tag | variant |\n|---|---|\n{table}")
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "docs/WIRE_FORMAT.md disagrees with the encoded tags\n\n{}",
+        stale.join("\n")
+    );
+
+    assert_eq!(
+        documented_constant(doc, "WIRE_VERSION"),
+        WIRE_VERSION.to_string(),
+        "docs/WIRE_FORMAT.md's WIRE_VERSION"
+    );
+    let max_frame_bytes: Option<usize> = documented_constant(doc, "MAX_FRAME_BYTES")
+        .split(" * ")
+        .map(|factor| factor.parse::<usize>().ok())
+        .product();
+    assert_eq!(
+        max_frame_bytes,
+        Some(MAX_FRAME_BYTES),
+        "docs/WIRE_FORMAT.md's MAX_FRAME_BYTES"
+    );
 }

@@ -22,7 +22,8 @@
 //! [`bca::WireMessage`]).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod bca;
 pub mod harness;

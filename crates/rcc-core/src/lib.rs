@@ -31,7 +31,8 @@
 //! global execution sequence that is identical on all non-faulty replicas.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod message;
 pub mod orderer;

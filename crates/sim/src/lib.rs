@@ -35,7 +35,8 @@
 //! how the outputs map back to the paper's figures.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod adversary;
 pub mod cpu;

@@ -602,7 +602,10 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         done
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one in-flight message's fields, passed as the delivery event carries them"
+    )]
     fn deliver(
         &mut self,
         at: Time,
@@ -1026,7 +1029,10 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
     /// the receiver's codec rejects the damaged frame with a typed error
     /// (the behaviour `rcc-network`'s `ByteMangler` tests pin down), which
     /// on the simulator's abstraction level is a message loss.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one in-flight message's fields plus the link it crosses"
+    )]
     fn mangle_wire(
         &mut self,
         from: ReplicaId,

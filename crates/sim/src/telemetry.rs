@@ -6,8 +6,9 @@
 //! [`VirtualClock`] advanced to each event's virtual time, which keeps every
 //! flight-recorder timestamp — and therefore the whole telemetry output —
 //! bit-deterministic under a fixed seed (the property
-//! `crates/sim/tests/determinism.rs` pins down and the `rcc-lint`
-//! wall-clock gate enforces statically).
+//! `crates/sim/tests/determinism.rs` pins down and clippy's
+//! `disallowed_types` denial of wall clocks in this crate enforces
+//! statically).
 
 use rcc_telemetry::{
     Counter, FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry, Snapshot,

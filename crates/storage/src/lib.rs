@@ -14,7 +14,8 @@
 //!   in-the-dark protocols.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod accounts;
 pub mod checkpoint;

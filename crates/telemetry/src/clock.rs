@@ -6,7 +6,7 @@
 //!
 //! * the deterministic layers (`rcc-sim`, and through it `rcc-core`) run on
 //!   *virtual* time — reading a wall clock there would break bit-for-bit
-//!   reproducibility and trip `rcc-lint`'s wall-clock gate;
+//!   reproducibility, so clippy's `disallowed_types` denies it;
 //! * the deployment layers (`rcc-node`, the client edge, the fleet driver)
 //!   run on *wall* time.
 //!
@@ -15,9 +15,14 @@
 //! injects a [`WallClock`] anchored at process start. Instrumented code
 //! never names `Instant` — it asks the clock for nanoseconds.
 //!
-//! `rcc-lint` enforces the seam: every other file under
-//! `crates/telemetry/src` sits in the deterministic scope, so `Instant` /
-//! `SystemTime` outside this file fails the workspace analysis.
+//! The crate root denies `disallowed_types`, so `Instant` / `SystemTime`
+//! anywhere else under `crates/telemetry/src` fails clippy; the expectation
+//! below lifts it for this file alone.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the clock seam: the one sanctioned `std::time` site of the telemetry layer"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

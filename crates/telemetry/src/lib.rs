@@ -30,8 +30,8 @@
 //! bit-comparable across runs (`Snapshot: PartialEq`; the sim's
 //! determinism test asserts it). Timestamps flow through the
 //! [`TelemetryClock`] seam in [`clock`], the only place this crate touches
-//! `std::time` — `rcc-lint` gates every other file here as deterministic
-//! and the whole crate as panic-free.
+//! `std::time`. The attributes below deny clocks and hash collections in
+//! every other file here, and panics in the whole crate outside tests.
 //!
 //! The [`FlightRecorder`] rides alongside the registry: a bounded ring of
 //! structured failure-handling events (view changes, σ-lag detections,
@@ -39,8 +39,13 @@
 //! run diverges, trips a floor, or is asked with `--dump-events`. See
 //! `docs/OBSERVABILITY.md` for the metric catalog and dump formats.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Deterministic layer: no hash collections, no clocks (docs/LINTS.md).
+#![deny(clippy::disallowed_types)]
+// Recording a metric must never crash the layer it measures.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
 
 pub mod clock;
 pub mod flight;

@@ -33,7 +33,6 @@
 //! route replies.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod assignment;
 pub mod client;

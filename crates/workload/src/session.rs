@@ -25,6 +25,11 @@
 //! the replicas' σ-lag detection — and probes home periodically until the
 //! replacement coordinator serves it again.
 
+// Deployment path: bytes from a peer must not be able to panic it (docs/LINTS.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_macros))]
+
 use crate::client::{Client, ClientMode, ReplyOutcome};
 use rcc_common::{Batch, Digest, InstanceId, ReplicaId, SystemConfig, Time};
 use rcc_telemetry::LocalHistogram;

@@ -39,7 +39,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use rcc_bench as bench;
 pub use rcc_common as common;
