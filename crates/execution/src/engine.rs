@@ -11,7 +11,7 @@ use crate::reply::{ClientReply, ExecutionOutcome};
 use rcc_common::{Batch, BatchId, ReplicaId, Round, TransactionKind, WorkerPool};
 use rcc_crypto::hash::digest_batch;
 use rcc_storage::ledger::BlockEntry;
-use rcc_storage::{AccountStore, Checkpoint, Ledger, RecordTable};
+use rcc_storage::{AccountStore, Ledger, RecordTable};
 use std::borrow::Borrow;
 
 /// Summary statistics of everything the engine has executed.
@@ -105,17 +105,6 @@ impl ExecutionEngine {
         self.table.fingerprint() ^ self.accounts.fingerprint().rotate_left(17)
     }
 
-    /// Takes a checkpoint of the current state after `round`.
-    pub fn checkpoint(&self, round: Round) -> Checkpoint {
-        Checkpoint {
-            round,
-            ledger_head: self.ledger.head_digest(),
-            table_fingerprint: self.table.fingerprint(),
-            accounts_fingerprint: self.accounts.fingerprint(),
-            state_bytes: self.table.snapshot_bytes() + self.accounts.snapshot_bytes(),
-        }
-    }
-
     fn execute_kind(&mut self, kind: &TransactionKind) -> ExecutionOutcome {
         match kind {
             TransactionKind::YcsbRead { key } => match self.table.read(*key) {
@@ -128,16 +117,12 @@ impl ExecutionEngine {
                     found: false,
                 },
             },
-            TransactionKind::YcsbWrite { key, value } => {
-                self.table.write(*key, value.clone());
-                let version = self.table.peek(*key).map(|r| r.version).unwrap_or(0);
-                ExecutionOutcome::WriteApplied { version }
-            }
-            TransactionKind::YcsbReadModifyWrite { key, delta } => {
-                self.table.read_modify_write(*key, delta);
-                let version = self.table.peek(*key).map(|r| r.version).unwrap_or(0);
-                ExecutionOutcome::WriteApplied { version }
-            }
+            TransactionKind::YcsbWrite { key, value } => ExecutionOutcome::WriteApplied {
+                version: self.table.write(*key, value),
+            },
+            TransactionKind::YcsbReadModifyWrite { key, delta } => ExecutionOutcome::WriteApplied {
+                version: self.table.read_modify_write(*key, delta),
+            },
             TransactionKind::YcsbScan { start, count } => {
                 let records = self.table.scan(*start, *count);
                 ExecutionOutcome::ScanResult { records }

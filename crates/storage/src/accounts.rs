@@ -64,13 +64,6 @@ impl AccountStore {
         self.balances.is_empty()
     }
 
-    /// Estimated size in bytes of a serialized snapshot of the store (what a
-    /// checkpoint transfer would ship): a 4-byte account id and an 8-byte
-    /// balance per entry.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.balances.len() as u64 * 12
-    }
-
     /// Order-independent fingerprint of all balances, used in state
     /// comparison across replicas.
     pub fn fingerprint(&self) -> u64 {

@@ -25,4 +25,4 @@ pub mod table;
 pub use accounts::AccountStore;
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use ledger::{Block, BlockEntry, Ledger};
-pub use table::{Record, RecordTable};
+pub use table::{Payload, Record, RecordTable};

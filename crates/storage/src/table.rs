@@ -5,15 +5,115 @@
 //! map from numeric keys to byte payloads with an incrementally maintained
 //! state fingerprint so that replicas can cheaply compare their state during
 //! checkpoints and tests can assert replica convergence.
+//!
+//! A write is one walk of the tree: [`RecordTable::write`] and
+//! [`RecordTable::read_modify_write`] update the record in place through
+//! `BTreeMap::entry` and return the version they wrote. A payload of up to
+//! [`Payload::INLINE`] bytes (a YCSB value is 8) lives inline in the
+//! record, so such a write allocates nothing; a longer one is a `Vec`.
 
-use rcc_common::Digest;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
+
+/// A record payload: short payloads inline, longer ones on the heap. It
+/// derefs to the payload bytes, whichever form holds them.
+#[derive(Clone)]
+pub enum Payload {
+    /// Up to [`Payload::INLINE`] bytes, the first `len` of `bytes`.
+    Inline {
+        /// Number of payload bytes.
+        len: u8,
+        /// The bytes; only the first `len` are payload.
+        bytes: [u8; Payload::INLINE],
+    },
+    /// More than [`Payload::INLINE`] bytes.
+    Heap(Vec<u8>),
+}
+
+impl Payload {
+    /// The longest payload kept inline: the length byte and the bytes fit
+    /// in the 16 bytes of a `Vec` beside its capacity, whose spare values
+    /// the compiler uses as the tag, so a `Payload` is no larger than a
+    /// `Vec`.
+    pub const INLINE: usize = 15;
+
+    /// Replaces the payload with `new`, reusing a heap buffer when `new`
+    /// still needs one.
+    fn set(&mut self, new: &[u8]) {
+        match self {
+            Payload::Heap(vec) if new.len() > Payload::INLINE => {
+                vec.clear();
+                vec.extend_from_slice(new);
+            }
+            _ if new.len() > Payload::INLINE => *self = Payload::Heap(new.to_vec()),
+            _ => {
+                *self = Payload::default();
+                self.extend(new);
+            }
+        }
+    }
+
+    /// Appends `delta`, moving the payload to the heap once it outgrows
+    /// the inline capacity.
+    fn extend(&mut self, delta: &[u8]) {
+        match self {
+            Payload::Inline { len, bytes } if *len as usize + delta.len() <= Payload::INLINE => {
+                let start = *len as usize;
+                bytes[start..start + delta.len()].copy_from_slice(delta);
+                *len += delta.len() as u8;
+            }
+            Payload::Inline { .. } => {
+                let mut vec = Vec::with_capacity(self.len() + delta.len());
+                vec.extend_from_slice(self);
+                vec.extend_from_slice(delta);
+                *self = Payload::Heap(vec);
+            }
+            Payload::Heap(vec) => vec.extend_from_slice(delta),
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Inline {
+            len: 0,
+            bytes: [0; Payload::INLINE],
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Inline { len, bytes } => &bytes[..*len as usize],
+            Payload::Heap(vec) => vec,
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// One record of the table.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Record {
     /// The record payload (YCSB field bytes).
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Number of times the record has been written.
     pub version: u64,
 }
@@ -59,9 +159,10 @@ impl RecordTable {
     /// is initialized with an identical copy of the YCSB table".
     pub fn initialize(records: u64, payload_size: usize) -> Self {
         let mut table = RecordTable::new();
+        let mut payload = vec![0u8; payload_size];
         for key in 0..records {
-            let byte = (key % 251) as u8;
-            table.write(key, vec![byte; payload_size]);
+            payload.fill((key % 251) as u8);
+            table.write(key, &payload);
         }
         // Initialization is not part of the measured workload.
         table.writes = 0;
@@ -90,30 +191,41 @@ impl RecordTable {
         self.records.get(&key)
     }
 
-    /// Writes `payload` under `key`, replacing any previous record.
-    pub fn write(&mut self, key: u64, payload: Vec<u8>) {
-        self.writes += 1;
-        let version = self.records.get(&key).map(|r| r.version + 1).unwrap_or(0);
-        if let Some(old) = self.records.get(&key) {
-            self.fingerprint ^= mix(key, old.version, &old.payload);
-        }
-        self.fingerprint ^= mix(key, version, &payload);
-        self.records.insert(key, Record { payload, version });
+    /// Writes `payload` under `key`, replacing any previous record, and
+    /// returns the version written (0 for a new key).
+    pub fn write(&mut self, key: u64, payload: impl AsRef<[u8]>) -> u64 {
+        self.update(key, |stored| stored.set(payload.as_ref()))
     }
 
     /// Appends `delta` to the record under `key` (creating it when missing)
-    /// and returns the new length — the read-modify-write operation of YCSB.
-    pub fn read_modify_write(&mut self, key: u64, delta: &[u8]) -> usize {
+    /// and returns the version written — the read-modify-write operation of
+    /// YCSB.
+    pub fn read_modify_write(&mut self, key: u64, delta: &[u8]) -> u64 {
         self.reads += 1;
-        let mut payload = self
-            .records
-            .get(&key)
-            .map(|r| r.payload.clone())
-            .unwrap_or_default();
-        payload.extend_from_slice(delta);
-        let len = payload.len();
-        self.write(key, payload);
-        len
+        self.update(key, |stored| stored.extend(delta))
+    }
+
+    /// The one write path: a single walk to `key`'s slot, where `edit`
+    /// rewrites the payload in place (starting from an empty one for a new
+    /// key) and the version steps on. The fingerprint trades the old
+    /// record's term for the new one's.
+    fn update(&mut self, key: u64, edit: impl FnOnce(&mut Payload)) -> u64 {
+        self.writes += 1;
+        let record = match self.records.entry(key) {
+            Entry::Vacant(slot) => slot.insert(Record {
+                payload: Payload::default(),
+                version: 0,
+            }),
+            Entry::Occupied(slot) => {
+                let record = slot.into_mut();
+                self.fingerprint ^= mix(key, record.version, &record.payload);
+                record.version += 1;
+                record
+            }
+        };
+        edit(&mut record.payload);
+        self.fingerprint ^= mix(key, record.version, &record.payload);
+        record.version
     }
 
     /// Scans `count` consecutive keys starting at `start`, returning the
@@ -140,25 +252,6 @@ impl RecordTable {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Estimated size in bytes of a serialized snapshot of the table (what a
-    /// checkpoint transfer would ship to a rejoining replica): per record,
-    /// an 8-byte key, an 8-byte version, and the payload.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.records
-            .values()
-            .map(|r| 16 + r.payload.len() as u64)
-            .sum()
-    }
-
-    /// A digest form of the fingerprint, convenient for embedding in
-    /// checkpoint messages.
-    pub fn state_digest(&self) -> Digest {
-        let mut bytes = [0u8; 32];
-        bytes[..8].copy_from_slice(&self.fingerprint.to_be_bytes());
-        bytes[8..16].copy_from_slice(&(self.records.len() as u64).to_be_bytes());
-        Digest::from_bytes(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +264,6 @@ mod tests {
         let b = RecordTable::initialize(1000, 64);
         assert_eq!(a.len(), 1000);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(a.write_count(), 0, "initialization is not counted");
     }
 
@@ -210,9 +302,8 @@ mod tests {
     fn read_modify_write_appends() {
         let mut t = RecordTable::new();
         t.write(1, vec![1, 2]);
-        let len = t.read_modify_write(1, &[3, 4, 5]);
-        assert_eq!(len, 5);
-        assert_eq!(t.peek(1).unwrap().payload, vec![1, 2, 3, 4, 5]);
+        assert_eq!(t.read_modify_write(1, &[3, 4, 5]), 1);
+        assert_eq!(*t.peek(1).unwrap().payload, [1, 2, 3, 4, 5]);
         assert_eq!(t.peek(1).unwrap().version, 1);
     }
 
@@ -230,5 +321,109 @@ mod tests {
         t.write(7, vec![1]);
         t.write(7, vec![2]);
         assert_eq!(t.peek(7).unwrap().version, 2);
+    }
+
+    /// A reference model: a plain map of owned payloads that looks a key
+    /// up, then inserts, and composes the same `mix` terms the same way, so
+    /// its fingerprints must equal the table's.
+    #[derive(Default)]
+    struct Model {
+        records: BTreeMap<u64, (Vec<u8>, u64)>,
+        fingerprint: u64,
+    }
+
+    impl Model {
+        fn write(&mut self, key: u64, payload: Vec<u8>) -> u64 {
+            let version = match self.records.get(&key) {
+                Some((old, version)) => {
+                    self.fingerprint ^= mix(key, *version, old);
+                    version + 1
+                }
+                None => 0,
+            };
+            self.fingerprint ^= mix(key, version, &payload);
+            self.records.insert(key, (payload, version));
+            version
+        }
+
+        fn read_modify_write(&mut self, key: u64, delta: &[u8]) -> u64 {
+            let mut payload = self
+                .records
+                .get(&key)
+                .map(|(p, _)| p.clone())
+                .unwrap_or_default();
+            payload.extend_from_slice(delta);
+            self.write(key, payload)
+        }
+    }
+
+    fn bytes(rng: &mut rcc_common::SplitMix64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_below(256) as u8).collect()
+    }
+
+    #[test]
+    fn the_table_agrees_with_a_plain_map_step_by_step() {
+        const KEYS: u64 = 24;
+        let lengths = [0, Payload::INLINE, Payload::INLINE + 1, 8, 40];
+        let mut rng = rcc_common::SplitMix64::new(28);
+        let mut table = RecordTable::new();
+        let mut model = Model::default();
+        // A record one byte short of the boundary that an RMW grows across it.
+        let edge = bytes(&mut rng, Payload::INLINE - 1);
+        assert_eq!(table.write(KEYS, &edge), model.write(KEYS, edge.clone()));
+        assert_eq!(
+            table.read_modify_write(KEYS, &[1, 2]),
+            model.read_modify_write(KEYS, &[1, 2])
+        );
+        assert!(matches!(
+            table.peek(KEYS).unwrap().payload,
+            Payload::Heap(_)
+        ));
+        for step in 0..4000 {
+            let key = rng.next_below(KEYS);
+            let version = if rng.next_below(3) == 0 {
+                let len = rng.next_below(6) as usize;
+                let delta = bytes(&mut rng, len);
+                let version = table.read_modify_write(key, &delta);
+                assert_eq!(version, model.read_modify_write(key, &delta), "step {step}");
+                version
+            } else {
+                let len = lengths[rng.next_below(lengths.len() as u64) as usize];
+                let payload = bytes(&mut rng, len);
+                let version = table.write(key, &payload);
+                assert_eq!(version, model.write(key, payload), "step {step}");
+                version
+            };
+            let record = table.peek(key).unwrap();
+            let (payload, model_version) = &model.records[&key];
+            assert_eq!(version, record.version, "step {step}");
+            assert_eq!(record.version, *model_version, "step {step}");
+            assert_eq!(*record.payload, **payload, "step {step}");
+            assert_eq!(
+                matches!(record.payload, Payload::Inline { .. }),
+                payload.len() <= Payload::INLINE,
+                "step {step}: short payloads stay inline"
+            );
+            assert_eq!(table.fingerprint(), model.fingerprint, "step {step}");
+            let start = rng.next_below(KEYS + 4);
+            let count = rng.next_below(8) as u32;
+            assert_eq!(
+                table.scan(start, count),
+                model.records.range(start..start + count as u64).count(),
+                "step {step}"
+            );
+        }
+        assert_eq!(table.len(), model.records.len());
+    }
+
+    #[test]
+    fn a_record_fits_in_forty_bytes() {
+        // The tree stores records by value: a larger `Record` is a larger
+        // node for every key of the table.
+        assert!(std::mem::size_of::<Record>() <= 40);
+        assert_eq!(
+            std::mem::size_of::<Payload>(),
+            std::mem::size_of::<Vec<u8>>()
+        );
     }
 }
