@@ -175,8 +175,9 @@ impl ExecutionEngine {
                 transactions: batch.borrow().effective_transactions(),
             })
             .collect();
+        // One reply per transaction that is not a no-op.
+        let mut replies = Vec::with_capacity(entries.iter().map(|e| e.transactions).sum());
         let block_digest = self.ledger.append(round, entries).digest;
-        let mut replies = Vec::new();
         let mut position: u32 = 0;
         for (_, batch) in ordered {
             self.summary.batches += 1;

@@ -6,14 +6,19 @@
 //! state fingerprint so that replicas can cheaply compare their state during
 //! checkpoints and tests can assert replica convergence.
 //!
-//! A write is one walk of the tree: [`RecordTable::write`] and
+//! A write is one hash and one probe: [`RecordTable::write`] and
 //! [`RecordTable::read_modify_write`] update the record in place through
-//! `BTreeMap::entry` and return the version they wrote. A payload of up to
+//! `HashMap::entry` and return the version they wrote. A payload of up to
 //! [`Payload::INLINE`] bytes (a YCSB value is 8) lives inline in the
 //! record, so such a write allocates nothing; a longer one is a `Vec`.
+//!
+//! The map is std's `HashMap` with its default `RandomState`, whose keys
+//! differ per process. That is safe here because no result reads the map's
+//! order: the fingerprint is an XOR of per-record terms, [`RecordTable::scan`]
+//! returns a count, and every other operation goes by key. The keyed hasher
+//! is what keeps client-chosen keys from colliding on purpose.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::Deref;
 
@@ -120,12 +125,29 @@ pub struct Record {
 
 /// An in-memory record table with an incrementally maintained state
 /// fingerprint.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct RecordTable {
-    records: BTreeMap<u64, Record>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "iteration order never reaches state, replies or messages: the fingerprint is an XOR, scan is a count, the rest goes by key"
+    )]
+    records: std::collections::HashMap<u64, Record>,
     writes: u64,
     reads: u64,
     fingerprint: u64,
+}
+
+/// Prints the counts and the fingerprint, not the records, so that no output
+/// of the table depends on the hasher's per-process keys.
+impl fmt::Debug for RecordTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RecordTable")
+            .field("len", &self.len())
+            .field("writes", &self.writes)
+            .field("reads", &self.reads)
+            .field("fingerprint", &self.fingerprint)
+            .finish()
+    }
 }
 
 fn mix(key: u64, version: u64, payload: &[u8]) -> u64 {
@@ -205,7 +227,7 @@ impl RecordTable {
         self.update(key, |stored| stored.extend(delta))
     }
 
-    /// The one write path: a single walk to `key`'s slot, where `edit`
+    /// The one write path: a single probe for `key`'s slot, where `edit`
     /// rewrites the payload in place (starting from an empty one for a new
     /// key) and the version steps on. The fingerprint trades the old
     /// record's term for the new one's.
@@ -229,12 +251,20 @@ impl RecordTable {
     }
 
     /// Scans `count` consecutive keys starting at `start`, returning the
-    /// number of existing records touched.
+    /// number of existing records touched. It costs O(min(`count`, `len`)):
+    /// a probe per key of the range, or one pass over the table when the
+    /// range is the wider of the two.
     pub fn scan(&mut self, start: u64, count: u32) -> usize {
         self.reads += count as u64;
-        self.records
-            .range(start..start.saturating_add(count as u64))
-            .count()
+        let range = start..start.saturating_add(count as u64);
+        if count as usize <= self.records.len() {
+            range.filter(|key| self.records.contains_key(key)).count()
+        } else {
+            self.records
+                .keys()
+                .filter(|key| range.contains(key))
+                .count()
+        }
     }
 
     /// Number of write operations applied (excluding initialization).
@@ -257,6 +287,7 @@ impl RecordTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn initialize_creates_identical_tables() {
@@ -355,6 +386,12 @@ mod tests {
             payload.extend_from_slice(delta);
             self.write(key, payload)
         }
+
+        fn scan(&self, start: u64, count: u32) -> usize {
+            self.records
+                .range(start..start.saturating_add(count as u64))
+                .count()
+        }
     }
 
     fn bytes(rng: &mut rcc_common::SplitMix64, len: usize) -> Vec<u8> {
@@ -379,6 +416,10 @@ mod tests {
             table.peek(KEYS).unwrap().payload,
             Payload::Heap(_)
         ));
+        // Two keys at the top of the key space, for scans that saturate.
+        for key in [u64::MAX - 1, u64::MAX] {
+            assert_eq!(table.write(key, [7]), model.write(key, vec![7]));
+        }
         for step in 0..4000 {
             let key = rng.next_below(KEYS);
             let version = if rng.next_below(3) == 0 {
@@ -405,21 +446,73 @@ mod tests {
                 "step {step}: short payloads stay inline"
             );
             assert_eq!(table.fingerprint(), model.fingerprint, "step {step}");
+            // Up to twice the table's width: a probe per key when the range
+            // is the narrower, a pass over the table when it is the wider.
             let start = rng.next_below(KEYS + 4);
-            let count = rng.next_below(8) as u32;
-            assert_eq!(
-                table.scan(start, count),
-                model.records.range(start..start + count as u64).count(),
-                "step {step}"
-            );
+            let count = rng.next_below(2 * KEYS) as u32;
+            for (start, count) in [
+                (start, count),
+                (key, 0),
+                (u64::MAX - 3, 10),
+                (u64::MAX - 3, u32::MAX),
+            ] {
+                assert_eq!(
+                    table.scan(start, count),
+                    model.scan(start, count),
+                    "step {step}: scan({start}, {count})"
+                );
+            }
         }
         assert_eq!(table.len(), model.records.len());
     }
 
     #[test]
+    fn tables_with_their_own_hasher_keys_agree() {
+        // Every `RandomState` draws fresh keys, and a new thread fresh
+        // per-thread seeds, so the two maps lay the same records out in
+        // different buckets. Nothing the table reports may show that.
+        let mut a = RecordTable::new();
+        let mut b = std::thread::spawn(RecordTable::new).join().unwrap();
+        let mut rng = rcc_common::SplitMix64::new(29);
+        for _ in 0..5000 {
+            let key = rng.next_below(3000);
+            let len = rng.next_below(24) as usize;
+            let payload = bytes(&mut rng, len);
+            if rng.next_below(4) == 0 {
+                assert_eq!(
+                    a.read_modify_write(key, &payload),
+                    b.read_modify_write(key, &payload)
+                );
+            } else {
+                assert_eq!(a.write(key, &payload), b.write(key, &payload));
+            }
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.len(), b.len());
+        for key in 0..3001 {
+            assert_eq!(a.peek(key), b.peek(key), "key {key}");
+        }
+        for start in (0..3000).step_by(97) {
+            for count in [0, 1, 50, 2000, 4000, u32::MAX] {
+                assert_eq!(a.scan(start, count), b.scan(start, count));
+            }
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            format!("{a:?}"),
+            format!(
+                "RecordTable {{ len: {}, writes: 5000, reads: {}, fingerprint: {} }}",
+                a.len(),
+                a.read_count(),
+                a.fingerprint()
+            )
+        );
+    }
+
+    #[test]
     fn a_record_fits_in_forty_bytes() {
-        // The tree stores records by value: a larger `Record` is a larger
-        // node for every key of the table.
+        // The map stores records by value in its buckets: a larger `Record`
+        // is a larger bucket for every key of the table.
         assert!(std::mem::size_of::<Record>() <= 40);
         assert_eq!(
             std::mem::size_of::<Payload>(),
