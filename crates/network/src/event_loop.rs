@@ -20,14 +20,18 @@
 //! is therefore a **level-triggered readiness sweep in safe Rust**: every
 //! connection's socket is nonblocking, and each I/O thread repeatedly
 //! sweeps its connections — one nonblocking `read`/`write` per connection
-//! per wake, `WouldBlock` meaning "not ready" — then parks on its bounded
-//! command mailbox with an adaptive timeout when a sweep makes no
-//! progress. Semantically this is exactly a level-triggered poller with a
-//! timeout-bounded wait; a real `epoll` backend would slot into the
-//! sweeper's park step without touching the connection state
-//! machines. What the design guarantees either way: the thread count is
-//! `1 + io_threads` (acceptor + sweepers) regardless of how many thousand
-//! clients connect.
+//! per wake, `WouldBlock` meaning "not ready" — then, when a sweep makes
+//! no progress, parks on its bounded command mailbox for one fixed
+//! `PARK` (1 ms). A command (a registration or a reply) ends the park at
+//! once; a socket that turns readable meanwhile waits at most the rest of
+//! it. The park does not grow while the thread idles: a backoff would put
+//! its longest wait on every submission that arrives after a quiet spell,
+//! and a client below saturation submits after nothing else. Semantically
+//! this is a level-triggered poller with a 1 ms timeout; a real `epoll`
+//! backend would slot into the sweeper's park step without touching the
+//! connection state machines. What the design guarantees either way: the
+//! thread count is `1 + io_threads` (acceptor + sweepers) regardless of
+//! how many thousand clients connect.
 //!
 //! # Connection lifecycle and admission control
 //!
@@ -87,10 +91,10 @@ pub const DEFAULT_CONN_QUEUE: usize = 64;
 /// stops reading it (read-side backpressure).
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
-/// Shortest park when a sweep made progress recently.
-const MIN_PARK: Duration = Duration::from_millis(1);
-/// Longest park of a fully idle I/O thread.
-const MAX_PARK: Duration = Duration::from_millis(10);
+/// How long a sweep thread waits after a pass that moved nothing: the
+/// edge's I/O threads on their mailbox, the fleet's driver threads in a
+/// sleep. The longest a readable socket waits for its next sweep.
+pub(crate) const PARK: Duration = Duration::from_millis(1);
 /// How long a connection may sit silent before its first frame.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Most bytes one connection may read per sweep (fairness bound).
@@ -561,7 +565,7 @@ impl ClientEdge {
 
 /// One sweep thread: owns a set of connections, alternates between
 /// draining its command mailbox, sweeping every connection's socket, and
-/// parking (adaptively, bounded by [`MAX_PARK`]) when nothing moved.
+/// parking on the mailbox for one [`PARK`] when nothing moved.
 struct IoThread {
     index: usize,
     me: ReplicaId,
@@ -578,7 +582,6 @@ impl IoThread {
     fn run(self, mailbox: Receiver<EdgeCommand>) {
         let mut conns: BTreeMap<u64, EdgeConn> = BTreeMap::new();
         let mut next_conn: u64 = 0;
-        let mut park = MIN_PARK;
         while !self.shutdown.load(Ordering::Relaxed) {
             let mut progressed = false;
             loop {
@@ -596,21 +599,15 @@ impl IoThread {
             }
             progressed |= self.sweep(&mut conns);
             if progressed {
-                park = MIN_PARK;
                 continue;
             }
             // Idle: park on the mailbox so a reply or a registration
             // wakes the thread instantly, with a timeout so newly
-            // readable sockets are swept within `park`. This wait is the
+            // readable sockets are swept within `PARK`. This wait is the
             // seam a real `epoll_wait` would replace.
-            match mailbox.recv_timeout(park) {
-                Ok(command) => {
-                    self.handle(command, &mut conns, &mut next_conn);
-                    park = MIN_PARK;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    park = (park * 2).min(MAX_PARK);
-                }
+            match mailbox.recv_timeout(PARK) {
+                Ok(command) => self.handle(command, &mut conns, &mut next_conn),
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
@@ -1096,6 +1093,55 @@ mod tests {
         .encode_frame();
         edge.send_to_client(ClientId(7), reply.clone());
         assert_eq!(read_one_frame(&mut client), reply);
+        shutdown.store(true, Ordering::Relaxed);
+    }
+
+    /// A client below saturation submits after a quiet spell, every time.
+    /// An edge whose park grew while it idled (doubling from 1 ms to
+    /// 10 ms, say) would leave each such frame on its socket for up to the
+    /// grown park, ≈ 5 ms in the median; a fixed 1 ms park picks it up
+    /// within about a millisecond.
+    #[test]
+    fn an_idle_edge_picks_up_a_submission_promptly() {
+        let (edge, inbox, _handoffs, shutdown, listener) = edge_fixture(EdgeConfig::default());
+        let mut client = connect_registered(&edge, &listener);
+        let hello = Frame::Hello {
+            peer: PeerKind::Client(ClientId(7)),
+        }
+        .encode_frame();
+        crate::tcp::write_frame(&mut client, &hello).unwrap();
+        assert_eq!(
+            inbox.recv_timeout(Duration::from_secs(5)).unwrap(),
+            into_run(hello)
+        );
+        let submit = Frame::ClientSubmit {
+            client: ClientId(7),
+            instance: rcc_common::InstanceId(0),
+            payload: vec![9; 100],
+            tag: rcc_crypto::AuthTag::Mac(rcc_crypto::MacTag([5; 32])),
+        }
+        .encode_frame();
+        let mut waits: Vec<Duration> = (0..16u32)
+            .map(|trial| {
+                // Long enough for a doubling park to reach 10 ms. The edge
+                // restarts its schedule at every frame, so the quiet spells
+                // step through one such park, or every frame would land at
+                // the same phase of it.
+                std::thread::sleep(Duration::from_micros(40_000 + 625 * u64::from(trial)));
+                let sent = Instant::now();
+                crate::tcp::write_frame(&mut client, &submit).unwrap();
+                let got = inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+                let waited = sent.elapsed();
+                assert_eq!(got, into_run(submit.clone()));
+                waited
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median <= Duration::from_millis(3),
+            "an idle edge took {median:?} in the median to pick up a submission: {waits:?}"
+        );
         shutdown.store(true, Ordering::Relaxed);
     }
 

@@ -20,7 +20,7 @@
 //! another replica and still completes its batches — the property the
 //! admission-control regression test pins down.
 
-use crate::event_loop::{NbConn, DEFAULT_CONN_QUEUE};
+use crate::event_loop::{NbConn, DEFAULT_CONN_QUEUE, PARK};
 use crate::frame::{Frame, PeerKind};
 use crate::telemetry::EdgeTelemetry;
 use crate::transport::{ClientChannel, InProcessClientChannel, InProcessNetwork};
@@ -48,8 +48,6 @@ const DIAL_BACKOFF_CAP_MS: u64 = 500;
 const DIALS_PER_PASS: usize = 256;
 /// Read budget per connection per sweep pass.
 const SWEEP_READ_BUDGET: usize = 16 * 1024;
-/// Idle park between passes that made no progress.
-const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// How a fleet's sessions reach the replicas.
 #[derive(Clone, Debug)]
@@ -305,7 +303,7 @@ fn drive_chunk(
                 .sweep_us
                 .record(telemetry.now_nanos().saturating_sub(sweep_start) / 1_000);
         } else {
-            std::thread::sleep(IDLE_PARK);
+            std::thread::sleep(PARK);
         }
     }
     sessions.iter().map(|s| s.session.stats()).collect()

@@ -32,11 +32,15 @@
 //!   written at the moment of failure is lost — exactly the loss model the
 //!   protocols already tolerate — and the next connection starts on a frame
 //!   boundary, behind a fresh `Hello`.
-//! * **Ingress.** One listener thread accepts connections and hands every
-//!   socket to the readiness-driven [`crate::event_loop::ClientEdge`]: a
-//!   small fixed pool of I/O threads multiplexing all client connections
-//!   (no thread per client — see `event_loop.rs` for the sweep model and
-//!   admission control). A connection whose first frame is
+//! * **Ingress.** One acceptor thread blocks in `accept` on the listener
+//!   and hands every socket, the moment it arrives, to the
+//!   readiness-driven [`crate::event_loop::ClientEdge`]: a small fixed
+//!   pool of I/O threads multiplexing all client connections (no thread
+//!   per client — see `event_loop.rs` for the sweep model and admission
+//!   control). The acceptor sleeps only after a failed `accept`. Shutdown
+//!   and drop wake it by connecting to the listener's own address (an
+//!   unspecified IP maps to the loopback of its family) and join it, so
+//!   the port is free once they return. A connection whose first frame is
 //!   `Hello{Replica}` is handed back out of the edge to a dedicated
 //!   blocking reader thread, keeping the deep, narrow replica links on
 //!   the ordered thread-per-peer path.
@@ -53,7 +57,7 @@ use crate::transport::Transport;
 use rcc_common::{ClientId, ReplicaId};
 use rcc_telemetry::Counter;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -73,6 +77,31 @@ fn configure(stream: &TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
 }
 
+/// How long the acceptor waits after a failed `accept` (EMFILE under fd
+/// pressure, ECONNABORTED from a half-open reconnect) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+/// Bound of the connection that wakes the acceptor at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The ingress thread, blocked in `accept`, and the address that reaches
+/// its listener (`None` if the listener could not report its own).
+struct Acceptor {
+    thread: JoinHandle<()>,
+    wake: Option<SocketAddr>,
+}
+
+/// The address that reaches a listener bound to `local`: the same, except
+/// that an unspecified IP (`0.0.0.0`, `::`) becomes the loopback of its
+/// family.
+fn wake_address(mut local: SocketAddr) -> SocketAddr {
+    match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => local.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => local.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    local
+}
+
 /// A replica's TCP endpoint.
 pub struct TcpTransport {
     me: ReplicaId,
@@ -80,6 +109,9 @@ pub struct TcpTransport {
     peers: Vec<Option<SyncSender<Vec<u8>>>>,
     edge: ClientEdge,
     shutdown: Arc<AtomicBool>,
+    /// Taken (stopped) by the first of `shutdown` and `Drop`.
+    acceptor: Option<Acceptor>,
+    /// The peer writers.
     threads: Vec<JoinHandle<()>>,
     /// Blocking readers of replica peer links, spawned when the edge hands
     /// a `Hello{Replica}` socket back out of the sweep pool.
@@ -167,36 +199,30 @@ impl TcpTransport {
         )
         .expect("spawn client-edge I/O threads");
 
-        // Ingress: one accept loop handing every socket to the edge.
-        {
+        // Ingress: one blocking accept loop handing every socket to the
+        // edge as it arrives. It sees the shutdown flag only when `accept`
+        // returns, which is why `stop_acceptor` connects once after
+        // raising it.
+        let acceptor = {
             let shutdown = Arc::clone(&shutdown);
-            #[expect(
-                clippy::expect_used,
-                reason = "transport construction at node boot: without a nonblocking listener the \
-                          accept loop can never observe shutdown, so failing loudly is the only \
-                          honest mode"
-            )]
-            listener
-                .set_nonblocking(true)
-                .expect("listener nonblocking");
-            let edge_for_accept = edge.registrar();
-            threads.push(spawn_named("rcc-accept", move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => edge_for_accept.register(stream),
-                        // Transient accept errors (ECONNABORTED from a
-                        // half-open reconnect, EMFILE under fd pressure,
-                        // WouldBlock from the nonblocking listener) must
-                        // not kill ingress for the node's whole life:
-                        // back off and keep accepting. Only the shutdown
-                        // flag ends the loop.
-                        Err(_) => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                    }
+            let wake = listener.local_addr().ok().map(wake_address);
+            let registrar = edge.registrar();
+            let thread = spawn_named("rcc-accept", move || loop {
+                let accepted = listener.accept();
+                // Whatever arrives once the flag is up (the wake, or a late
+                // dialer) is dropped together with the listener.
+                if shutdown.load(Ordering::Relaxed) {
+                    return;
                 }
-            }));
-        }
+                match accepted {
+                    Ok((stream, _)) => registrar.register(stream),
+                    // Transient accept errors must not kill ingress for
+                    // the node's whole life: back off and keep accepting.
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+                }
+            });
+            Some(Acceptor { thread, wake })
+        };
 
         // Egress: one bounded queue + writer thread per peer.
         let written = PeerWrites {
@@ -225,8 +251,29 @@ impl TcpTransport {
             peers,
             edge,
             shutdown,
+            acceptor,
             threads,
             replica_readers,
+        }
+    }
+
+    /// Raises the shutdown flag, wakes the acceptor out of `accept` with a
+    /// connection to its own listener, and joins it: once this returns the
+    /// listener is closed and its port can be bound again.
+    fn stop_acceptor(&mut self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        let wake = acceptor
+            .wake
+            .and_then(|addr| TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).ok());
+        // Without the wake connection the acceptor stays in `accept` until
+        // some other dialer arrives, so a join could hang shutdown for
+        // good. It is left detached instead, and exits, closing the
+        // listener, on the next connection.
+        if wake.is_some() {
+            let _ = acceptor.thread.join();
         }
     }
 }
@@ -388,7 +435,7 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.stop_acceptor();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -408,8 +455,87 @@ impl Transport for TcpTransport {
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Threads not joined here exit within one poll interval; `shutdown`
-        // joins them properly.
+        // The acceptor is woken and joined here too, so a dropped
+        // transport frees its port at once. The other threads see the flag
+        // within their own waits (a 1 ms edge park, a 200 ms peer read or
+        // queue timeout); `shutdown` joins them as well.
+        self.stop_acceptor();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A transport around a listener bound on `addr`, and the address the
+    /// listener got. Nothing dials it.
+    fn idle_transport(addr: &str) -> (TcpTransport, SocketAddr) {
+        let listener = TcpListener::bind(addr).unwrap();
+        let local = listener.local_addr().unwrap();
+        let transport = TcpTransport::with_listener_and_edge(
+            ReplicaId(0),
+            listener,
+            vec![local],
+            4,
+            EdgeConfig::default(),
+        );
+        // Let the acceptor reach `accept`.
+        std::thread::sleep(Duration::from_millis(50));
+        (transport, local)
+    }
+
+    /// Runs `stop` on a thread of its own and fails unless it returns
+    /// within a second, so a stop that hangs fails the test instead.
+    fn returns_within_a_second(what: &str, stop: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
+        std::thread::spawn(move || {
+            stop();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "{what} did not return within 1 s"
+        );
+    }
+
+    #[test]
+    fn the_wake_address_is_the_listener_s_own_with_loopback_for_unspecified() {
+        for (bound, wake) in [
+            ("0.0.0.0:7000", "127.0.0.1:7000"),
+            ("[::]:7000", "[::1]:7000"),
+            ("127.0.0.1:7000", "127.0.0.1:7000"),
+            ("10.1.2.3:7000", "10.1.2.3:7000"),
+        ] {
+            assert_eq!(
+                wake_address(bound.parse().unwrap()),
+                wake.parse::<SocketAddr>().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_returns_promptly_and_releases_the_listener() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (mut transport, local) = idle_transport(addr);
+            returns_within_a_second(&format!("shutdown on {addr}"), move || transport.shutdown());
+            if let Err(e) = TcpListener::bind(local) {
+                panic!("{local} is still bound after shutdown: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_transport_frees_its_port_within_a_second() {
+        let (transport, local) = idle_transport("127.0.0.1:0");
+        let dropped = Instant::now();
+        returns_within_a_second("drop", move || drop(transport));
+        while let Err(e) = TcpListener::bind(local) {
+            assert!(
+                dropped.elapsed() < Duration::from_secs(1),
+                "{local} is still bound 1 s after the drop: {e}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
