@@ -98,7 +98,13 @@ impl Authenticator {
     pub fn tag_for_replica(&self, recipient: ReplicaId, message: &[u8]) -> AuthTag {
         match self.mode {
             CryptoMode::None => AuthTag::None,
-            CryptoMode::Mac => AuthTag::Mac(self.keys.mac_with(recipient).tag(message)),
+            // The recipient is chosen by this replica, never by a peer.
+            CryptoMode::Mac => AuthTag::Mac(
+                self.keys
+                    .mac_with(recipient)
+                    .expect("recipient is a replica of this deployment")
+                    .tag(message),
+            ),
             CryptoMode::PublicKey => AuthTag::Signature(self.keys.signing.sign(message)),
         }
     }
@@ -122,7 +128,11 @@ impl Authenticator {
         match (self.mode, tag) {
             (CryptoMode::None, _) => Ok(()),
             (CryptoMode::Mac, AuthTag::Mac(mac)) => {
-                if self.keys.mac_with(sender).verify(message, mac) {
+                let key = self
+                    .keys
+                    .mac_with(sender)
+                    .ok_or_else(|| Error::Authentication(format!("unknown replica {sender}")))?;
+                if key.verify(message, mac) {
                     Ok(())
                 } else {
                     Err(Error::Authentication(format!("bad MAC from {sender}")))
@@ -220,6 +230,18 @@ mod tests {
         assert!(b
             .verify_from_replica(ReplicaId(2), b"prepare", &tag)
             .is_err());
+    }
+
+    #[test]
+    fn a_sender_outside_the_deployment_fails_authentication() {
+        // The sender id is whatever a frame claims: a mangled one must be
+        // an authentication failure, not an out-of-bounds key lookup.
+        let (a, b) = authenticators(CryptoMode::Mac);
+        let tag = a.tag_for_replica(ReplicaId(1), b"prepare");
+        assert!(matches!(
+            b.verify_from_replica(ReplicaId(59138), b"prepare", &tag),
+            Err(Error::Authentication(_))
+        ));
     }
 
     #[test]

@@ -152,9 +152,10 @@ pub struct ReplicaKeys {
 }
 
 impl ReplicaKeys {
-    /// The pairwise MAC key shared with `other`.
-    pub fn mac_with(&self, other: ReplicaId) -> &MacKey {
-        &self.mac_with_replicas[other.index()]
+    /// The pairwise MAC key shared with `other`; `None` when `other` is not
+    /// a replica of this deployment.
+    pub fn mac_with(&self, other: ReplicaId) -> Option<&MacKey> {
+        self.mac_with_replicas.get(other.index())
     }
 
     /// The pairwise MAC key shared with a client (derived on demand).
@@ -213,8 +214,9 @@ mod tests {
         let d = keys();
         let r0 = d.replica_keys(ReplicaId(0));
         let r1 = d.replica_keys(ReplicaId(1));
-        let tag = r0.mac_with(ReplicaId(1)).tag(b"hello");
-        assert!(r1.mac_with(ReplicaId(0)).verify(b"hello", &tag));
+        let tag = r0.mac_with(ReplicaId(1)).unwrap().tag(b"hello");
+        assert!(r1.mac_with(ReplicaId(0)).unwrap().verify(b"hello", &tag));
+        assert!(r1.mac_with(ReplicaId(4)).is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rcc_common::codec::Encode;
 use rcc_common::{ClientId, CryptoMode, Digest, InstanceId, ReplicaId, SystemConfig};
 use rcc_crypto::{AuthTag, ClientKeys, DeploymentKeys};
 use rcc_telemetry::FlightEventKind;
-use rcc_workload::{DriverSession, SessionConfig, SessionStats};
+use rcc_workload::{DriverSession, SessionStats};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -81,12 +81,10 @@ pub struct FleetPlan {
     pub window: usize,
     /// Wall-clock run time.
     pub run_for: Duration,
-    /// Timing/failover knobs shared by every session.
-    pub session: SessionConfig,
 }
 
 impl FleetPlan {
-    /// A fleet plan with the default session knobs.
+    /// A fleet plan starting at workload stream 0.
     pub fn new(
         system: SystemConfig,
         endpoints: Endpoints,
@@ -101,7 +99,6 @@ impl FleetPlan {
             first_stream: 0,
             window,
             run_for,
-            session: SessionConfig::default(),
         }
     }
 }
@@ -222,7 +219,6 @@ pub fn run_fleet_observed(plan: &FleetPlan, telemetry: &EdgeTelemetry) -> Vec<Se
                             stream,
                             InstanceId((stream % m) as u32),
                             plan.window,
-                            plan.session,
                         ),
                         keys: keys.client_keys(ClientId(stream)),
                         links: match &plan.endpoints {

@@ -402,9 +402,12 @@ impl<T: Transport> Node<T> {
             // the check needs the bytes, dispatch needs them afterwards, and
             // nobody needs two copies.
             let job = match &mut frame {
-                // A frame claiming to be from ourselves is rejected without
-                // wasting a worker on it (dispatch counts it).
-                Some(Frame::Replica { from, payload, tag }) if *from != self.config.replica => {
+                // A frame claiming to be from ourselves, or from a replica
+                // outside the deployment, is rejected without wasting a
+                // worker on it (dispatch counts it).
+                Some(Frame::Replica { from, payload, tag })
+                    if *from != self.config.replica && from.index() < self.config.system.n =>
+                {
                     Some(VerifyJob {
                         source: VerifySource::Replica(*from),
                         payload: std::mem::take(payload),

@@ -523,6 +523,32 @@ fn a_malformed_tail_delivers_its_complete_records_and_counts_one_decode_failure(
 }
 
 #[test]
+fn a_sender_outside_the_deployment_is_dropped_and_counted() {
+    // A mangled sender id ahead of a valid frame: the node must neither
+    // panic on it nor let it hold up the frame behind it.
+    let system = quiet_system();
+    let model = k_proposals(&system, 1);
+    let Ok(Frame::Replica { payload, tag, .. }) = Frame::decode_frame(&model.inbound[0]) else {
+        panic!("the model's first frame is a replica frame");
+    };
+    let forged = Frame::Replica {
+        from: ReplicaId(59138),
+        payload,
+        tag,
+    }
+    .encode_frame();
+    let queued = [vec![forged], model.inbound.clone()].concat();
+    let under_test = UnderTest::spawn(&system, vec![run_of(&queued)]);
+    under_test.await_peer_frames(model.sent_by_r1());
+    let (calls, report) = under_test.stop();
+    assert_eq!(report.auth_failures, 1);
+    assert_eq!(report.decode_failures, 0);
+    for peer in peers() {
+        assert_eq!(frames_to(&calls, peer), model.outbound[peer.index()]);
+    }
+}
+
+#[test]
 fn a_burst_is_bounded_in_frames_not_runs() {
     // Ten runs of a hundred (undecodable) frames wait in the inbox before
     // the node first looks: the drain stops with the run that takes the

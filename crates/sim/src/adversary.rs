@@ -10,13 +10,16 @@
 //!
 //! The split of responsibilities mirrors the rest of the simulator:
 //! [`AdversaryPolicy`] is a pure, deterministic targeting brain (observation
-//! in, decision out — unit-testable without a simulation), while the event
-//! loop in [`crate::sim`] owns the mechanics of applying and releasing the
-//! chosen [`AdversaryAttack`] on virtual-time ticks. With `f = 1` the
+//! in, decision out — unit-testable without a simulation), and an
+//! [`AdversaryAttack`] names the scripted [`FaultKind`] that strikes a
+//! victim and the one that releases it. The simulator applies those faults
+//! on virtual-time ticks through the same path as a [`crate::FaultScript`],
+//! so the adversary has no fault mechanics of its own. With `f = 1` the
 //! adversary may corrupt only one replica at a time, so every new strike
 //! first releases the previous victim — a killed victim is not replaced
 //! until it has revived.
 
+use crate::fault::FaultKind;
 use rcc_common::{Duration, InstanceStatus, ReplicaId, Time};
 
 /// What the adversary does to each acquired target.
@@ -31,28 +34,24 @@ pub enum AdversaryAttack {
     /// Make the target a Byzantine silent primary: it keeps voting as a
     /// backup but withholds every proposal it should coordinate.
     Silence,
-    /// Throttle the target's CPU by `factor` (the Section-IV attack aimed
-    /// at whoever matters most right now).
-    Throttle {
-        /// CPU slow-down factor applied to the victim.
-        factor: f64,
-    },
-    /// Delay every message the target sends by `delay` — timing
-    /// equivocation: protocol-correct contents, always just too late.
-    EquivocateDelay {
-        /// Extra delay on each of the victim's outbound messages.
-        delay: Duration,
-    },
 }
 
 impl AdversaryAttack {
-    /// Short stable name used in scenario catalogs and logs.
-    pub fn name(&self) -> &'static str {
+    /// The fault that strikes `target`.
+    pub fn strike(&self, target: ReplicaId) -> FaultKind {
         match self {
-            AdversaryAttack::Kill { .. } => "kill",
-            AdversaryAttack::Silence => "silence",
-            AdversaryAttack::Throttle { .. } => "throttle",
-            AdversaryAttack::EquivocateDelay { .. } => "equivocate-delay",
+            AdversaryAttack::Kill { .. } => FaultKind::Crash { replica: target },
+            AdversaryAttack::Silence => FaultKind::SilencePrimary { replica: target },
+        }
+    }
+
+    /// The fault that releases `old` when the adversary moves on, if any:
+    /// a killed victim is released by its revive ([`FaultKind::Recover`])
+    /// `down_for` after the strike instead.
+    pub fn release(&self, old: ReplicaId) -> Option<FaultKind> {
+        match self {
+            AdversaryAttack::Kill { .. } => None,
+            AdversaryAttack::Silence => Some(FaultKind::RestorePrimary { replica: old }),
         }
     }
 }
@@ -108,8 +107,8 @@ pub enum Retarget {
 
 /// The deterministic targeting brain of the adaptive adversary.
 ///
-/// Tracks the current victim and the number of strikes spent; the actual
-/// fault mechanics live in the simulator's event loop.
+/// Tracks the current victim and the number of strikes spent; the faults
+/// themselves are applied by the simulator.
 #[derive(Clone, Debug, Default)]
 pub struct AdversaryPolicy {
     victim: Option<ReplicaId>,

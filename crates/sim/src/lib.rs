@@ -9,8 +9,12 @@
 //!   [`rcc_common::Time`] driving any
 //!   [`rcc_protocols::bca::ByzantineCommitAlgorithm`] (including
 //!   [`rcc_core::RccReplica`]), with explicit client nodes (closed-loop
-//!   saturated or open-loop, from `rcc-workload`) assigned to instances by
-//!   the Section III-E policy, and CPU accounting per replica.
+//!   saturated or open-loop, an [`rcc_workload::ClientMode`]) assigned to
+//!   instances by the Section III-E policy, and CPU accounting per replica.
+//!   Its private `inject` module applies faults: scripted ones, the
+//!   adaptive adversary's (as the same [`FaultKind`]s) and per-message wire
+//!   chaos. Outside the constructor it is the only writer of a replica's
+//!   fault state.
 //! * [`network`] — per-link latency/bandwidth models with the paper's LAN
 //!   and multi-region WAN settings.
 //! * [`cpu`] — non-crypto CPU costs and the sequential-consensus /
@@ -51,7 +55,7 @@ pub use cpu::CpuModel;
 pub use fault::{FaultEvent, FaultKind, FaultScript};
 pub use metrics::ThroughputMeter;
 pub use network::{LinkParams, NetworkModel};
-pub use sim::{ClientModel, SimConfig, SimReport, Simulation};
+pub use sim::{SimConfig, SimReport, Simulation};
 pub use telemetry::{SimTelemetry, SIM_FLIGHT_CAPACITY};
 
 use rcc_common::{Digest, Round};

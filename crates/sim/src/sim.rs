@@ -13,14 +13,17 @@
 //!   [`rcc_workload::Client`] per consensus instance, assigned to instances
 //!   by the Section III-E [`rcc_workload::InstanceAssignment`] policy and
 //!   submitting to its instance's *current* coordinator. Closed-loop clients
-//!   ([`ClientModel::Saturated`], the paper's measurement setup) keep a
+//!   ([`ClientMode::Closed`], the paper's measurement setup) keep a
 //!   window of batches in flight and wait for `f + 1` matching replies;
 //!   open-loop clients submit on a fixed interval. When an instance's
 //!   coordinator is replaced, its clients drain to a healthy instance and
 //!   return only after the replacement has demonstrated `σ` rounds of
 //!   progress — which is what restores post-recovery throughput instead of
 //!   leaving the recovered instance on catch-up no-ops forever.
-//! * **Fault** events replay the configured [`FaultScript`].
+//! * **Fault** events replay the configured [`FaultScript`], and
+//!   **adversary** events run the adaptive adversary; both are applied in
+//!   the `inject` child module, the one place a replica's fault state
+//!   changes.
 //!
 //! CPU time is charged per the [`CpuModel`] and
 //! [`rcc_crypto::CryptoCostModel`]: per-message overhead and
@@ -37,9 +40,9 @@
 //! produce bit-identical event traces; the running [`SimReport::trace_fingerprint`]
 //! witnesses this.
 
-use crate::adversary::{AdversaryAttack, AdversaryPolicy, AdversarySpec, Retarget};
+use crate::adversary::AdversarySpec;
 use crate::cpu::CpuModel;
-use crate::fault::{FaultEvent, FaultKind, FaultScript};
+use crate::fault::{FaultEvent, FaultScript};
 use crate::metrics::ThroughputMeter;
 use crate::network::NetworkModel;
 use crate::telemetry::SimTelemetry;
@@ -53,22 +56,13 @@ use rcc_workload::{Client, ClientMode, InstanceAssignment, ReplyOutcome};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-/// How the simulated client nodes generate load.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ClientModel {
-    /// Closed-loop clients that keep the pipeline saturated: each client
-    /// node holds [`SystemConfig::out_of_order_window`] batches in flight
-    /// and submits a new one as soon as an outstanding batch collects its
-    /// `f + 1` matching replies (the paper measures saturated throughput).
-    Saturated,
-    /// Open-loop clients: each client node submits one batch every
-    /// `interval` of virtual time, regardless of replies — arrival rate
-    /// decoupled from service rate.
-    OpenLoop {
-        /// Virtual time between submissions per client node.
-        interval: Duration,
-    },
-}
+mod inject;
+
+use inject::AdversaryRuntime;
+
+/// Safety bound on processed events; exceeding it aborts the run (it
+/// indicates a livelock, not a legitimate workload).
+const MAX_EVENTS: u64 = 500_000_000;
 
 /// Complete configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -94,16 +88,19 @@ pub struct SimConfig {
     /// The adaptive coordinator-hunting adversary, if any (runs on top of
     /// the scripted faults).
     pub adversary: Option<AdversarySpec>,
-    /// The client arrival model.
-    pub clients: ClientModel,
-    /// Safety bound on processed events; exceeding it aborts the run (it
-    /// indicates a livelock, not a legitimate workload).
-    pub max_events: u64,
+    /// The arrival model of every client node. `None` (what
+    /// [`SimConfig::new`] sets) is closed-loop clients that keep the
+    /// pipeline saturated with [`SystemConfig::out_of_order_window`] batches
+    /// in flight each (the paper measures saturated throughput);
+    /// `Some(interval)` is open-loop clients that submit one batch every
+    /// `interval` of virtual time, regardless of replies
+    /// ([`ClientMode::Open`]), decoupling arrival rate from service rate.
+    pub open_loop_interval: Option<Duration>,
 }
 
 impl SimConfig {
-    /// A configuration with the whole run as the measurement window and no
-    /// faults.
+    /// A configuration with the whole run as the measurement window, no
+    /// faults and saturating closed-loop clients.
     pub fn new(system: SystemConfig, network: NetworkModel, horizon: Duration) -> Self {
         SimConfig {
             system,
@@ -115,8 +112,7 @@ impl SimConfig {
             measure_end: Time::ZERO + horizon,
             faults: FaultScript::none(),
             adversary: None,
-            clients: ClientModel::Saturated,
-            max_events: 500_000_000,
+            open_loop_interval: None,
         }
     }
 
@@ -139,9 +135,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the client arrival model (builder style).
-    pub fn with_clients(mut self, clients: ClientModel) -> Self {
-        self.clients = clients;
+    /// Makes every client node open-loop, submitting one batch per
+    /// `interval` of virtual time (builder style).
+    pub fn with_open_loop_clients(mut self, interval: Duration) -> Self {
+        self.open_loop_interval = Some(interval);
         self
     }
 }
@@ -236,15 +233,20 @@ struct ClientNode {
     attached: ReplicaId,
 }
 
+/// One replica-to-replica message in flight: what a delivery event carries
+/// and what the wire-chaos replay ring keeps.
+#[derive(Clone)]
+struct Wire<M> {
+    from: ReplicaId,
+    to: ReplicaId,
+    bytes: usize,
+    proposal: bool,
+    payload_transactions: usize,
+    message: M,
+}
+
 enum EventKind<M> {
-    Deliver {
-        from: ReplicaId,
-        to: ReplicaId,
-        bytes: usize,
-        proposal: bool,
-        payload_transactions: usize,
-        message: M,
-    },
+    Deliver(Wire<M>),
     Timer {
         node: ReplicaId,
         timer: TimerId,
@@ -262,26 +264,6 @@ enum EventKind<M> {
     AdversaryRevive {
         replica: ReplicaId,
     },
-}
-
-/// A recently sent replica-to-replica message, the replay source for wire
-/// chaos ([`FaultKind::MangleWire`]).
-struct RecentWire<M> {
-    from: ReplicaId,
-    to: ReplicaId,
-    bytes: usize,
-    proposal: bool,
-    payload_transactions: usize,
-    message: M,
-}
-
-/// Live state of the adaptive adversary inside the event loop.
-struct AdversaryRuntime {
-    spec: AdversarySpec,
-    policy: AdversaryPolicy,
-    /// A killed victim is down until this time; no new strike meanwhile
-    /// (the corruption budget `f` is spent on the corpse).
-    victim_down_until: Option<Time>,
 }
 
 struct Event<M> {
@@ -334,7 +316,7 @@ pub struct Simulation<P: ByzantineCommitAlgorithm> {
     /// fingerprint-neutral) while `mangle_ppm == 0`.
     mangle_rng: SplitMix64,
     /// Ring of recently sent messages, the replay source for wire chaos.
-    mangle_recent: Vec<RecentWire<P::Message>>,
+    mangle_recent: Vec<Wire<P::Message>>,
     mangle_next_slot: usize,
     jitter_rng: SplitMix64,
     inflight: BTreeMap<Digest, PendingBatch>,
@@ -400,11 +382,11 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         // coordinator.
         let statuses = nodes[0].bca.instance_statuses();
         let instance_count = statuses.len().max(1);
-        let mode = match config.clients {
-            ClientModel::Saturated => ClientMode::Closed {
+        let mode = match config.open_loop_interval {
+            Some(interval) => ClientMode::Open { interval },
+            None => ClientMode::Closed {
                 window: config.system.out_of_order_window,
             },
-            ClientModel::OpenLoop { interval } => ClientMode::Open { interval },
         };
         let reply_quorum = config.system.client_reply_quorum();
         let clients: Vec<ClientNode> = (0..instance_count)
@@ -416,11 +398,7 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         let assignment =
             InstanceAssignment::new(instance_count, instance_count, config.system.sigma);
         let faults = config.faults.sorted();
-        let adversary = config.adversary.map(|spec| AdversaryRuntime {
-            spec,
-            policy: AdversaryPolicy::new(),
-            victim_down_until: None,
-        });
+        let adversary = config.adversary.map(AdversaryRuntime::new);
         let mut sim = Simulation {
             adversary,
             mangle_ppm: 0,
@@ -451,8 +429,7 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             let at = sim.faults[index].at;
             sim.push(at, EventKind::Fault { index });
         }
-        if let Some(runtime) = &sim.adversary {
-            let start = runtime.spec.start;
+        if let Some(AdversarySpec { start, .. }) = sim.config.adversary {
             sim.push(start, EventKind::AdversaryTick);
         }
         for node in ReplicaId::all(n) {
@@ -479,31 +456,16 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
             }
             self.events_processed += 1;
             assert!(
-                self.events_processed <= self.config.max_events,
-                "simulation exceeded max_events = {} — livelock?",
-                self.config.max_events
+                self.events_processed <= MAX_EVENTS,
+                "simulation exceeded {MAX_EVENTS} events — livelock?"
             );
             self.note_event(&event);
             self.now = event.at;
             self.telemetry.clock.advance_to(event.at.as_nanos());
             let touched = match event.kind {
-                EventKind::Deliver {
-                    from,
-                    to,
-                    bytes,
-                    proposal,
-                    payload_transactions,
-                    message,
-                } => {
-                    self.deliver(
-                        event.at,
-                        from,
-                        to,
-                        bytes,
-                        proposal,
-                        payload_transactions,
-                        message,
-                    );
+                EventKind::Deliver(wire) => {
+                    let to = wire.to;
+                    self.deliver(event.at, wire);
                     Some(to)
                 }
                 EventKind::Timer { node, timer, at } => {
@@ -515,7 +477,7 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
                     Some(node)
                 }
                 EventKind::Fault { index } => {
-                    self.apply_fault(index);
+                    self.apply(self.faults[index].fault.clone());
                     None
                 }
                 EventKind::AdversaryTick => {
@@ -563,9 +525,9 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
 
     fn note_event(&mut self, event: &Event<P::Message>) {
         let (tag, a, b) = match &event.kind {
-            EventKind::Deliver {
+            EventKind::Deliver(Wire {
                 from, to, bytes, ..
-            } => (1, ((from.0 as u64) << 32) | to.0 as u64, *bytes as u64),
+            }) => (1, ((from.0 as u64) << 32) | to.0 as u64, *bytes as u64),
             EventKind::Timer { node, timer, .. } => (2, node.0 as u64, timer.0),
             EventKind::Pump { node } => (3, node.0 as u64, 0),
             EventKind::Fault { index } => (4, *index as u64, 0),
@@ -602,20 +564,15 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         done
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one in-flight message's fields, passed as the delivery event carries them"
-    )]
-    fn deliver(
-        &mut self,
-        at: Time,
-        from: ReplicaId,
-        to: ReplicaId,
-        bytes: usize,
-        proposal: bool,
-        payload_transactions: usize,
-        message: P::Message,
-    ) {
+    fn deliver(&mut self, at: Time, wire: Wire<P::Message>) {
+        let Wire {
+            from,
+            to,
+            bytes,
+            proposal,
+            payload_transactions,
+            message,
+        } = wire;
         if self.nodes[to.index()].crashed || self.blocked.contains(&(from, to)) {
             return;
         }
@@ -994,134 +951,18 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         if hold > Duration::ZERO {
             arrival += hold;
         }
-        let payload_transactions = message.payload_transactions();
-        if self.mangle_ppm > 0
-            && self.mangle_wire(
-                from,
-                to,
-                bytes,
-                proposal,
-                payload_transactions,
-                &message,
-                arrival,
-                &link,
-            )
-        {
-            return;
-        }
-        self.push(
-            arrival,
-            EventKind::Deliver {
-                from,
-                to,
-                bytes,
-                proposal,
-                payload_transactions,
-                message,
-            },
-        );
-    }
-
-    /// Wire chaos ([`FaultKind::MangleWire`]): rolls the mangle dice for one
-    /// replica-to-replica message. Returns `true` when the caller must *not*
-    /// deliver the message normally (it was corrupted away or already pushed
-    /// with altered timing). Corruption is modeled at the frame boundary:
-    /// the receiver's codec rejects the damaged frame with a typed error
-    /// (the behaviour `rcc-network`'s `ByteMangler` tests pin down), which
-    /// on the simulator's abstraction level is a message loss.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one in-flight message's fields plus the link it crosses"
-    )]
-    fn mangle_wire(
-        &mut self,
-        from: ReplicaId,
-        to: ReplicaId,
-        bytes: usize,
-        proposal: bool,
-        payload_transactions: usize,
-        message: &P::Message,
-        arrival: Time,
-        link: &crate::network::LinkParams,
-    ) -> bool {
-        // Keep a small ring of live traffic as the replay source.
-        const RING: usize = 8;
-        let entry = RecentWire {
+        let wire = Wire {
             from,
             to,
             bytes,
             proposal,
-            payload_transactions,
-            message: message.clone(),
+            payload_transactions: message.payload_transactions(),
+            message,
         };
-        if self.mangle_recent.len() < RING {
-            self.mangle_recent.push(entry);
-        } else {
-            self.mangle_recent[self.mangle_next_slot % RING] = entry;
+        if self.mangle_ppm > 0 && self.mangle_wire(&wire, arrival, &link) {
+            return;
         }
-        self.mangle_next_slot = (self.mangle_next_slot + 1) % RING;
-        if self.mangle_rng.next_below(1_000_000) >= self.mangle_ppm as u64 {
-            return false;
-        }
-        // Extra delays are drawn up to twice the link latency plus a
-        // millisecond — enough to reorder against later traffic on the
-        // same link without stalling the run.
-        let spread = link.latency.as_nanos().saturating_mul(2) + 1_000_000;
-        match self.mangle_rng.next_below(4) {
-            0 => {
-                // Corrupted: rejected at the receiver's frame boundary.
-                true
-            }
-            1 => {
-                // Duplicated: the original plus a delayed copy.
-                let copy_at = arrival + Duration::from_nanos(self.mangle_rng.next_below(spread));
-                self.push(
-                    copy_at,
-                    EventKind::Deliver {
-                        from,
-                        to,
-                        bytes,
-                        proposal,
-                        payload_transactions,
-                        message: message.clone(),
-                    },
-                );
-                false
-            }
-            2 => {
-                // Delayed/reordered.
-                let late = arrival + Duration::from_nanos(self.mangle_rng.next_below(spread));
-                self.push(
-                    late,
-                    EventKind::Deliver {
-                        from,
-                        to,
-                        bytes,
-                        proposal,
-                        payload_transactions,
-                        message: message.clone(),
-                    },
-                );
-                true
-            }
-            _ => {
-                // Replayed: the original goes through, plus a stale message
-                // from the ring re-sent to its original destination.
-                let pick = self.mangle_rng.next_below(self.mangle_recent.len() as u64) as usize;
-                let stale = &self.mangle_recent[pick];
-                let replay = EventKind::Deliver {
-                    from: stale.from,
-                    to: stale.to,
-                    bytes: stale.bytes,
-                    proposal: stale.proposal,
-                    payload_transactions: stale.payload_transactions,
-                    message: stale.message.clone(),
-                };
-                let replay_at = arrival + Duration::from_nanos(self.mangle_rng.next_below(spread));
-                self.push(replay_at, replay);
-                false
-            }
-        }
+        self.push(arrival, EventKind::Deliver(wire));
     }
 
     fn record_commit(
@@ -1204,153 +1045,5 @@ impl<P: ByzantineCommitAlgorithm> Simulation<P> {
         }
         self.nodes[idx].pump_pending = true;
         self.push(at.max(self.now), EventKind::Pump { node });
-    }
-
-    fn apply_fault(&mut self, index: usize) {
-        let fault = self.faults[index].fault.clone();
-        match fault {
-            FaultKind::Crash { replica } => {
-                self.nodes[replica.index()].crashed = true;
-            }
-            FaultKind::Recover { replica } => {
-                self.nodes[replica.index()].crashed = false;
-                self.maybe_pump(replica);
-            }
-            FaultKind::Partition { group } => {
-                let members: BTreeSet<ReplicaId> = group.into_iter().collect();
-                for a in ReplicaId::all(self.config.system.n) {
-                    for b in ReplicaId::all(self.config.system.n) {
-                        if members.contains(&a) != members.contains(&b) {
-                            self.blocked.insert((a, b));
-                        }
-                    }
-                }
-            }
-            FaultKind::Heal => {
-                self.blocked.clear();
-            }
-            FaultKind::SilencePrimary { replica } => {
-                self.nodes[replica.index()].silenced = true;
-            }
-            FaultKind::RestorePrimary { replica } => {
-                self.nodes[replica.index()].silenced = false;
-                self.maybe_pump(replica);
-            }
-            FaultKind::Throttle { replica, factor } => {
-                // Clamp to a positive floor: factor 0 would make the replica
-                // infinitely fast, the opposite of the modeled attack.
-                self.nodes[replica.index()].throttle = factor.max(1e-3);
-            }
-            FaultKind::ClockSkew { replica, factor } => {
-                self.nodes[replica.index()].clock_skew = factor.max(1e-3);
-            }
-            FaultKind::PartitionOneWay { from, to } => {
-                for &a in &from {
-                    for &b in &to {
-                        if a != b {
-                            self.blocked.insert((a, b));
-                        }
-                    }
-                }
-            }
-            FaultKind::SlowLink { replica, factor } => {
-                self.nodes[replica.index()].link_slow = factor.max(1e-3);
-            }
-            FaultKind::DelayEgress { replica, delay } => {
-                self.nodes[replica.index()].egress_delay = delay;
-            }
-            FaultKind::MangleWire { rate_ppm } => {
-                self.mangle_ppm = rate_ppm;
-            }
-        }
-    }
-
-    /// One observation tick of the adaptive adversary: look at the merged
-    /// [`InstanceStatus`] picture (the same information clients act on),
-    /// release-and-restrike if coordination power moved, and schedule the
-    /// next tick.
-    fn adversary_tick(&mut self, at: Time) {
-        let Some(mut runtime) = self.adversary.take() else {
-            return;
-        };
-        // While a killed victim is down the corruption budget is spent —
-        // no retargeting until it revives.
-        let victim_down = runtime.victim_down_until.is_some_and(|until| until > at);
-        if !victim_down {
-            let exhausted = runtime.spec.max_strikes > 0
-                && runtime.policy.strikes() >= runtime.spec.max_strikes;
-            let statuses = self.observe_instances();
-            match runtime.policy.observe(&statuses, exhausted) {
-                Retarget::Keep | Retarget::Idle => {}
-                Retarget::Strike { released, target } => {
-                    if let Some(old) = released {
-                        self.release_victim(old, runtime.spec.attack);
-                    }
-                    self.strike_victim(target, runtime.spec.attack, at, &mut runtime);
-                }
-            }
-        }
-        self.push(at + runtime.spec.interval, EventKind::AdversaryTick);
-        self.adversary = Some(runtime);
-    }
-
-    /// Applies the configured attack to a freshly acquired victim.
-    fn strike_victim(
-        &mut self,
-        target: ReplicaId,
-        attack: AdversaryAttack,
-        at: Time,
-        runtime: &mut AdversaryRuntime,
-    ) {
-        self.telemetry.adversary_strikes.inc();
-        let idx = target.index();
-        match attack {
-            AdversaryAttack::Kill { down_for } => {
-                self.nodes[idx].crashed = true;
-                let until = at + down_for;
-                runtime.victim_down_until = Some(until);
-                self.push(until, EventKind::AdversaryRevive { replica: target });
-            }
-            AdversaryAttack::Silence => {
-                self.nodes[idx].silenced = true;
-            }
-            AdversaryAttack::Throttle { factor } => {
-                self.nodes[idx].throttle = factor.max(1e-3);
-            }
-            AdversaryAttack::EquivocateDelay { delay } => {
-                self.nodes[idx].egress_delay = delay;
-            }
-        }
-    }
-
-    /// Undoes the standing attack on a deposed victim so the single
-    /// corruption can move on (`f = 1`: at most one victim at a time).
-    fn release_victim(&mut self, old: ReplicaId, attack: AdversaryAttack) {
-        let idx = old.index();
-        match attack {
-            // Kill victims are released by their scheduled revive event.
-            AdversaryAttack::Kill { .. } => {}
-            AdversaryAttack::Silence => {
-                self.nodes[idx].silenced = false;
-                self.maybe_pump(old);
-            }
-            AdversaryAttack::Throttle { .. } => {
-                self.nodes[idx].throttle = 1.0;
-            }
-            AdversaryAttack::EquivocateDelay { .. } => {
-                self.nodes[idx].egress_delay = Duration::ZERO;
-            }
-        }
-    }
-
-    /// Revives a victim the adversary killed; the next tick re-acquires a
-    /// target from scratch.
-    fn adversary_revive(&mut self, replica: ReplicaId) {
-        self.nodes[replica.index()].crashed = false;
-        if let Some(runtime) = &mut self.adversary {
-            runtime.victim_down_until = None;
-            runtime.policy.release();
-        }
-        self.maybe_pump(replica);
     }
 }

@@ -1,25 +1,34 @@
 //! Integration tests of the discrete-event simulator: bit-for-bit
-//! determinism and the paper's headline scaling claim (throughput grows with
-//! the number of concurrent instances `m`).
+//! determinism, known answers, and the paper's headline scaling claim
+//! (throughput grows with the number of concurrent instances `m`).
+//!
+//! Most tests compare two runs of one build, so they cannot see a behaviour
+//! change across commits. The `known_answer_*` tests can: they pin four
+//! runs' snapshots to fixed values. A change that moves the simulator on
+//! purpose updates them and says why.
 
-use rcc_common::{Duration, SystemConfig, Time};
+use rcc_common::{Duration, ReplicaId, SystemConfig, Time};
 use rcc_sim::{
-    simulate_pbft, simulate_rcc_over_pbft, FaultKind, FaultScript, NetworkModel, SimConfig,
-    SimReport,
+    simulate_pbft, simulate_rcc_over_pbft, AdversaryAttack, AdversarySpec, FaultKind, FaultScript,
+    NetworkModel, SimConfig, SimReport,
 };
 
 /// A deliberately small deployment (10-txn batches, an 8-slot pipeline
 /// window) so the whole suite stays fast in unoptimized builds; the bench
 /// crate and the examples exercise paper-sized configurations.
-fn wan_config(n: usize, m: usize, seed: u64) -> SimConfig {
+fn wan_config(n: usize, m: usize, seed: u64, horizon_ms: u64) -> SimConfig {
     let mut system = SystemConfig::new(n)
         .with_instances(m)
         .with_batch_size(10)
         .with_out_of_order_window(8)
         .with_seed(seed);
     system.sigma = 8;
-    SimConfig::new(system, NetworkModel::wan(), Duration::from_secs(1))
-        .with_measure_window(Time::from_millis(200), Time::from_millis(900))
+    SimConfig::new(
+        system,
+        NetworkModel::wan(),
+        Duration::from_millis(horizon_ms),
+    )
+    .with_measure_window(Time::from_millis(200), Time::from_millis(horizon_ms - 100))
 }
 
 fn measured_throughput(report: &SimReport) -> f64 {
@@ -27,21 +36,24 @@ fn measured_throughput(report: &SimReport) -> f64 {
 }
 
 /// Everything a trace comparison needs beside the snapshot: the event
-/// fingerprint and the derived metrics (formatted, so float formatting is
-/// part of the contract).
+/// fingerprint, the derived metrics (formatted, so float formatting is part
+/// of the contract) and the headline counts.
 fn snapshot(report: &SimReport) -> String {
     format!(
-        "fp={:016x} tput={:.3} events={}",
+        "fp={:016x} tput={:.3} events={} committed={} view_changes={} strikes={}",
         report.trace_fingerprint,
         measured_throughput(report),
         report.events_processed,
+        report.count("sim.committed_txns"),
+        report.count("sim.view_changes"),
+        report.count("sim.adversary_strikes"),
     )
 }
 
 #[test]
 fn same_seed_same_config_is_bit_identical() {
-    let a = simulate_rcc_over_pbft(wan_config(4, 4, 42));
-    let b = simulate_rcc_over_pbft(wan_config(4, 4, 42));
+    let a = simulate_rcc_over_pbft(wan_config(4, 4, 42, 1_000));
+    let b = simulate_rcc_over_pbft(wan_config(4, 4, 42, 1_000));
     assert!(
         a.count("sim.committed_txns") > 0,
         "simulation must make progress"
@@ -55,7 +67,7 @@ fn same_seed_same_config_is_bit_identical() {
 fn report_latency_is_the_registry_histogram() {
     // The report has no latency collector of its own: percentiles and mean
     // are the `sim.latency_us` histogram's, in virtual microseconds.
-    let report = simulate_rcc_over_pbft(wan_config(4, 4, 42));
+    let report = simulate_rcc_over_pbft(wan_config(4, 4, 42, 1_000));
     let latency = report.telemetry.histogram("sim.latency_us").unwrap();
     assert!(latency.count > 0, "the run must complete batches");
     // WAN round trips put every sample well above a millisecond, and a
@@ -75,18 +87,11 @@ fn same_seed_produces_identical_telemetry_snapshots_and_flight() {
     let faults = FaultScript::none().with(
         Time::from_millis(300),
         FaultKind::SilencePrimary {
-            replica: rcc_common::ReplicaId(1),
+            replica: ReplicaId(1),
         },
     );
-    let mut config = wan_config(4, 4, 5).with_faults(faults.clone());
-    config.horizon = Duration::from_millis(1800);
-    config.measure_end = Time::ZERO + config.horizon;
-    let mut config_b = wan_config(4, 4, 5).with_faults(faults);
-    config_b.horizon = Duration::from_millis(1800);
-    config_b.measure_end = Time::ZERO + config_b.horizon;
-
-    let a = simulate_rcc_over_pbft(config);
-    let b = simulate_rcc_over_pbft(config_b);
+    let a = simulate_rcc_over_pbft(wan_config(4, 4, 5, 1_800).with_faults(faults.clone()));
+    let b = simulate_rcc_over_pbft(wan_config(4, 4, 5, 1_800).with_faults(faults));
     assert!(
         a.count("sim.committed_txns") > 0,
         "the run must commit transactions for the comparison to mean anything"
@@ -107,8 +112,8 @@ fn same_seed_produces_identical_telemetry_snapshots_and_flight() {
 
 #[test]
 fn different_seeds_produce_different_traces() {
-    let a = simulate_rcc_over_pbft(wan_config(4, 4, 1));
-    let b = simulate_rcc_over_pbft(wan_config(4, 4, 2));
+    let a = simulate_rcc_over_pbft(wan_config(4, 4, 1, 1_000));
+    let b = simulate_rcc_over_pbft(wan_config(4, 4, 2, 1_000));
     assert_ne!(
         a.trace_fingerprint, b.trace_fingerprint,
         "different seeds must change jitter and workload, hence the trace"
@@ -119,8 +124,8 @@ fn different_seeds_produce_different_traces() {
 fn more_instances_mean_strictly_higher_wan_throughput() {
     // Fig. 7's premise: with WAN latencies, a single primary cannot saturate
     // the deployment; m concurrent instances multiply the proposal rate.
-    let m1 = simulate_rcc_over_pbft(wan_config(4, 1, 7));
-    let m4 = simulate_rcc_over_pbft(wan_config(4, 4, 7));
+    let m1 = simulate_rcc_over_pbft(wan_config(4, 1, 7, 1_000));
+    let m4 = simulate_rcc_over_pbft(wan_config(4, 4, 7, 1_000));
     let t1 = measured_throughput(&m1);
     let t4 = measured_throughput(&m4);
     assert!(t1 > 0.0, "m=1 must commit transactions");
@@ -139,8 +144,8 @@ fn more_instances_mean_strictly_higher_wan_throughput() {
 fn standalone_pbft_matches_rcc_with_one_instance_in_spirit() {
     // Both run a single primary; RCC-with-m=1 adds only the envelope, so the
     // two should land in the same throughput ballpark.
-    let pbft = simulate_pbft(wan_config(4, 1, 7));
-    let rcc1 = simulate_rcc_over_pbft(wan_config(4, 1, 7));
+    let pbft = simulate_pbft(wan_config(4, 1, 7, 1_000));
+    let rcc1 = simulate_rcc_over_pbft(wan_config(4, 1, 7, 1_000));
     let tp = measured_throughput(&pbft);
     let tr = measured_throughput(&rcc1);
     assert!(tp > 0.0 && tr > 0.0);
@@ -154,9 +159,9 @@ fn standalone_pbft_matches_rcc_with_one_instance_in_spirit() {
 #[test]
 fn crashed_backup_does_not_stop_commits() {
     // Crashing one backup of a 4-replica deployment (f = 1) leaves a quorum.
-    let faults = FaultScript::crash_at(Time::from_millis(300), rcc_common::ReplicaId(3));
-    let config = wan_config(4, 1, 11).with_faults(faults);
-    let healthy = simulate_rcc_over_pbft(wan_config(4, 1, 11));
+    let faults = FaultScript::crash_at(Time::from_millis(300), ReplicaId(3));
+    let config = wan_config(4, 1, 11, 1_000).with_faults(faults);
+    let healthy = simulate_rcc_over_pbft(wan_config(4, 1, 11, 1_000));
     let report = simulate_rcc_over_pbft(config);
     assert!(
         report.count("sim.committed_txns") > healthy.count("sim.committed_txns") / 2,
@@ -173,13 +178,10 @@ fn silenced_coordinator_triggers_failure_handling() {
     let faults = FaultScript::none().with(
         Time::from_millis(300),
         FaultKind::SilencePrimary {
-            replica: rcc_common::ReplicaId(1),
+            replica: ReplicaId(1),
         },
     );
-    let mut config = wan_config(4, 4, 5).with_faults(faults);
-    config.horizon = Duration::from_millis(1800);
-    config.measure_end = Time::ZERO + config.horizon;
-    let report = simulate_rcc_over_pbft(config);
+    let report = simulate_rcc_over_pbft(wan_config(4, 4, 5, 1_800).with_faults(faults));
     assert!(
         report.count("sim.suspicions") > 0 || report.count("sim.view_changes") > 0,
         "a silent coordinator must be detected (suspicions = {}, view changes = {})",
@@ -187,4 +189,66 @@ fn silenced_coordinator_triggers_failure_handling() {
         report.count("sim.view_changes")
     );
     assert!(report.count("sim.committed_txns") > 0);
+}
+
+#[test]
+fn known_answer_fault_free_rcc() {
+    let report = simulate_rcc_over_pbft(wan_config(4, 4, 42, 1_000));
+    assert_eq!(
+        snapshot(&report),
+        "fp=c650696a484ab209 tput=2742.857 events=7671 committed=2560 view_changes=0 strikes=0"
+    );
+}
+
+#[test]
+fn known_answer_standalone_pbft() {
+    let report = simulate_pbft(wan_config(4, 1, 7, 1_000));
+    assert_eq!(
+        snapshot(&report),
+        "fp=4d2057d3de7b0a6e tput=685.714 events=1908 committed=640 view_changes=0 strikes=0"
+    );
+}
+
+#[test]
+fn known_answer_silenced_primary_on_a_mangled_wire() {
+    let faults = FaultScript::none()
+        .with(
+            Time::from_millis(300),
+            FaultKind::SilencePrimary {
+                replica: ReplicaId(1),
+            },
+        )
+        .with(
+            Time::from_millis(300),
+            FaultKind::MangleWire { rate_ppm: 20_000 },
+        );
+    let report = simulate_rcc_over_pbft(wan_config(4, 4, 5, 1_800).with_faults(faults));
+    assert_eq!(
+        snapshot(&report),
+        "fp=3e9bbd6828a180f1 tput=914.286 events=7706 committed=1220 view_changes=9 strikes=0"
+    );
+}
+
+#[test]
+fn known_answer_adaptive_kills_beside_a_throttled_replica() {
+    // `chaos.rs`'s `kill_adversary()`: three strikes 300 ms apart, each
+    // victim down for 250 ms.
+    let adversary = AdversarySpec::new(
+        Time::from_millis(250),
+        Duration::from_millis(300),
+        AdversaryAttack::Kill {
+            down_for: Duration::from_millis(250),
+        },
+        3,
+    );
+    let faults = FaultScript::throttle_at(Time::from_millis(300), ReplicaId(2), 4.0);
+    let report = simulate_rcc_over_pbft(
+        wan_config(4, 4, 3, 1_800)
+            .with_faults(faults)
+            .with_adversary(adversary),
+    );
+    assert_eq!(
+        snapshot(&report),
+        "fp=5213c49311687ead tput=914.286 events=8378 committed=2480 view_changes=3 strikes=3"
+    );
 }

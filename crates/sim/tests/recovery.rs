@@ -7,7 +7,7 @@
 use rcc_common::{Duration, InstanceId, ReplicaId, SystemConfig, Time};
 use rcc_core::RccOverPbft;
 use rcc_protocols::ByzantineCommitAlgorithm;
-use rcc_sim::{ClientModel, FaultScript, NetworkModel, SimConfig, Simulation};
+use rcc_sim::{FaultScript, NetworkModel, SimConfig, Simulation};
 
 const CRASH_AT_MS: u64 = 250;
 const HORIZON_MS: u64 = 2500;
@@ -127,9 +127,7 @@ fn open_loop_clients_pace_submissions_by_the_clock() {
     let sys = system();
     let config = SimConfig::new(sys.clone(), NetworkModel::wan(), Duration::from_secs(2))
         .with_measure_window(Time::from_millis(500), Time::from_millis(1900))
-        .with_clients(ClientModel::OpenLoop {
-            interval: Duration::from_millis(10),
-        });
+        .with_open_loop_clients(Duration::from_millis(10));
     let report = Simulation::new(config, |replica| {
         RccOverPbft::over_pbft(sys.clone(), replica)
     })

@@ -41,5 +41,5 @@ pub mod ycsb;
 
 pub use assignment::{Handoff, InstanceAssignment};
 pub use client::{Client, ClientMode, ReplyOutcome};
-pub use session::{DriverSession, SessionConfig, SessionStats, SubmitAction};
+pub use session::{DriverSession, SessionStats, SubmitAction};
 pub use ycsb::{stream_of_client, YcsbGenerator};

@@ -34,33 +34,18 @@ use crate::client::{Client, ClientMode, ReplyOutcome};
 use rcc_common::{Batch, Digest, InstanceId, ReplicaId, SystemConfig, Time};
 use rcc_telemetry::LocalHistogram;
 
-/// Timing and failover knobs of a [`DriverSession`], in milliseconds of the
+/// How long a submitted batch may go without a reply before the session
+/// abandons it and rotates coordinator candidates, in milliseconds of the
 /// caller's clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SessionConfig {
-    /// How long a submitted batch may go without a reply before the session
-    /// abandons it and rotates coordinator candidates.
-    pub reply_timeout_ms: u64,
-    /// Consecutive age-out rounds on the home instance before the session
-    /// drains to a fallback instance.
-    pub home_failures_before_drain: u32,
-    /// While drained, how often the home instance is probed again.
-    pub home_probe_interval_ms: u64,
-    /// Pause after an explicit reject before refilling the window, so a
-    /// misrouted burst cannot hot-spin against a rejecting replica.
-    pub reject_pause_ms: u64,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            reply_timeout_ms: 700,
-            home_failures_before_drain: 2,
-            home_probe_interval_ms: 1_500,
-            reject_pause_ms: 10,
-        }
-    }
-}
+const REPLY_TIMEOUT_MS: u64 = 700;
+/// Consecutive age-out rounds on the home instance before the session
+/// drains to a fallback instance.
+const HOME_FAILURES_BEFORE_DRAIN: u32 = 2;
+/// While drained, how often the home instance is probed again.
+const HOME_PROBE_INTERVAL_MS: u64 = 1_500;
+/// Pause after an explicit reject before refilling the window, so a
+/// misrouted burst cannot hot-spin against a rejecting replica.
+const REJECT_PAUSE_MS: u64 = 10;
 
 /// One batch the session wants on the wire: hand it to `candidate`, tagged
 /// for `instance`. The digest identifies the batch in later callbacks.
@@ -114,7 +99,6 @@ struct PendingBatch {
 #[derive(Clone, Debug)]
 pub struct DriverSession {
     client: Client,
-    config: SessionConfig,
     n: usize,
     m: u32,
     home: InstanceId,
@@ -139,7 +123,6 @@ impl DriverSession {
         stream: u64,
         home: InstanceId,
         window: usize,
-        config: SessionConfig,
     ) -> DriverSession {
         let m = system.instances.max(1) as u32;
         DriverSession {
@@ -150,7 +133,6 @@ impl DriverSession {
                 system.client_reply_quorum(),
                 ClientMode::Closed { window },
             ),
-            config,
             n: system.n,
             m,
             home,
@@ -272,17 +254,15 @@ impl DriverSession {
             if entry.instance == self.home {
                 self.home_strike(now_ms);
             }
-            self.paused_until_ms = now_ms + self.config.reject_pause_ms;
+            self.paused_until_ms = now_ms + REJECT_PAUSE_MS;
         }
     }
 
     /// Records a connection-level refusal from `replica`: the connection was
-    /// turned away at admission (the edge's zero-digest [`ClientReject`
-    /// sentinel]), refused outright, or dropped. Every batch routed there is
+    /// turned away at admission (the edge's zero-digest `ClientReject`
+    /// sentinel), refused outright, or dropped. Every batch routed there is
     /// abandoned and every instance that believed in `replica` rotates to
     /// the next candidate, so the session fails over instead of hanging.
-    ///
-    /// [`ClientReject` sentinel]: SessionConfig
     pub fn on_connection_refused(&mut self, now_ms: u64, replica: ReplicaId) {
         // Losing the home instance's believed coordinator — or any home
         // batch routed through the refused replica — is one strike toward
@@ -306,7 +286,7 @@ impl DriverSession {
         if home_hit {
             self.home_strike(now_ms);
         }
-        self.paused_until_ms = now_ms + self.config.reject_pause_ms;
+        self.paused_until_ms = now_ms + REJECT_PAUSE_MS;
     }
 
     /// Final statistics. `Client::forget` nets rejected batches out of its
@@ -331,9 +311,9 @@ impl DriverSession {
             return;
         }
         self.home_failures += 1;
-        if self.home_failures >= self.config.home_failures_before_drain.max(1) {
+        if self.home_failures >= HOME_FAILURES_BEFORE_DRAIN {
             self.active = InstanceId((self.home.0 + 1) % self.m);
-            self.next_home_probe_ms = now_ms + self.config.home_probe_interval_ms;
+            self.next_home_probe_ms = now_ms + HOME_PROBE_INTERVAL_MS;
             self.home_failures = 0;
         }
     }
@@ -359,7 +339,7 @@ impl DriverSession {
         let mut index = 0;
         while index < self.pending.len() {
             let entry = self.pending[index].1;
-            if now_ms.saturating_sub(entry.at_ms) <= self.config.reply_timeout_ms {
+            if now_ms.saturating_sub(entry.at_ms) <= REPLY_TIMEOUT_MS {
                 index += 1;
                 continue;
             }
@@ -388,13 +368,7 @@ mod tests {
     }
 
     fn session(window: usize) -> DriverSession {
-        DriverSession::new(
-            &system(),
-            0,
-            InstanceId(0),
-            window,
-            SessionConfig::default(),
-        )
+        DriverSession::new(&system(), 0, InstanceId(0), window)
     }
 
     #[test]
@@ -451,8 +425,7 @@ mod tests {
         let mut s = session(1);
         let first = s.poll(0);
         assert_eq!(first[0].candidate, ReplicaId(0));
-        let timeout = SessionConfig::default().reply_timeout_ms;
-        let again = s.poll(timeout + 1);
+        let again = s.poll(REPLY_TIMEOUT_MS + 1);
         assert_eq!(again.len(), 1, "aged batch freed its slot");
         assert_eq!(
             again[0].candidate,
@@ -467,8 +440,7 @@ mod tests {
         let mut s = session(1);
         let first = s.poll(0);
         s.on_accept(first[0].digest);
-        let timeout = SessionConfig::default().reply_timeout_ms;
-        let again = s.poll(timeout + 1);
+        let again = s.poll(REPLY_TIMEOUT_MS + 1);
         assert_eq!(
             again[0].candidate,
             ReplicaId(0),
@@ -478,14 +450,13 @@ mod tests {
 
     #[test]
     fn repeated_home_age_outs_drain_to_the_neighbour_and_probe_back() {
-        let config = SessionConfig::default();
         let mut s = session(1);
         let mut now = 0;
         // Two consecutive silent rounds on home drain the session.
-        for _ in 0..config.home_failures_before_drain {
+        for _ in 0..HOME_FAILURES_BEFORE_DRAIN {
             let actions = s.poll(now);
             assert_eq!(actions[0].instance, InstanceId(0));
-            now += config.reply_timeout_ms + 1;
+            now += REPLY_TIMEOUT_MS + 1;
         }
         let drained = s.poll(now);
         assert_eq!(
@@ -494,22 +465,21 @@ mod tests {
             "drained to the neighbouring instance"
         );
         // After the probe interval the session tries home again.
-        now += config.home_probe_interval_ms + config.reply_timeout_ms + 1;
+        now += HOME_PROBE_INTERVAL_MS + REPLY_TIMEOUT_MS + 1;
         let probed = s.poll(now);
         assert_eq!(probed[0].instance, InstanceId(0), "probed home");
     }
 
     #[test]
     fn an_explicit_reject_frees_the_slot_rotates_and_pauses() {
-        let config = SessionConfig::default();
         let mut s = session(1);
         let actions = s.poll(0);
         s.on_reject(0, ReplicaId(0), actions[0].digest);
         assert!(
-            s.poll(config.reject_pause_ms - 1).is_empty(),
+            s.poll(REJECT_PAUSE_MS - 1).is_empty(),
             "paused after a reject"
         );
-        let retried = s.poll(config.reject_pause_ms);
+        let retried = s.poll(REJECT_PAUSE_MS);
         assert_eq!(retried.len(), 1);
         assert_eq!(
             retried[0].candidate,
@@ -520,13 +490,12 @@ mod tests {
 
     #[test]
     fn a_connection_refusal_fails_the_session_over() {
-        let config = SessionConfig::default();
         let mut s = session(2);
         let actions = s.poll(0);
         assert!(actions.iter().all(|a| a.candidate == ReplicaId(0)));
         s.on_connection_refused(0, ReplicaId(0));
         assert_eq!(s.stats().abandoned, 2, "in-flight batches abandoned");
-        let retried = s.poll(config.reject_pause_ms);
+        let retried = s.poll(REJECT_PAUSE_MS);
         assert_eq!(retried.len(), 2);
         assert!(
             retried.iter().all(|a| a.candidate == ReplicaId(1)),
@@ -540,15 +509,14 @@ mod tests {
         // coordinator is saturated or misrouted) must drain the session
         // just like silent timeouts would — rejects abandon batches before
         // they can age out, so they count toward the same threshold.
-        let config = SessionConfig::default();
         let mut s = session(1);
         let mut now = 0;
-        for _ in 0..config.home_failures_before_drain {
+        for _ in 0..HOME_FAILURES_BEFORE_DRAIN {
             let actions = s.poll(now);
             assert_eq!(actions[0].instance, InstanceId(0));
-            now += config.reject_pause_ms + 1;
+            now += REJECT_PAUSE_MS + 1;
             s.on_reject(now, actions[0].candidate, actions[0].digest);
-            now += config.reject_pause_ms + 1;
+            now += REJECT_PAUSE_MS + 1;
         }
         let drained = s.poll(now);
         assert_eq!(
@@ -560,15 +528,14 @@ mod tests {
 
     #[test]
     fn a_connection_refusal_of_the_home_coordinator_counts_toward_draining() {
-        let config = SessionConfig::default();
         let mut s = session(1);
         let mut now = 0;
-        for _ in 0..config.home_failures_before_drain {
+        for _ in 0..HOME_FAILURES_BEFORE_DRAIN {
             let _ = s.poll(now);
-            now += config.reject_pause_ms + 1;
+            now += REJECT_PAUSE_MS + 1;
             // Refuse whichever replica currently fronts the home instance.
             s.on_connection_refused(now, s.active_candidate());
-            now += config.reject_pause_ms + 1;
+            now += REJECT_PAUSE_MS + 1;
         }
         let drained = s.poll(now);
         assert_eq!(
@@ -582,15 +549,10 @@ mod tests {
     fn stale_verdicts_do_not_skip_the_rotation() {
         // Single instance so the drain transition cannot redirect the
         // session mid-test; only candidate rotation is in play.
-        let mut s = DriverSession::new(
-            &SystemConfig::new(4).with_instances(1),
-            0,
-            InstanceId(0),
-            1,
-            SessionConfig::default(),
-        );
+        let mut s =
+            DriverSession::new(&SystemConfig::new(4).with_instances(1), 0, InstanceId(0), 1);
         let first = s.poll(0);
-        let timeout = SessionConfig::default().reply_timeout_ms;
+        let timeout = REPLY_TIMEOUT_MS;
         // Age out rotates 0 → 1.
         let second = s.poll(timeout + 1);
         assert_eq!(second[0].candidate, ReplicaId(1));
