@@ -57,16 +57,9 @@ pub struct SystemConfig {
     /// and garbage-collect all per-slot state below the highest checkpoint
     /// with `f + 1` matching votes (Section III-D). RCC additionally
     /// performs dynamic per-need checkpoints when `nf − f` failure claims
-    /// arrive for rounds a replica has already finished. `0` disables
-    /// checkpointing (logs then grow without bound — testing only).
+    /// arrive for rounds a replica has already finished. Must be at least
+    /// 1.
     pub checkpoint_interval: u64,
-    /// Enables the Section IV unpredictable cross-instance execution order:
-    /// within a released round, batches are permuted by
-    /// `h = digest(S) mod (m! − 1)` over the round's certified digests
-    /// instead of instance-id order, so no coordinator can predict its
-    /// batch's position before the round is fixed. Off by default to keep
-    /// the deterministic instance-id order of existing fingerprints.
-    pub unpredictable_ordering: bool,
     /// Timeout after which a replica that has not observed progress from a
     /// primary detects its failure.
     pub failure_detection_timeout: Duration,
@@ -76,7 +69,8 @@ pub struct SystemConfig {
     /// Message authentication mode for replica-to-replica traffic.
     pub crypto: CryptoMode,
     /// Seed for all deterministic randomness derived from this configuration
-    /// (workload generation, unpredictable-ordering tie-breaks in tests).
+    /// (workload generation, key material, simulated jitter and wire
+    /// mangling).
     pub seed: u64,
 }
 
@@ -99,7 +93,6 @@ impl SystemConfig {
             instances: n,
             sigma: 16,
             checkpoint_interval: 64,
-            unpredictable_ordering: false,
             failure_detection_timeout: Duration::from_millis(500),
             recovery_leader_timeout: Duration::from_millis(500),
             crypto: CryptoMode::Mac,
@@ -135,6 +128,11 @@ impl SystemConfig {
         }
         if self.sigma == 0 {
             return Err(Error::InvalidConfig("sigma must be at least 1".into()));
+        }
+        if self.checkpoint_interval == 0 {
+            return Err(Error::InvalidConfig(
+                "checkpoint_interval must be at least 1".into(),
+            ));
         }
         Ok(())
     }
@@ -187,17 +185,9 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the periodic checkpoint interval in rounds (builder style);
-    /// `0` disables checkpointing and garbage collection.
+    /// Sets the periodic checkpoint interval in rounds (builder style).
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
         self.checkpoint_interval = interval;
-        self
-    }
-
-    /// Enables the Section IV unpredictable cross-instance execution order
-    /// (builder style).
-    pub fn with_unpredictable_ordering(mut self, on: bool) -> Self {
-        self.unpredictable_ordering = on;
         self
     }
 
@@ -250,6 +240,8 @@ mod tests {
         assert!(c.validate().is_err());
         c.instances = 3;
         assert!(c.validate().is_ok());
+        c.checkpoint_interval = 0;
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -30,13 +30,25 @@ fn derive(seed: u64, label: &str, a: u64, b: u64) -> [u8; 32] {
     hasher.finalize().into()
 }
 
-fn party_index(party: Party) -> u64 {
-    match party {
-        Party::Replica(r) => r.0 as u64,
-        // Offset clients far away from replica indices so pairwise key
-        // derivation never collides.
-        Party::Client(c) => 1_000_000_000 + c.0,
+/// The pairwise MAC key of `a` and `b` (symmetric in its arguments). Each
+/// party enters the hash as a kind byte plus its full 64-bit id, ordered by
+/// (kind, id), so two distinct pairs never hash the same input, whatever
+/// id a client claims.
+fn pairwise_key(seed: u64, a: Party, b: Party) -> MacKey {
+    let tagged = |party: Party| match party {
+        Party::Replica(r) => (0u8, u64::from(r.0)),
+        Party::Client(c) => (1u8, c.0),
+    };
+    let mut pair = [tagged(a), tagged(b)];
+    pair.sort_unstable();
+    let mut hasher = Sha256::new();
+    hasher.update(seed.to_be_bytes());
+    hasher.update(b"pairwise-mac");
+    for (kind, id) in pair {
+        hasher.update([kind]);
+        hasher.update(id.to_be_bytes());
     }
+    MacKey::from_bytes(hasher.finalize().into())
 }
 
 /// The dealer's view of all key material of a deployment.
@@ -81,15 +93,7 @@ impl DeploymentKeys {
     /// The pairwise MAC key shared by `a` and `b` (symmetric in its
     /// arguments).
     pub fn pairwise_mac(&self, a: Party, b: Party) -> MacKey {
-        let (x, y) = {
-            let (ia, ib) = (party_index(a), party_index(b));
-            if ia <= ib {
-                (ia, ib)
-            } else {
-                (ib, ia)
-            }
-        };
-        MacKey::from_bytes(derive(self.seed, "pairwise-mac", x, y))
+        pairwise_key(self.seed, a, b)
     }
 
     /// The signing key pair of a client, derived on demand.
@@ -160,16 +164,11 @@ impl ReplicaKeys {
 
     /// The pairwise MAC key shared with a client (derived on demand).
     pub fn mac_with_client(&self, client: ClientId) -> MacKey {
-        let (a, b) = {
-            let ia = self.replica.0 as u64;
-            let ib = 1_000_000_000 + client.0;
-            if ia <= ib {
-                (ia, ib)
-            } else {
-                (ib, ia)
-            }
-        };
-        MacKey::from_bytes(derive(self.seed, "pairwise-mac", a, b))
+        pairwise_key(
+            self.seed,
+            Party::Replica(self.replica),
+            Party::Client(client),
+        )
     }
 
     /// The public key of another replica.
@@ -226,6 +225,28 @@ mod tests {
         let r = d.replica_keys(ReplicaId(2));
         let tag = c.mac_with_replicas[2].tag(b"request");
         assert!(r.mac_with_client(ClientId(9)).verify(b"request", &tag));
+    }
+
+    #[test]
+    fn wire_supplied_client_ids_never_overflow_into_replica_keys() {
+        // `ClientId` comes straight off the socket: no id, however large,
+        // may panic or derive a key that two replicas share.
+        let d = keys();
+        let replica_pairs: Vec<MacKey> = ReplicaId::all(4)
+            .flat_map(|a| ReplicaId::all(4).map(move |b| (a, b)))
+            .map(|(a, b)| d.pairwise_mac(Party::Replica(a), Party::Replica(b)))
+            .collect();
+        for client in [ClientId(u64::MAX - 999_999_997), ClientId(u64::MAX)] {
+            let bundle = d.client_keys(client);
+            for r in ReplicaId::all(4) {
+                let key = d.replica_keys(r).mac_with_client(client);
+                assert_eq!(key, bundle.mac_with_replicas[r.index()], "{client:?}, {r}");
+                assert!(
+                    !replica_pairs.contains(&key),
+                    "{client:?} shares a replica-pair key with {r}"
+                );
+            }
+        }
     }
 
     #[test]

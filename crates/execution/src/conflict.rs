@@ -11,7 +11,7 @@
 //!   least one of them writes it (read/write or write/write);
 //! * conflicting transactions land in the same group, transitively;
 //! * within a group, transactions keep their global round order — the
-//!   deterministic instance-id order of the batches they arrived in;
+//!   agreed order of the batches they arrived in;
 //! * groups are disjoint by construction, so they may execute in any
 //!   interleaving and merge in any order without changing the result.
 //!
@@ -124,7 +124,7 @@ impl Groups {
 /// Partitions a round's transactions into independent conflict groups.
 ///
 /// Input: one [`AccessSet`] per transaction, **in the round's deterministic
-/// execution order** (instance-id order of the batches, request order within
+/// execution order** (the released order of the batches, request order within
 /// each batch). Output: groups of transaction indices; each group's members
 /// are ascending (preserving that execution order), and groups are sorted by
 /// their smallest member. Transactions in different groups touch provably
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn regression_intra_group_order_is_the_deterministic_round_order() {
-        // The round order (instance-id order of batches) is the index
+        // The round order (the released order of batches) is the index
         // order of the input sets; a group must preserve it even when the
         // conflict edges are discovered "backwards" (last write first seen
         // via union with earlier indices).

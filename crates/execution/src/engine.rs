@@ -2,8 +2,8 @@
 //!
 //! [`ExecutionEngine::execute_round`] is the one executor: it appends the
 //! released round's block to the ledger and applies every transaction in
-//! place, batches in the agreed instance order and requests in batch order
-//! (§III-A/B), on the calling thread. The results — state fingerprints,
+//! place, batches in the agreed (§IV-permuted) order they were released in
+//! and requests in batch order (§III-A/B), on the calling thread. The results — state fingerprints,
 //! ledger, summary and replies — are pinned by
 //! `crates/execution/tests/known_answers.rs`.
 

@@ -11,9 +11,10 @@
 //!   messages over one channel per replica pair.
 //! * [`orderer`] — the deterministic round-based execution orderer
 //!   ([`orderer::ExecutionOrderer`]): round `ρ` is released for execution
-//!   only once **every** instance has a committed slot for `ρ`, and the `m`
-//!   batches of a round execute in instance-id order (wait-free design goal
-//!   D2; the unpredictable Section-IV permutation is future work).
+//!   only once **every** instance has a committed slot for `ρ` (wait-free
+//!   design goal D2), and the `m` batches of a round execute in the Section
+//!   IV permutation of the round's certified digests, which no coordinator
+//!   can predict before the round is fixed.
 //! * [`replica`] — [`replica::RccReplica`], one replica's view of the whole
 //!   RCC deployment. It owns the `m` BCA state machines, routes envelopes
 //!   and timers to them, feeds their commits into the orderer, detects

@@ -6,7 +6,7 @@
 //! bookkeeping: commits arrive per `(instance, round)` in arbitrary order
 //! (instances run independently and BCAs commit out of order), are buffered,
 //! and a round is *released* only once all `m` instances have contributed
-//! their slot — at which point its batches come out in instance-id order.
+//! their slot.
 //!
 //! The orderer also exposes the per-instance *lag*: how far an instance's
 //! first missing round trails the most advanced committed round across all
@@ -15,14 +15,19 @@
 //!
 //! # Unpredictable cross-instance ordering (Section IV)
 //!
-//! With the default instance-id order, an adversary that controls one
-//! coordinator knows *in advance* where its batch will land inside every
-//! round and can front-run the other instances' transactions (Example IV.1).
-//! With [`ExecutionOrderer::with_unpredictable_ordering`] enabled, the
-//! within-round order is instead the `h`-th permutation of the `m` batches,
-//! where `h = digest(S) mod (m! − 1)` and `S` is the sequence of the round's
-//! certified batch digests — a value no coordinator can predict before the
-//! whole round is fixed, yet every replica computes identically.
+//! A fixed within-round order, such as instance-id order, tells the
+//! coordinator of one instance *in advance* where its batch will land inside
+//! every round, so it can front-run the other instances' transactions
+//! (Example IV.1). A released round's batches therefore execute in the
+//! `h`-th permutation of the `m` batches, where `h = digest(S) mod (m! − 1)`
+//! and `S` is the sequence of the round's certified batch digests: a value
+//! no coordinator can predict before the whole round is fixed, yet every
+//! replica computes identically.
+//!
+//! `h` is unpredictable only to a coordinator that must commit to its batch
+//! before it sees the others'. The last proposer of a round sees the other
+//! `m − 1` certified digests first and can grind: try candidate batches
+//! until `h` places its own first (`tests/section_iv_order.rs` measures it).
 
 use rcc_common::rng::SplitMix64;
 use rcc_common::{Batch, BatchId, Digest, InstanceId, Round, View};
@@ -45,13 +50,13 @@ pub struct OrderedBatch {
     pub view: View,
 }
 
-/// One fully released round: the `m` accepted batches in execution
-/// (instance-id) order.
+/// One fully released round: the `m` accepted batches in execution order.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ReleasedRound {
     /// The round released.
     pub round: Round,
-    /// The round's batches in instance-id order.
+    /// The round's batches in the Section IV permutation of the round's
+    /// certified digests.
     pub batches: Vec<OrderedBatch>,
 }
 
@@ -67,9 +72,6 @@ pub struct ExecutionOrderer {
     /// [`ExecutionOrderer::pending_entries`] is O(1) — it is sampled after
     /// every simulation event).
     pending_count: u64,
-    /// When set, released rounds use the Section IV unpredictable
-    /// permutation instead of instance-id order.
-    unpredictable: bool,
 }
 
 impl ExecutionOrderer {
@@ -82,21 +84,7 @@ impl ExecutionOrderer {
             pending: std::collections::BTreeMap::new(),
             max_committed: None,
             pending_count: 0,
-            unpredictable: false,
         }
-    }
-
-    /// Enables (or disables) the Section IV unpredictable within-round
-    /// permutation (builder style). Off by default: instance-id order keeps
-    /// existing fingerprints and examples deterministic in the obvious way.
-    pub fn with_unpredictable_ordering(mut self, on: bool) -> Self {
-        self.unpredictable = on;
-        self
-    }
-
-    /// `true` when released rounds are permuted per Section IV.
-    pub fn unpredictable_ordering(&self) -> bool {
-        self.unpredictable
     }
 
     /// Number of concurrent instances.
@@ -136,7 +124,7 @@ impl ExecutionOrderer {
     }
 
     /// Releases every complete round starting at [`ExecutionOrderer::next_round`],
-    /// in round order, each with its batches in instance-id order.
+    /// in round order, each with its batches in the Section IV permutation.
     pub fn release_ready(&mut self) -> Vec<ReleasedRound> {
         let mut released = Vec::new();
         while self
@@ -151,11 +139,10 @@ impl ExecutionOrderer {
                 .remove(&self.next_round)
                 .expect("checked above");
             self.pending_count -= per_round.len() as u64;
-            // BTreeMap iteration yields instance-id order.
+            // BTreeMap iteration yields instance-id order, the permutation's
+            // input.
             let mut batches: Vec<OrderedBatch> = per_round.into_values().collect();
-            if self.unpredictable {
-                permute_round(&mut batches);
-            }
+            permute_round(&mut batches);
             released.push(ReleasedRound {
                 round: self.next_round,
                 batches,
@@ -326,16 +313,13 @@ mod tests {
         let released = orderer.release_ready();
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].round, 0);
-        let instances: Vec<u32> = released[0]
+        let mut instances: Vec<u32> = released[0]
             .batches
             .iter()
             .map(|b| b.id.instance.0)
             .collect();
-        assert_eq!(
-            instances,
-            vec![0, 1, 2],
-            "batches come out in instance-id order"
-        );
+        instances.sort_unstable();
+        assert_eq!(instances, vec![0, 1, 2], "one batch per instance");
     }
 
     #[test]
@@ -437,7 +421,7 @@ mod tests {
         // The paper's `mod (k! − 1)` degenerates to modulus 1 at k = 2,
         // which would pin every two-instance round to the identity order;
         // the implementation must still reach both orders.
-        let mut orderer = ExecutionOrderer::new(2).with_unpredictable_ordering(true);
+        let mut orderer = ExecutionOrderer::new(2);
         let mut swapped = 0;
         for round in 0..32 {
             for instance in 0..2 {
@@ -456,9 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn unpredictable_ordering_permutes_identically_and_completely() {
-        let release_all = |unpredictable: bool| -> Vec<ReleasedRound> {
-            let mut orderer = ExecutionOrderer::new(4).with_unpredictable_ordering(unpredictable);
+    fn rounds_are_permuted_identically_and_completely() {
+        let release_all = || -> Vec<ReleasedRound> {
+            let mut orderer = ExecutionOrderer::new(4);
             let mut out = Vec::new();
             for round in 0..16 {
                 for instance in 0..4 {
@@ -468,21 +452,32 @@ mod tests {
             }
             out
         };
-        let plain = release_all(false);
-        let a = release_all(true);
-        let b = release_all(true);
-        assert_eq!(a, b, "the permutation is a pure function of the digests");
+        let a = release_all();
+        assert_eq!(
+            a,
+            release_all(),
+            "the permutation is a pure function of the digests"
+        );
         let mut permuted_rounds = 0;
-        for (plain_round, permuted) in plain.iter().zip(a.iter()) {
-            // Same batches per round…
-            let mut x: Vec<_> = plain_round.batches.iter().map(|s| s.id).collect();
-            let mut y: Vec<_> = permuted.batches.iter().map(|s| s.id).collect();
-            if x != y {
+        for released in &a {
+            let order: Vec<BatchId> = released.batches.iter().map(|s| s.id).collect();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            if order != sorted {
                 permuted_rounds += 1;
             }
-            x.sort_unstable();
-            y.sort_unstable();
-            assert_eq!(x, y, "round {} is a permutation", plain_round.round);
+            // Same batches per round…
+            let expected: Vec<BatchId> = (0..4)
+                .map(|i| BatchId {
+                    instance: InstanceId(i),
+                    round: released.round,
+                })
+                .collect();
+            assert_eq!(
+                sorted, expected,
+                "round {} is a permutation",
+                released.round
+            );
         }
         // …but not always in instance-id order.
         assert!(

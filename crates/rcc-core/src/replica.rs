@@ -216,12 +216,10 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
         config.validate().expect("invalid RCC configuration");
         let m = config.instances;
         let instances: Vec<P> = InstanceId::all(m).map(&mut factory).collect();
-        let orderer =
-            ExecutionOrderer::new(m).with_unpredictable_ordering(config.unpredictable_ordering);
         RccReplica {
             replica,
             instances,
-            orderer,
+            orderer: ExecutionOrderer::new(m),
             committed_log: vec![BTreeMap::new(); m],
             execution_log: Vec::new(),
             executed: 0,
@@ -455,8 +453,7 @@ impl<P: ByzantineCommitAlgorithm> RccReplica<P> {
             // interval boundary, inside the release loop so the ledger head
             // is exactly the boundary's — a burst of releases must not skip
             // past it.
-            let interval = self.config.checkpoint_interval;
-            if interval > 0 && (round + 1) % interval == 0 {
+            if (round + 1) % self.config.checkpoint_interval == 0 {
                 self.take_local_checkpoint(round + 1, out);
             }
         }

@@ -1,8 +1,8 @@
 //! Harness-driven integration tests for Section III-D checkpointing: the
 //! vote exchange stabilizes and prunes every layer of the replica's
 //! retained state, pruned state-sync requests are answered with checkpoint
-//! transfers, and the Section IV unpredictable within-round permutation is
-//! agreed identically by all replicas.
+//! transfers, and the Section IV within-round permutation is agreed
+//! identically by all replicas.
 
 use rcc_common::{
     Batch, ClientId, ClientRequest, Error, InstanceId, ReplicaId, SystemConfig, Transaction,
@@ -16,11 +16,10 @@ use rcc_protocols::ByzantineCommitAlgorithm;
 
 const INTERVAL: u64 = 8;
 
-fn rcc_cluster(unpredictable: bool) -> Cluster<RccReplica<Pbft>> {
+fn rcc_cluster() -> Cluster<RccReplica<Pbft>> {
     let config = SystemConfig::new(4)
         .with_instances(4)
-        .with_checkpoint_interval(INTERVAL)
-        .with_unpredictable_ordering(unpredictable);
+        .with_checkpoint_interval(INTERVAL);
     Cluster::new(
         (0..4u32)
             .map(|r| RccReplica::over_pbft(config.clone(), ReplicaId(r)))
@@ -48,7 +47,7 @@ fn drive(cluster: &mut Cluster<RccReplica<Pbft>>, rounds: u64) {
 
 #[test]
 fn periodic_checkpoints_stabilize_and_prune_every_layer() {
-    let mut cluster = rcc_cluster(false);
+    let mut cluster = rcc_cluster();
     let rounds = 3 * INTERVAL;
     drive(&mut cluster, rounds);
     for r in 0..4u32 {
@@ -103,7 +102,7 @@ fn periodic_checkpoints_stabilize_and_prune_every_layer() {
 
 #[test]
 fn pruned_slot_requests_are_answered_with_a_checkpoint_transfer() {
-    let mut cluster = rcc_cluster(false);
+    let mut cluster = rcc_cluster();
     drive(&mut cluster, INTERVAL);
     let now = cluster.now();
     let node = cluster.node_mut(ReplicaId(0));
@@ -159,49 +158,39 @@ fn pruned_slot_requests_are_answered_with_a_checkpoint_transfer() {
 
 #[test]
 fn the_unpredictable_permutation_is_agreed_and_differs_from_instance_order() {
-    let mut plain = rcc_cluster(false);
-    let mut permuted = rcc_cluster(true);
+    let mut cluster = rcc_cluster();
     let rounds = 6;
-    drive(&mut plain, rounds);
-    drive(&mut permuted, rounds);
-    // Identical orders across the permuted cluster's replicas (the
-    // permutation is a pure function of agreed digests).
-    let reference = permuted.node(ReplicaId(0)).execution_digests();
+    drive(&mut cluster, rounds);
+    // Identical orders across replicas (the permutation is a pure function
+    // of agreed digests).
+    let reference = cluster.node(ReplicaId(0)).execution_digests();
     for r in 1..4u32 {
         assert_eq!(
-            permuted.node(ReplicaId(r)).execution_digests(),
+            cluster.node(ReplicaId(r)).execution_digests(),
             reference,
             "replica {r} agrees on the permuted order"
         );
     }
-    // Per round, the same set of batches was released as in the plain
-    // cluster, but at least one round left instance-id order.
+    // Each round releases one batch per instance, but at least one round
+    // left instance-id order.
+    let log = cluster.node(ReplicaId(0)).execution_log();
+    assert_eq!(log.len(), rounds as usize);
     let mut any_permuted = false;
-    for (plain_round, permuted_round) in plain
-        .node(ReplicaId(0))
-        .execution_log()
-        .iter()
-        .zip(permuted.node(ReplicaId(0)).execution_log().iter())
-    {
-        let mut a: Vec<_> = plain_round.batches.iter().map(|b| b.id).collect();
-        let b_order: Vec<_> = permuted_round.batches.iter().map(|b| b.id).collect();
-        if a != b_order {
-            any_permuted = true;
-        }
-        let mut b = b_order.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "round {} is a permutation", plain_round.round);
-        let instances: Vec<u32> = plain_round
+    for released in log {
+        let order: Vec<u32> = released.batches.iter().map(|b| b.id.instance.0).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            vec![0, 1, 2, 3],
+            "round {} is a permutation",
+            released.round
+        );
+        assert!(released
             .batches
             .iter()
-            .map(|x| x.id.instance.0)
-            .collect();
-        assert_eq!(
-            instances,
-            vec![0, 1, 2, 3],
-            "plain mode keeps instance order"
-        );
+            .all(|b| b.id.round == released.round));
+        any_permuted |= order != sorted;
     }
     assert!(
         any_permuted,

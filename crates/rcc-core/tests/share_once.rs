@@ -5,8 +5,8 @@
 //! ([`Batch::ptr_eq`]), not by timing.
 
 use rcc_common::{
-    Batch, ClientId, ClientRequest, Decode, Encode, InstanceId, ReplicaId, SystemConfig,
-    Transaction, TransactionKind,
+    Batch, ClientId, ClientRequest, Decode, Encode, ReplicaId, SystemConfig, Transaction,
+    TransactionKind,
 };
 use rcc_core::RccReplica;
 use rcc_crypto::digest_batch;
@@ -66,13 +66,20 @@ fn every_store_of_a_committed_batch_is_one_allocation() {
         assert_eq!(log.len(), ROUNDS, "{replica} released every round");
         assert_eq!(released.len(), ROUNDS * M);
         for (round, executed) in log.iter().enumerate() {
-            assert_eq!(executed.batches.len(), M);
-            for (i, in_execution_log) in executed.batches.iter().enumerate() {
+            let mut instances: Vec<usize> = executed
+                .batches
+                .iter()
+                .map(|b| b.id.instance.index())
+                .collect();
+            instances.sort_unstable();
+            assert_eq!(instances, (0..M).collect::<Vec<_>>());
+            for (position, in_execution_log) in executed.batches.iter().enumerate() {
+                let instance = in_execution_log.id.instance;
+                let i = instance.index();
                 let slot = format!("{replica}, instance {i}, round {round}");
-                let instance = InstanceId(i as u32);
                 let in_commit_log = &node.instance_commit_log(instance)[&(round as u64)];
-                let in_action = &released[round * M + i];
-                assert_eq!(in_execution_log.id.instance, instance);
+                let in_action = &released[round * M + position];
+                assert_eq!(in_execution_log.id.round, round as u64);
                 assert!(
                     in_commit_log.batch.ptr_eq(&in_execution_log.batch),
                     "{slot}: the commit log and the execution log share the batch"

@@ -196,7 +196,7 @@ fn known_answer_fault_free_rcc() {
     let report = simulate_rcc_over_pbft(wan_config(4, 4, 42, 1_000));
     assert_eq!(
         snapshot(&report),
-        "fp=c650696a484ab209 tput=2742.857 events=7671 committed=2560 view_changes=0 strikes=0"
+        "fp=c1fca88a913d4335 tput=2742.857 events=7668 committed=2560 view_changes=0 strikes=0"
     );
 }
 
@@ -225,7 +225,7 @@ fn known_answer_silenced_primary_on_a_mangled_wire() {
     let report = simulate_rcc_over_pbft(wan_config(4, 4, 5, 1_800).with_faults(faults));
     assert_eq!(
         snapshot(&report),
-        "fp=3e9bbd6828a180f1 tput=914.286 events=7706 committed=1220 view_changes=9 strikes=0"
+        "fp=52ade845e1ed39a9 tput=914.286 events=7566 committed=1370 view_changes=8 strikes=0"
     );
 }
 
@@ -249,6 +249,6 @@ fn known_answer_adaptive_kills_beside_a_throttled_replica() {
     );
     assert_eq!(
         snapshot(&report),
-        "fp=5213c49311687ead tput=914.286 events=8378 committed=2480 view_changes=3 strikes=3"
+        "fp=e1ad06cdffd7103f tput=914.286 events=6736 committed=1850 view_changes=4 strikes=3"
     );
 }

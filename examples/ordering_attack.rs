@@ -1,16 +1,14 @@
-//! The ordering attack of Section IV (Example IV.1 / Fig. 6), and why RCC's
-//! agreed cross-instance order neutralises the *inconsistency* half of it.
+//! The ordering attack of Section IV (Example IV.1 / Fig. 6), and how RCC's
+//! agreed, unpredictable cross-instance order answers it.
 //!
 //! Two conditional transfers — T1 = transfer(Alice → Bob, if > 500, 200) and
 //! T2 = transfer(Bob → Eve, if > 400, 300) — produce different final
 //! balances depending on execution order. A malicious single primary can
 //! pick whichever order benefits it. This example first shows the divergent
-//! outcomes, then runs both transactions through an RCC cluster to show
-//! every replica applies the *same* order, so no replica-side disagreement
-//! is possible — and finally enables the Section-IV permutation
-//! (`SystemConfig::unpredictable_ordering`), under which the within-round
-//! order is `h = digest(S) mod (m! − 1)` over the round's certified digests:
-//! still identical on every replica, but unknowable to any coordinator
+//! outcomes, then runs both transactions through an RCC cluster: every
+//! replica executes the round in the Section-IV permutation
+//! `h = digest(S) mod (m! − 1)` of the round's certified digests, so the
+//! order is identical on every replica, yet unknowable to any coordinator
 //! before the whole round is fixed.
 //!
 //! Run with: `cargo run --example ordering_attack`
@@ -75,7 +73,7 @@ fn main() {
     );
 
     // Under RCC, T1 and T2 go through different concurrent instances and
-    // every replica applies the deterministic cross-instance order.
+    // every replica applies the round's agreed permutation.
     let n = 4;
     let config = SystemConfig::new(n);
     let mut cluster = Cluster::new(
@@ -91,61 +89,35 @@ fn main() {
     cluster.propose(ReplicaId(3), Batch::noop(InstanceId(3), 0));
     cluster.run_to_quiescence();
 
+    let mut orders = Vec::new();
     let mut outcomes = Vec::new();
     for r in 0..n as u32 {
         let mut engine = ExecutionEngine::with_accounts(ReplicaId(r), &initial);
+        let mut order = Vec::new();
         for released in cluster.node(ReplicaId(r)).execution_log() {
             let ordered: Vec<_> = released
                 .batches
                 .iter()
                 .map(|b| (b.id, b.batch.clone()))
                 .collect();
+            order.extend(ordered.iter().map(|(id, _)| id.instance.0));
             engine.execute_round(released.round, &ordered);
         }
+        orders.push(order);
         outcomes.push(balances(&engine));
     }
-    println!(
-        "\nRCC replicas all applied the same order → {:?}",
-        outcomes[0]
+    assert!(
+        orders.windows(2).all(|w| w[0] == w[1]),
+        "replicas must agree on the order"
     );
     assert!(
         outcomes.windows(2).all(|w| w[0] == w[1]),
-        "replicas must agree"
+        "replicas must agree on the balances"
     );
-
-    // With the Section-IV permutation enabled, the within-round order is a
-    // digest-derived permutation: still bit-identical across replicas (it is
-    // a pure function of the round's certified digests), but no coordinator
-    // can predict its batch's slot before the round is fixed.
-    let config = SystemConfig::new(n).with_unpredictable_ordering(true);
-    let mut permuted = Cluster::new(
-        (0..n as u32)
-            .map(|r| RccReplica::over_pbft(config.clone(), ReplicaId(r)))
-            .collect(),
-    );
-    permuted.propose(ReplicaId(0), Batch::new(vec![t1()]));
-    permuted.propose(ReplicaId(1), Batch::new(vec![t2()]));
-    permuted.propose(ReplicaId(2), Batch::noop(InstanceId(2), 0));
-    permuted.propose(ReplicaId(3), Batch::noop(InstanceId(3), 0));
-    permuted.run_to_quiescence();
-    let reference: Vec<_> = permuted
-        .node(ReplicaId(0))
-        .execution_log()
-        .iter()
-        .flat_map(|round| round.batches.iter().map(|b| b.id))
-        .collect();
-    for r in 1..n as u32 {
-        let order: Vec<_> = permuted
-            .node(ReplicaId(r))
-            .execution_log()
-            .iter()
-            .flat_map(|round| round.batches.iter().map(|b| b.id))
-            .collect();
-        assert_eq!(order, reference, "permuted order is agreed by replica {r}");
-    }
     println!(
-        "§IV permutation on → round 0 executes as {:?} on every replica",
-        reference.iter().map(|id| id.instance.0).collect::<Vec<_>>()
+        "\n§IV permutation → round 0 executes instances {:?} on every replica",
+        orders[0]
     );
-    println!("OK: no replica-side divergence, with and without the §IV permutation.");
+    println!("RCC replicas all applied that order → {:?}", outcomes[0]);
+    println!("OK: no replica-side divergence under the §IV permutation.");
 }
