@@ -9,17 +9,16 @@
 //!                  [--telemetry-interval MS] [--telemetry-out FILE]
 //!                  [--dump-events]
 //!                  [--kill R --kill-after-ms K --down-for-ms T]
-//!                  [--chaos wire-mangle|kill-coordinator [--mangle-ppm P]]
+//!                  [--mangle-ppm P]
 //!     Launch an N-replica localhost cluster (TCP by default) with C
 //!     closed-loop client sessions, optionally kill-and-restart replica R
 //!     mid-run, verify identical release orders and executed ledgers, and
-//!     exit non-zero on any violation. This is the CI smoke scenario. `--chaos wire-mangle`
-//!     routes every replica's outbound consensus frames through a seeded
-//!     `ByteMangler` (corruption, truncation, splices, duplicates, replays,
-//!     reorders at P per million, default 20000); `--chaos kill-coordinator`
-//!     is shorthand for killing replica 1 — instance 1's initial
-//!     coordinator — a quarter into the run and restarting it a quarter
-//!     later. Safety (identical orders) is asserted under both.
+//!     exit non-zero on any violation. This is the CI smoke scenario.
+//!     `--mangle-ppm P` with P > 0 routes every replica's outbound
+//!     consensus frames through a seeded `ByteMangler` (corruption,
+//!     truncation, splices, duplicates, replays, reorders at P per
+//!     million); 0, the default, leaves the wire alone. Safety (identical
+//!     orders) is asserted under it as under `--kill`.
 //!
 //!     The client edge: every node multiplexes its client connections onto
 //!     T readiness-sweep I/O threads (default 2) and admits at most L
@@ -108,12 +107,12 @@ const USAGE: &str = "usage:\n  rcc-node cluster [--replicas N] [--instances M] [
 [--min-completed Q] [--stats-out FILE] \
 [--telemetry-interval MS] [--telemetry-out FILE] [--dump-events] \
 [--kill R --kill-after-ms K --down-for-ms T] \
-[--chaos wire-mangle|kill-coordinator [--mangle-ppm P]]\n  rcc-node replica --config FILE \
+[--mangle-ppm P]\n  rcc-node replica --config FILE \
 [--duration-ms D] [--telemetry-interval MS] [--dump-events]\n  rcc-node client --config FILE \
 --stream S [--window W] --duration-ms D\n";
 
 /// The flags each subcommand defines.
-const CLUSTER_FLAGS: [&str; 21] = [
+const CLUSTER_FLAGS: [&str; 20] = [
     "--replicas",
     "--instances",
     "--clients",
@@ -133,7 +132,6 @@ const CLUSTER_FLAGS: [&str; 21] = [
     "--kill",
     "--kill-after-ms",
     "--down-for-ms",
-    "--chaos",
     "--mangle-ppm",
 ];
 const REPLICA_FLAGS: [&str; 4] = [
@@ -210,7 +208,7 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     if let Some(mode) = flags.get("--crypto") {
         system.crypto = crypto_mode(mode)?;
     }
-    let mut restart = match flags.get("--kill") {
+    let restart = match flags.get("--kill") {
         None => None,
         Some(replica) => {
             let index: u32 = replica
@@ -227,29 +225,8 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
         }
     };
     let run_for = Duration::from_millis(flags.int("--duration-ms", 2_000)?);
-    let mut mangle = None;
-    match flags.get("--chaos") {
-        None => {}
-        Some("wire-mangle") => {
-            let rate_ppm = flags.int("--mangle-ppm", 20_000)? as u32;
-            mangle = Some(MangleConfig::new(system.seed, rate_ppm));
-        }
-        Some("kill-coordinator") if restart.is_none() => {
-            // Kill instance 1's initial coordinator a quarter into the
-            // run; bring it back a quarter later.
-            restart = Some(RestartPlan {
-                replica: ReplicaId(1 % n as u32),
-                kill_after: run_for / 4,
-                down_for: run_for / 4,
-            });
-        }
-        Some("kill-coordinator") => {}
-        Some(other) => {
-            return Err(format!(
-                "--chaos expects wire-mangle|kill-coordinator, got `{other}`"
-            ));
-        }
-    }
+    let rate_ppm = flags.int("--mangle-ppm", 0)? as u32;
+    let mangle = (rate_ppm > 0).then(|| MangleConfig::new(system.seed, rate_ppm));
     let plan = ClusterPlan {
         system,
         transport: if flags.has("--in-process") {

@@ -296,9 +296,6 @@ fn spawn_telemetry_emitter(
 struct BoxedTransport(Box<dyn Transport>);
 
 impl Transport for BoxedTransport {
-    fn me(&self) -> ReplicaId {
-        self.0.me()
-    }
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         self.0.send_to_replica(to, run)
     }

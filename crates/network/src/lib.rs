@@ -20,11 +20,11 @@
 //!   per-peer ordered framed connections with reconnect-on-drop and
 //!   bounded outbound queues sized to keep a primary's whole
 //!   `out_of_order_window` pipeline in flight.
-//! * [`node`] — the `rcc-node` runner: a mailbox thread that owns one
-//!   [`rcc_core::RccReplica`], drives wall-clock timers through the
-//!   `TimerId` seam, verifies/authenticates at the frame boundary, and
-//!   sends every released batch's digest back to its submitting client
-//!   (`f + 1` matching replies, §III-A).
+//! * [`node`] — the `rcc-node` runner: a thread-free [`node::NodeCore`]
+//!   that owns one [`rcc_core::RccReplica`], verifies/authenticates at the
+//!   frame boundary, fires timers through the `TimerId` seam and sends every
+//!   released batch's digest back to its submitting client (`f + 1`
+//!   matching replies, §III-A), hosted by a mailbox thread and its clock.
 //! * [`fleet`] — the client driver: `rcc_workload::DriverSession`s swept
 //!   over nonblocking sockets or an in-process channel, one session or
 //!   thousands per thread.
@@ -64,7 +64,7 @@ pub use fleet::{run_fleet, Endpoints, FleetPlan};
 pub use frame::{Frame, PeerKind, MAX_FRAME_BYTES, WIRE_VERSION};
 pub use mangle::{ByteMangler, MangleConfig, MangleStats, MangledTransport};
 pub use node::{
-    spawn_node, verify_identical_ledgers, verify_identical_orders, NodeConfig, NodeError,
+    spawn_node, verify_identical_ledgers, verify_identical_orders, NodeConfig, NodeCore, NodeError,
     NodeHandle, NodeReport, DEFAULT_EXECUTION_WORKERS,
 };
 pub use tcp::TcpTransport;

@@ -267,10 +267,6 @@ impl<T: Transport> MangledTransport<T> {
 }
 
 impl<T: Transport> Transport for MangledTransport<T> {
-    fn me(&self) -> ReplicaId {
-        self.inner.me()
-    }
-
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         let mangled = mangle_run(&mut crate::lock_unpoisoned(&self.mangler), &run);
         if !mangled.is_empty() {

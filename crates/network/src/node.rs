@@ -1,19 +1,24 @@
 //! The `rcc-node` replica runner: a deployed host for the sans-io
 //! [`RccReplica`] state machine.
 //!
-//! # Thread model
+//! # Core and host
 //!
-//! One **mailbox thread** owns the entire replica state machine; it is the
-//! only thread that ever touches it, so the sans-io core needs no locks:
+//! [`NodeCore`] is the replica's whole per-burst path with no thread and no
+//! clock: handed a burst of runs and `now`, it decodes, verifies, dispatches
+//! and sends through the transport it is handed; handed `now` alone, it
+//! fires the timers due by then. The host, the **mailbox thread**, owns one
+//! core and only drains the inbox into bursts, reads the wall clock and
+//! sleeps until the core's next deadline. No other thread touches the core,
+//! so the replica needs no locks, and a test can drive a core call by call
+//! (`tests/burst_handoff.rs` does):
 //!
 //! ```text
 //!   listener ─► client edge ─────────┐                  ┌──► writer thread → R0
 //!   (accept)    (T sweep threads for │  runs            │ one run per peer
 //!                all client conns)   ├─► inbox ─► mailbox ──► writer thread → R1
 //!                 └► peer readers ───┘   (mpsc)   thread  └──► … (bounded queues)
-//!                    (one per replica link)         │        per burst
-//!                       wall-clock timers ◄─────────┤ SetTimer/CancelTimer
-//!                       (BTreeMap deadline heap)    │ Commit → client replies
+//!                    (one per replica link)       (host) │       per burst
+//!                     NodeCore: bursts, timers, execution, client replies
 //! ```
 //!
 //! Over TCP every accepted socket enters the readiness-driven
@@ -27,10 +32,10 @@
 //! frames packed end to end, the bytes a peer socket carries. Inbound, a
 //! peer reader sends the inbox one run per socket read (one allocation, one
 //! copy, one channel send for every vote the read completed) and the client
-//! edge a run of one per submission. The mailbox drains runs until the burst
-//! holds `DRAIN_BURST` frames and walks their records by slice — nothing
-//! is copied between the reader's buffer and `Frame::decode_frame`.
-//! Outbound, the node keeps one run per peer: `send` MACs the payload for
+//! edge a run of one per submission. The host drains runs until the burst
+//! holds `DRAIN_BURST` frames; the core walks their records by slice —
+//! nothing is copied between the reader's buffer and `Frame::decode_frame`.
+//! Outbound, the core keeps one run per peer: `send` MACs the payload for
 //! its recipient and encodes the frame straight into that peer's run, and
 //! when the burst ends (or the due timers have fired) each peer with
 //! anything to receive is handed its run in one `send_to_replica` — `n − 1`
@@ -41,11 +46,12 @@
 //! over is replaced by an empty one sized from what it held — no buffer is
 //! reserved ahead of the traffic.
 //!
-//! The mailbox loop alternates between draining inbound runs and firing
-//! due wall-clock timers through the existing
+//! The host alternates between draining inbound runs and firing due
+//! wall-clock timers through the existing
 //! [`rcc_protocols::bca::TimerId`] seam. Logical [`Time`] is nanoseconds
-//! since the node started (`Instant`-derived), which is all the protocol
-//! timers need.
+//! since the node started (`Instant`-derived), read once per burst and once
+//! per timer sweep: a timer armed late in a long burst fires up to one burst
+//! earlier than a clock read per frame would make it.
 //!
 //! # Staged verify/execute pipeline
 //!
@@ -71,7 +77,7 @@
 
 use crate::frame::Frame;
 use crate::run::{self, COALESCE_BYTES};
-use crate::telemetry::NodeTelemetry;
+use crate::telemetry::{EdgeTelemetry, NodeTelemetry};
 use crate::transport::{Transport, TransportStats};
 use rcc_common::codec::{Decode, Encode};
 use rcc_common::{
@@ -246,28 +252,10 @@ pub fn spawn_node(
     let thread = std::thread::Builder::new()
         .name(format!("rcc-node-{}", config.replica.0))
         .spawn(move || {
-            let keys = DeploymentKeys::generate(&config.system);
-            let auth = Authenticator::new(config.system.crypto, keys.replica_keys(config.replica));
-            let replica = RccReplica::over_pbft(config.system.clone(), config.replica);
-            // Only signature bursts leave the mailbox thread
-            // (`rcc_crypto::pipeline`): a wider pool in any other mode would
-            // be threads that never wake.
-            let width = match config.system.crypto {
-                CryptoMode::PublicKey => config.execution_workers,
-                CryptoMode::None | CryptoMode::Mac => 1,
-            };
-            let engine = ExecutionEngine::new(config.replica);
             let node = Node {
-                outbound: vec![Vec::new(); config.system.n],
+                core: NodeCore::new(config, thread_telemetry),
                 transport,
-                replica,
-                verify: VerifyPool::new(auth, Arc::new(WorkerPool::new(width))),
-                engine,
-                next_exec_round: 0,
-                config,
-                timers: BTreeMap::new(),
                 epoch: Instant::now(),
-                telemetry: thread_telemetry,
             };
             node.run(stop_rx)
         })
@@ -287,31 +275,11 @@ const DRAIN_BURST: u64 = 256;
 /// The longest the mailbox sleeps when idle with no armed timer.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
+/// The host: the mailbox thread's loop, its wall clock and its transport.
 struct Node<T: Transport> {
-    config: NodeConfig,
+    core: NodeCore,
     transport: T,
-    /// The run being built for each peer (indexed by replica id): every
-    /// frame the current burst has produced for it so far. Handed to the
-    /// transport by [`Node::hand_over_runs`].
-    outbound: Vec<Vec<u8>>,
-    replica: RccReplica<Pbft>,
-    /// Batch-verification stage: checks frame authentication (on its pool
-    /// in `pk` mode), verdicts return in arrival order. Also owns the
-    /// signing side.
-    verify: VerifyPool,
-    /// Deterministic execution engine fed by released rounds.
-    engine: ExecutionEngine,
-    /// Next released round the engine has not executed yet. Checkpoint
-    /// adoption can jump the release frontier past pruned rounds; execution
-    /// resumes from whatever the replica still retains.
-    next_exec_round: Round,
-    /// Armed wall-clock timers: protocol `TimerId` → absolute logical time.
-    timers: BTreeMap<TimerId, Time>,
     epoch: Instant,
-    /// Pipeline stage timings, queue-depth high-water, what the node
-    /// counted, and the consensus flight recorder (shared with the
-    /// spawn-side [`NodeHandle`]).
-    telemetry: NodeTelemetry,
 }
 
 impl<T: Transport> Node<T> {
@@ -325,24 +293,19 @@ impl<T: Transport> Node<T> {
                 Ok(()) | Err(TryRecvError::Disconnected) => break,
                 Err(TryRecvError::Empty) => {}
             }
-            self.fire_due_timers();
+            let now = self.now();
+            self.core.fire_due_timers(now, &self.transport);
             // Sleep until the next timer deadline (capped), unless frames
             // arrive first.
-            let now = self.now();
-            let wait = self
-                .timers
-                .values()
-                .min()
-                .map(|&deadline| {
-                    Duration::from_nanos(deadline.as_nanos().saturating_sub(now.as_nanos()))
-                })
-                .unwrap_or(IDLE_WAIT)
-                .min(IDLE_WAIT);
+            let wait = self.core.next_deadline().map_or(IDLE_WAIT, |deadline| {
+                Duration::from_nanos(deadline.saturating_since(now).as_nanos()).min(IDLE_WAIT)
+            });
             let Some(first) = self.transport.recv_timeout(wait) else {
-                self.execute_released();
+                self.core.execute_released();
                 continue;
             };
-            let drain_start = self.telemetry.now_nanos();
+            let telemetry = &self.core.telemetry;
+            let drain_start = telemetry.now_nanos();
             let mut frames = run::frame_count(&first);
             let mut burst = vec![first];
             while frames < DRAIN_BURST {
@@ -352,22 +315,80 @@ impl<T: Transport> Node<T> {
                 frames += run::frame_count(&run);
                 burst.push(run);
             }
-            self.telemetry.queue_depth.set_max(frames);
-            self.telemetry.burst_frames.record(frames);
-            self.telemetry
+            telemetry.queue_depth.set_max(frames);
+            telemetry.burst_frames.record(frames);
+            telemetry
                 .drain_us
-                .record(self.telemetry.now_nanos().saturating_sub(drain_start) / 1_000);
-            self.process_burst(burst, frames);
-            self.execute_released();
+                .record(telemetry.now_nanos().saturating_sub(drain_start) / 1_000);
+            let now = self.now();
+            self.core.on_burst(now, burst, frames, &self.transport);
+            self.core.execute_released();
         }
-        self.execute_released();
+        self.core.execute_released();
         self.transport.shutdown();
-        self.report()
+        self.core.report(self.transport.telemetry())
+    }
+}
+
+/// One replica's per-burst path, with no thread and no clock: what a burst
+/// of runs, or the passing of time, does to the replica, and what it sends
+/// through the transport it is handed. Every call takes the logical `now`
+/// from its caller, so the same inputs give the same sends and the same
+/// state.
+pub struct NodeCore {
+    config: NodeConfig,
+    /// The run being built for each peer (indexed by replica id): every
+    /// frame the current burst has produced for it so far. Handed to the
+    /// transport by [`NodeCore::hand_over_runs`].
+    outbound: Vec<Vec<u8>>,
+    replica: RccReplica<Pbft>,
+    /// Batch-verification stage: checks frame authentication (on its pool
+    /// in `pk` mode), verdicts return in arrival order. Also owns the
+    /// signing side.
+    verify: VerifyPool,
+    /// Deterministic execution engine fed by released rounds.
+    engine: ExecutionEngine,
+    /// Next released round the engine has not executed yet. Checkpoint
+    /// adoption can jump the release frontier past pruned rounds; execution
+    /// resumes from whatever the replica still retains.
+    next_exec_round: Round,
+    /// Armed timers: protocol `TimerId` → absolute logical time.
+    timers: BTreeMap<TimerId, Time>,
+    /// Pipeline stage timings, queue-depth high-water, what the node
+    /// counted, and the consensus flight recorder (shared with the
+    /// spawn-side [`NodeHandle`]).
+    telemetry: NodeTelemetry,
+}
+
+impl NodeCore {
+    /// Builds replica `config.replica` of `config.system`, its keys, its
+    /// verify pool and its execution engine, recording into `telemetry`.
+    pub fn new(config: NodeConfig, telemetry: NodeTelemetry) -> NodeCore {
+        let keys = DeploymentKeys::generate(&config.system);
+        let auth = Authenticator::new(config.system.crypto, keys.replica_keys(config.replica));
+        // Only signature bursts leave the mailbox thread
+        // (`rcc_crypto::pipeline`): a wider pool in any other mode would
+        // be threads that never wake.
+        let width = match config.system.crypto {
+            CryptoMode::PublicKey => config.execution_workers,
+            CryptoMode::None | CryptoMode::Mac => 1,
+        };
+        NodeCore {
+            outbound: vec![Vec::new(); config.system.n],
+            replica: RccReplica::over_pbft(config.system.clone(), config.replica),
+            verify: VerifyPool::new(auth, Arc::new(WorkerPool::new(width))),
+            engine: ExecutionEngine::new(config.replica),
+            next_exec_round: 0,
+            config,
+            timers: BTreeMap::new(),
+            telemetry,
+        }
     }
 
-    fn fire_due_timers(&mut self) {
+    /// Fires every timer due at `now` (and any a fired one arms due by then),
+    /// then hands every peer what the timers sent it.
+    pub fn fire_due_timers(&mut self, now: Time, net: &impl Transport) {
         loop {
-            let now = self.now();
             let due: Vec<TimerId> = self
                 .timers
                 .iter()
@@ -379,20 +400,26 @@ impl<T: Transport> Node<T> {
             }
             for timer in due {
                 self.timers.remove(&timer);
-                let actions = self.replica.on_timeout(self.now(), timer);
-                self.absorb(actions);
+                let actions = self.replica.on_timeout(now, timer);
+                self.absorb(actions, net);
             }
         }
         // What the timers sent leaves before the mailbox sleeps.
-        self.hand_over_runs();
+        self.hand_over_runs(net);
+    }
+
+    /// When the earliest armed timer is due, if any is armed.
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.timers.values().min().copied()
     }
 
     /// Decodes a drained burst (`count` frames in `burst`'s runs, walked by
     /// slice), verifies its authentication checks in one batch, and
     /// dispatches the frames **in arrival order** with their verdicts —
     /// observably identical to frame-by-frame verification — then hands
-    /// every peer the run the burst produced for it. A run's malformed tail is one decode failure.
-    fn process_burst(&mut self, burst: Vec<Vec<u8>>, count: u64) {
+    /// every peer the run the burst produced for it. A run's malformed tail
+    /// is one decode failure. Every frame of the burst is handled at `now`.
+    pub fn on_burst(&mut self, now: Time, burst: Vec<Vec<u8>>, count: u64, net: &impl Transport) {
         let mut frames: Vec<Option<Frame>> = Vec::with_capacity(count as usize);
         let mut jobs: Vec<VerifyJob> = Vec::new();
         let mut job_slots: Vec<usize> = Vec::new();
@@ -452,10 +479,10 @@ impl<T: Transport> Node<T> {
             .record(dispatch_start.saturating_sub(verify_start) / 1_000);
         for (frame, verdict) in frames.into_iter().zip(verdicts) {
             if let Some(frame) = frame {
-                self.dispatch(frame, verdict);
+                self.dispatch(now, frame, verdict, net);
             }
         }
-        self.hand_over_runs();
+        self.hand_over_runs(net);
         self.telemetry
             .dispatch_us
             .record(self.telemetry.now_nanos().saturating_sub(dispatch_start) / 1_000);
@@ -463,7 +490,7 @@ impl<T: Transport> Node<T> {
 
     /// Handles one decoded frame whose authentication verdict (if the frame
     /// needed one) was already computed by the verify stage.
-    fn dispatch(&mut self, frame: Frame, verified: Option<bool>) {
+    fn dispatch(&mut self, now: Time, frame: Frame, verified: Option<bool>, net: &impl Transport) {
         match frame {
             Frame::Hello { .. } => {} // transport-level concern; nothing to do
             Frame::Replica { from, payload, .. } => {
@@ -478,8 +505,8 @@ impl<T: Transport> Node<T> {
                         return;
                     }
                 };
-                let actions = self.replica.on_message(self.now(), from, message);
-                self.absorb(actions);
+                let actions = self.replica.on_message(now, from, message);
+                self.absorb(actions, net);
             }
             Frame::ClientSubmit {
                 client,
@@ -500,7 +527,7 @@ impl<T: Transport> Node<T> {
                 };
                 let digest = rcc_crypto::digest_batch(&batch);
                 let actions = if self.replica.proposal_capacity_for(instance) > 0 {
-                    self.replica.propose_for(self.now(), instance, batch)
+                    self.replica.propose_for(now, instance, batch)
                 } else {
                     Vec::new()
                 };
@@ -510,7 +537,7 @@ impl<T: Transport> Node<T> {
                         replica: self.config.replica,
                         digest,
                     };
-                    self.transport.send_to_client(client, reject.encode_frame());
+                    net.send_to_client(client, reject.encode_frame());
                 } else {
                     // Accepted into the pipeline: a liveness signal that
                     // keeps the client feeding this coordinator even while
@@ -520,8 +547,8 @@ impl<T: Transport> Node<T> {
                         replica: self.config.replica,
                         digest,
                     };
-                    self.transport.send_to_client(client, accept.encode_frame());
-                    self.absorb(actions);
+                    net.send_to_client(client, accept.encode_frame());
+                    self.absorb(actions, net);
                 }
             }
             // Replies/accepts/rejects are client-bound; a replica receiving
@@ -531,17 +558,17 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    fn absorb(&mut self, actions: Vec<Action<RccMessage<PbftMessage>>>) {
+    fn absorb(&mut self, actions: Vec<Action<RccMessage<PbftMessage>>>, net: &impl Transport) {
         for action in actions {
             match action {
-                Action::Send { to, message } => self.send(to, &message.encoded()),
+                Action::Send { to, message } => self.send(to, &message.encoded(), net),
                 Action::Broadcast { message } => {
                     // One serialisation for the whole fan-out; only the tag
                     // differs per recipient.
                     let payload = message.encoded();
                     for to in ReplicaId::all(self.config.system.n) {
                         if to != self.config.replica {
-                            self.send(to, &payload);
+                            self.send(to, &payload, net);
                         }
                     }
                 }
@@ -551,7 +578,7 @@ impl<T: Transport> Node<T> {
                 Action::CancelTimer { timer } => {
                     self.timers.remove(&timer);
                 }
-                Action::Commit(slot) => self.reply(slot.digest, &slot.batch),
+                Action::Commit(slot) => self.reply(slot.digest, &slot.batch, net),
                 Action::SuspectPrimary { primary, .. } => {
                     self.telemetry.suspicions.inc();
                     self.telemetry.event(
@@ -576,12 +603,11 @@ impl<T: Transport> Node<T> {
     }
 
     /// Executes every newly released round the replica retains, in place.
-    /// Checkpoint adoption can jump the
-    /// release frontier past rounds this node never saw (they were pruned
-    /// cluster-wide); execution resumes at the first retained round, which
-    /// is exactly what the restart-robust ledger comparison in
-    /// [`verify_identical_ledgers`] accounts for.
-    fn execute_released(&mut self) {
+    /// Checkpoint adoption can jump the release frontier past rounds this
+    /// node never saw (they were pruned cluster-wide); execution resumes at
+    /// the first retained round, which is exactly what the restart-robust
+    /// ledger comparison in [`verify_identical_ledgers`] accounts for.
+    pub fn execute_released(&mut self) {
         // The retained log is ascending by round, so the unexecuted rounds
         // are its tail; the batches stay where they are and the engine
         // borrows them.
@@ -610,7 +636,7 @@ impl<T: Transport> Node<T> {
     /// Tags an encoded consensus envelope for `to` and encodes the frame
     /// straight into the run being built for that peer. The run leaves when
     /// the burst ends, or here once it passes [`COALESCE_BYTES`].
-    fn send(&mut self, to: ReplicaId, payload: &[u8]) {
+    fn send(&mut self, to: ReplicaId, payload: &[u8], net: &impl Transport) {
         let Some(run) = self.outbound.get_mut(to.index()) else {
             return;
         };
@@ -620,17 +646,16 @@ impl<T: Transport> Node<T> {
             Frame::encode_replica_into(out, from, payload, &tag)
         });
         if run.len() >= COALESCE_BYTES {
-            self.transport.send_to_replica(to, successor(run));
+            net.send_to_replica(to, successor(run));
         }
     }
 
     /// Hands every peer the run built for it since the last hand-over: one
     /// `send_to_replica` per peer that has anything to receive.
-    fn hand_over_runs(&mut self) {
+    fn hand_over_runs(&mut self, net: &impl Transport) {
         for (index, run) in self.outbound.iter_mut().enumerate() {
             if !run.is_empty() {
-                self.transport
-                    .send_to_replica(ReplicaId(index as u32), successor(run));
+                net.send_to_replica(ReplicaId(index as u32), successor(run));
             }
         }
     }
@@ -638,7 +663,7 @@ impl<T: Transport> Node<T> {
     /// Sends the released batch's certified digest back to the client node
     /// that submitted it (§III-A replies; `f + 1` matching replies convince
     /// the client). No-op filler has no client; its release is silent.
-    fn reply(&mut self, digest: Digest, batch: &Batch) {
+    fn reply(&mut self, digest: Digest, batch: &Batch, net: &impl Transport) {
         let mut last_stream = None;
         for request in &batch.requests {
             let Some(stream) = rcc_workload::stream_of_client(request.id.client) else {
@@ -660,12 +685,13 @@ impl<T: Transport> Node<T> {
                 digest,
                 tag,
             };
-            self.transport.send_to_client(client, frame.encode_frame());
+            net.send_to_client(client, frame.encode_frame());
             self.telemetry.replies_sent.inc();
         }
     }
 
-    fn report(&self) -> NodeReport {
+    /// What the node holds now, with `transport`'s telemetry folded in.
+    pub fn report(&self, transport: &EdgeTelemetry) -> NodeReport {
         // Fold the transport's telemetry into the node's own: one snapshot
         // per node covers the mailbox pipeline, the delivery boundary and
         // (over TCP) the readiness edge, and the flight trace interleaves
@@ -673,7 +699,6 @@ impl<T: Transport> Node<T> {
         // two clocks are anchored within the same spawn call, so the merge
         // order is faithful to within that setup window. Counter snapshots
         // stay readable after `shutdown` joined the I/O threads.
-        let transport = self.transport.telemetry();
         let telemetry = self.telemetry.snapshot().merged(&transport.snapshot());
         let mut flight = self.telemetry.flight_events();
         flight.extend(transport.flight_events());

@@ -104,7 +104,6 @@ fn wake_address(mut local: SocketAddr) -> SocketAddr {
 
 /// A replica's TCP endpoint.
 pub struct TcpTransport {
-    me: ReplicaId,
     inbox: Receiver<Vec<u8>>,
     peers: Vec<Option<SyncSender<Vec<u8>>>>,
     edge: ClientEdge,
@@ -246,7 +245,6 @@ impl TcpTransport {
         }
 
         TcpTransport {
-            me,
             inbox: inbox_rx,
             peers,
             edge,
@@ -406,10 +404,6 @@ fn write_connection(
 }
 
 impl Transport for TcpTransport {
-    fn me(&self) -> ReplicaId {
-        self.me
-    }
-
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         if let Some(Some(tx)) = self.peers.get(to.index()) {
             if let Err(TrySendError::Full(run)) = tx.try_send(run) {

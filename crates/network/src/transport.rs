@@ -54,9 +54,6 @@ pub struct TransportStats {
 
 /// The I/O boundary a deployed replica node runs against.
 pub trait Transport: Send {
-    /// The replica this transport belongs to.
-    fn me(&self) -> ReplicaId;
-
     /// Queues `run` — one or more length-prefixed frames, see [`crate::run`]
     /// — for ordered delivery to a peer replica. Best effort: the whole run
     /// is dropped when the peer's bounded outbound queue is full or its
@@ -188,10 +185,6 @@ fn shared_send(senders: &SharedSenders, index: usize, run: Vec<u8>) -> u64 {
 }
 
 impl Transport for InProcessTransport {
-    fn me(&self) -> ReplicaId {
-        self.me
-    }
-
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         if to != self.me {
             let dropped = shared_send(&self.replicas, to.index(), run);

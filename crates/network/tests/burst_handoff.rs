@@ -1,14 +1,15 @@
-//! The burst is the unit of hand-off between a node's mailbox thread and its
-//! peers: whatever one burst produces for a peer leaves in one run, and what
-//! arrives packed into runs reaches the replica in the order frame-by-frame
-//! delivery gave.
+//! The burst is the unit of hand-off between a node and its peers: whatever
+//! one burst produces for a peer leaves in one run, and what arrives packed
+//! into runs reaches the replica in the order frame-by-frame delivery gave.
 //!
-//! The node under test is R1 of a 4-replica, 2-instance deployment, spawned
-//! with `spawn_node` over a transport double that logs every call. Its
+//! The node under test is R1 of a 4-replica, 2-instance deployment. Its
 //! traffic comes from a lock-step model of the whole cluster (four
 //! `RccReplica`s stepped in the test): the model records what R1 receives,
 //! as authenticated frames, and what R1 sends, so the real node can be
-//! handed the same frames and held to the same answers, byte for byte.
+//! handed the same frames and held to the same answers, byte for byte. Most
+//! tests drive R1's `NodeCore` burst by burst at explicit `now`s over a
+//! transport double that logs every call; the host's drain loop and the two
+//! transports run through `spawn_node`.
 
 use rcc_common::codec::Encode;
 use rcc_common::{Batch, ClientId, Duration, InstanceId, ReplicaId, SystemConfig, Time};
@@ -17,13 +18,14 @@ use rcc_crypto::{AuthTag, Authenticator, DeploymentKeys};
 use rcc_network::run::{frames, pack_frame};
 use rcc_network::{
     run_local_cluster, spawn_node, verify_identical_ledgers, verify_identical_orders, ClusterPlan,
-    EdgeTelemetry, Frame, NodeConfig, NodeHandle, NodeReport, Transport, TransportKind,
+    EdgeTelemetry, Frame, NodeConfig, NodeCore, NodeReport, NodeTelemetry, Transport,
+    TransportKind,
 };
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm};
 use rcc_protocols::pbft::{Pbft, PbftMessage};
 use rcc_workload::YcsbGenerator;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -33,6 +35,8 @@ const M: usize = 2;
 const R1: ReplicaId = ReplicaId(1);
 /// Where a run is handed over in the middle of a burst.
 const COALESCE_BYTES: usize = 64 * 1024;
+/// Rounds [`released_rounds`] releases.
+const ROUNDS: usize = 6;
 
 type Message = RccMessage<PbftMessage>;
 
@@ -45,11 +49,19 @@ fn quiet_system() -> SystemConfig {
     system
 }
 
+fn config(system: &SystemConfig) -> NodeConfig {
+    NodeConfig {
+        system: system.clone(),
+        replica: R1,
+        execution_workers: 2,
+    }
+}
+
 /// One call the node made on its transport.
 #[derive(Clone, Debug, PartialEq)]
 enum Call {
     Replica(ReplicaId, Vec<u8>),
-    Client,
+    Client(ClientId, Vec<u8>),
 }
 
 /// The transport double: inbound runs come from a channel the test holds
@@ -60,15 +72,22 @@ struct Logged {
     telemetry: EdgeTelemetry,
 }
 
-impl Transport for Logged {
-    fn me(&self) -> ReplicaId {
-        R1
+impl Logged {
+    fn new(inbox: Receiver<Vec<u8>>) -> Logged {
+        Logged {
+            inbox,
+            log: Arc::new(Mutex::new(Vec::new())),
+            telemetry: EdgeTelemetry::new(),
+        }
     }
+}
+
+impl Transport for Logged {
     fn send_to_replica(&self, to: ReplicaId, run: Vec<u8>) {
         self.log.lock().unwrap().push(Call::Replica(to, run));
     }
-    fn send_to_client(&self, _to: ClientId, _frame: Vec<u8>) {
-        self.log.lock().unwrap().push(Call::Client);
+    fn send_to_client(&self, to: ClientId, frame: Vec<u8>) {
+        self.log.lock().unwrap().push(Call::Client(to, frame));
     }
     fn recv_timeout(&mut self, timeout: std::time::Duration) -> Option<Vec<u8>> {
         self.inbox.recv_timeout(timeout).ok()
@@ -81,95 +100,42 @@ impl Transport for Logged {
     }
 }
 
-/// A running node R1 and the test's ends of its transport.
+/// R1's node core over a logging transport, driven by hand.
 struct UnderTest {
-    node: NodeHandle,
-    inbox: SyncSender<Vec<u8>>,
-    log: Arc<Mutex<Vec<Call>>>,
+    core: NodeCore,
+    transport: Logged,
 }
 
 impl UnderTest {
-    /// Spawns R1 with `queued` already waiting in its inbox.
-    fn spawn(system: &SystemConfig, queued: Vec<Vec<u8>>) -> UnderTest {
-        let (inbox, receiver) = std::sync::mpsc::sync_channel(4_096);
-        for run in queued {
-            inbox.send(run).expect("room in the inbox");
+    fn new(system: &SystemConfig) -> UnderTest {
+        let (_, inbox) = std::sync::mpsc::sync_channel(0);
+        UnderTest {
+            core: NodeCore::new(config(system), NodeTelemetry::new()),
+            transport: Logged::new(inbox),
         }
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let transport = Logged {
-            inbox: receiver,
-            log: Arc::clone(&log),
-            telemetry: EdgeTelemetry::new(),
-        };
-        let config = NodeConfig {
-            system: system.clone(),
-            replica: R1,
-            execution_workers: 2,
-        };
-        let node = spawn_node(config, transport).expect("spawn node");
-        UnderTest { node, inbox, log }
     }
 
-    fn deliver(&self, run: Vec<u8>) {
-        self.inbox.send(run).expect("room in the inbox");
-    }
-
-    /// Frames the mailbox has drained so far.
-    fn drained(&self) -> u64 {
-        let snapshot = self.node.telemetry().snapshot();
-        let bursts = snapshot.histogram("node.pipeline.burst_frames");
-        bursts.expect("registered").sum
-    }
-
-    /// Delivers `runs` one at a time, each only once the mailbox has taken
-    /// the one before, so that every run is a burst of its own.
-    fn deliver_as_bursts(&self, runs: &[Vec<u8>]) {
-        let give_up = Instant::now() + std::time::Duration::from_secs(30);
-        let mut expected = self.drained();
-        for run in runs {
-            self.deliver(run.clone());
-            expected += frames(run).count() as u64;
-            while self.drained() < expected {
-                assert!(Instant::now() < give_up, "the mailbox stopped draining");
-                std::thread::yield_now();
-            }
-        }
+    /// Hands the core `runs` as one burst at `now`, then executes what it
+    /// released, as the host does after every burst.
+    fn burst(&mut self, now: Time, runs: Vec<Vec<u8>>) {
+        let count = runs.iter().map(|run| frames(run).count() as u64).sum();
+        self.core.on_burst(now, runs, count, &self.transport);
+        self.core.execute_released();
     }
 
     /// Every `send_to_replica` call so far, in order.
     fn replica_calls(&self) -> Vec<(ReplicaId, Vec<u8>)> {
-        let log = self.log.lock().unwrap();
+        let log = self.transport.log.lock().unwrap();
         log.iter()
             .filter_map(|call| match call {
                 Call::Replica(to, run) => Some((*to, run.clone())),
-                Call::Client => None,
+                Call::Client(..) => None,
             })
             .collect()
     }
 
-    /// Waits until the node has sent its peers `count` frames in all.
-    fn await_peer_frames(&self, count: usize) {
-        let give_up = Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let sent: usize = self
-                .replica_calls()
-                .iter()
-                .map(|(_, run)| frames(run).count())
-                .sum();
-            if sent >= count {
-                return;
-            }
-            assert!(Instant::now() < give_up, "{sent} of {count} frames sent");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Stops the node; everything it was given has been processed by then
-    /// only if the caller awaited it.
-    fn stop(self) -> (Vec<(ReplicaId, Vec<u8>)>, NodeReport) {
-        let calls = self.replica_calls();
-        let report = self.node.shutdown().expect("the node never panicked");
-        (calls, report)
+    fn report(&self) -> NodeReport {
+        self.core.report(&self.transport.telemetry)
     }
 }
 
@@ -316,15 +282,43 @@ fn k_proposals(system: &SystemConfig, k: usize) -> Model {
     model
 }
 
+/// Each of `ROUNDS` rounds, both instances propose and the model runs to
+/// quiescence: R1 releases `ROUNDS × M` batches.
+fn released_rounds(system: &SystemConfig) -> Model {
+    let mut model = Model::new(system);
+    for _ in 0..ROUNDS {
+        for instance in 0..M {
+            model.submit(InstanceId(instance as u32));
+        }
+        model.deliver(None);
+    }
+    assert_eq!(
+        model.replicas[R1.index()].execution_digests().len(),
+        ROUNDS * M,
+        "the model released"
+    );
+    model
+}
+
+/// The frames of `rest` packed 1, 2, 3, … 9, 1, 2, … to a run.
+fn packed(mut rest: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut runs = Vec::new();
+    while !rest.is_empty() {
+        let (now, later) = rest.split_at((runs.len() % 9 + 1).min(rest.len()));
+        runs.push(run_of(now));
+        rest = later;
+    }
+    runs
+}
+
 #[test]
 fn a_burst_of_k_votes_leaves_as_one_run_per_peer() {
     const K: usize = 12;
     let system = quiet_system();
     let model = k_proposals(&system, K);
-    // One run is one burst, whatever the scheduler does.
-    let under_test = UnderTest::spawn(&system, vec![run_of(&model.inbound)]);
-    under_test.await_peer_frames(model.sent_by_r1());
-    let (calls, report) = under_test.stop();
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![run_of(&model.inbound)]);
+    let (calls, report) = (node.replica_calls(), node.report());
 
     let expected: Vec<(ReplicaId, Vec<u8>)> = peers()
         .map(|peer| (peer, run_of(&model.outbound[peer.index()])))
@@ -335,15 +329,6 @@ fn a_burst_of_k_votes_leaves_as_one_run_per_peer() {
         "every frame, in action order, byte for byte"
     );
     assert_eq!(report.auth_failures + report.decode_failures, 0);
-    let bursts = report
-        .telemetry
-        .histogram("node.pipeline.burst_frames")
-        .expect("registered");
-    assert_eq!((bursts.count, bursts.sum), (1, 2 * K as u64));
-    assert_eq!(
-        report.telemetry.gauge("node.pipeline.queue_depth"),
-        Some(2 * K as u64)
-    );
 }
 
 #[test]
@@ -353,12 +338,11 @@ fn a_lone_frame_is_handed_over_without_waiting_for_company() {
     model.submit(InstanceId(0));
     model.deliver(Some(1));
     assert_eq!((model.inbound.len(), model.sent_by_r1()), (1, N - 1));
-    let under_test = UnderTest::spawn(&system, Vec::new());
-    // Nothing else will ever arrive: a node that waited for a fuller run
-    // would never send.
-    under_test.deliver(run_of(&model.inbound));
-    under_test.await_peer_frames(N - 1);
-    let (calls, _) = under_test.stop();
+    let mut node = UnderTest::new(&system);
+    // Nothing else will ever arrive: a core that waited for a fuller run
+    // would not have sent by the time the burst returns.
+    node.burst(Time::ZERO, vec![run_of(&model.inbound)]);
+    let calls = node.replica_calls();
     let expected: Vec<(ReplicaId, Vec<u8>)> = peers()
         .map(|peer| (peer, run_of(&model.outbound[peer.index()])))
         .collect();
@@ -379,9 +363,9 @@ fn a_run_splits_at_64_kib() {
     }
     assert_eq!(model.inbound.len(), K);
     assert_eq!(model.sent_by_r1(), 2 * K * (N - 1));
-    let under_test = UnderTest::spawn(&system, vec![run_of(&model.inbound)]);
-    under_test.await_peer_frames(model.sent_by_r1());
-    let (calls, report) = under_test.stop();
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![run_of(&model.inbound)]);
+    let (calls, report) = (node.replica_calls(), node.report());
     assert_eq!(report.auth_failures + report.decode_failures, 0);
 
     assert_eq!(calls.len(), 2 * (N - 1), "two runs for each peer");
@@ -416,19 +400,22 @@ fn what_a_fired_timer_sends_leaves_before_the_mailbox_sleeps() {
     system.failure_detection_timeout = Duration::from_millis(150);
     system.recovery_leader_timeout = Duration::from_millis(150);
     let model = k_proposals(&system, 1);
-    let under_test = UnderTest::spawn(&system, vec![run_of(&model.inbound)]);
-    under_test.await_peer_frames(model.sent_by_r1());
-    let answered = under_test.replica_calls().len();
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![run_of(&model.inbound)]);
+    let answered = node.replica_calls().len();
     assert_eq!(answered, N - 1);
+    // Armed at the burst's `now` plus the timeout.
+    assert_eq!(node.core.next_deadline(), Some(Time::from_millis(150)));
     // No frame arrives from here on, so no burst ends: whatever is sent now
-    // was sent by a timer and handed over by the timer path.
-    let give_up = Instant::now() + std::time::Duration::from_secs(30);
-    while under_test.replica_calls().len() == answered {
-        assert!(Instant::now() < give_up, "no timer ever sent anything");
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let (calls, report) = under_test.stop();
+    // was sent by a timer, and handed over by the sweep that fired it.
+    node.core
+        .fire_due_timers(Time::from_millis(149), &node.transport);
+    assert_eq!(node.replica_calls().len(), answered, "nothing is due yet");
+    node.core
+        .fire_due_timers(Time::from_millis(151), &node.transport);
+    let (calls, report) = (node.replica_calls(), node.report());
     assert!(report.suspicions > 0, "the failure detector fired");
+    assert_eq!(calls.len() - answered, N - 1, "one run per peer per sweep");
     for (_, run) in &calls[answered..] {
         for frame in frames(run) {
             let frame = Frame::decode_frame(frame.expect("whole")).expect("a frame");
@@ -439,17 +426,9 @@ fn what_a_fired_timer_sends_leaves_before_the_mailbox_sleeps() {
 
 #[test]
 fn packed_delivery_reaches_the_replica_in_frame_by_frame_order() {
-    const ROUNDS: usize = 6;
     let system = quiet_system();
-    let mut model = Model::new(&system);
-    for _ in 0..ROUNDS {
-        for instance in 0..M {
-            model.submit(InstanceId(instance as u32));
-        }
-        model.deliver(None);
-    }
+    let model = released_rounds(&system);
     let expected_digests = model.replicas[R1.index()].execution_digests();
-    assert_eq!(expected_digests.len(), ROUNDS * M, "the model released");
 
     // The same frames, one run each and then packed 1, 2, 3, … to a run.
     let singly: Vec<Vec<u8>> = model
@@ -457,25 +436,18 @@ fn packed_delivery_reaches_the_replica_in_frame_by_frame_order() {
         .iter()
         .map(|frame| run_of(std::slice::from_ref(frame)))
         .collect();
-    let mut packed = Vec::new();
-    let mut rest = &model.inbound[..];
-    for size in (1..=9).cycle() {
-        if rest.is_empty() {
-            break;
-        }
-        let (now, later) = rest.split_at(size.min(rest.len()));
-        rest = later;
-        packed.push(run_of(now));
-    }
+    let packed = packed(&model.inbound);
     assert!(packed.len() * 3 < singly.len());
 
     let mut outcomes = Vec::new();
     for runs in [singly, packed] {
         let injected = runs.len();
-        let under_test = UnderTest::spawn(&system, Vec::new());
-        under_test.deliver_as_bursts(&runs);
-        under_test.await_peer_frames(model.sent_by_r1());
-        let (calls, report) = under_test.stop();
+        let mut node = UnderTest::new(&system);
+        // Every run is a burst of its own.
+        for run in runs {
+            node.burst(Time::ZERO, vec![run]);
+        }
+        let (calls, report) = (node.replica_calls(), node.report());
         for peer in peers() {
             assert_eq!(
                 frames_to(&calls, peer),
@@ -500,6 +472,36 @@ fn packed_delivery_reaches_the_replica_in_frame_by_frame_order() {
 }
 
 #[test]
+fn a_node_core_is_a_deterministic_function_of_its_inputs() {
+    // Two cores in one process: each engine's record table hashes with a
+    // key of its own, so no iteration order may reach a send or the state.
+    let system = quiet_system();
+    let runs = packed(&released_rounds(&system).inbound);
+    let run_once = || {
+        let mut node = UnderTest::new(&system);
+        for (at, run) in runs.iter().enumerate() {
+            let now = Time::from_micros(250 * at as u64);
+            node.burst(now, vec![run.clone()]);
+            node.core.fire_due_timers(now, &node.transport);
+        }
+        // Every report field but the timings and their trace: the state
+        // fingerprint, the ledger, the release order and every count.
+        let (telemetry, flight) = (Default::default(), Vec::new());
+        let report = NodeReport {
+            telemetry,
+            flight,
+            ..node.report()
+        };
+        let log = node.transport.log.lock().unwrap().clone();
+        (log, format!("{report:?}"))
+    };
+    let ((log_a, report_a), (log_b, report_b)) = (run_once(), run_once());
+    assert!(log_a.iter().any(|call| matches!(call, Call::Client(..))));
+    assert!(log_a == log_b, "the same calls, in order, byte for byte");
+    assert_eq!(report_a, report_b);
+}
+
+#[test]
 fn a_malformed_tail_delivers_its_complete_records_and_counts_one_decode_failure() {
     const K: usize = 5;
     let system = quiet_system();
@@ -512,9 +514,9 @@ fn a_malformed_tail_delivers_its_complete_records_and_counts_one_decode_failure(
     let mut oversize = u32::MAX.to_be_bytes().to_vec();
     oversize.extend_from_slice(&[0xAB; 32]);
     let stub = vec![0, 0, 1];
-    let under_test = UnderTest::spawn(&system, vec![oversize, truncated, stub]);
-    under_test.await_peer_frames(model.sent_by_r1());
-    let (calls, report) = under_test.stop();
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![oversize, truncated, stub]);
+    let (calls, report) = (node.replica_calls(), node.report());
     for peer in peers() {
         assert_eq!(frames_to(&calls, peer), model.outbound[peer.index()]);
     }
@@ -538,9 +540,9 @@ fn a_sender_outside_the_deployment_is_dropped_and_counted() {
     }
     .encode_frame();
     let queued = [vec![forged], model.inbound.clone()].concat();
-    let under_test = UnderTest::spawn(&system, vec![run_of(&queued)]);
-    under_test.await_peer_frames(model.sent_by_r1());
-    let (calls, report) = under_test.stop();
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![run_of(&queued)]);
+    let (calls, report) = (node.replica_calls(), node.report());
     assert_eq!(report.auth_failures, 1);
     assert_eq!(report.decode_failures, 0);
     for peer in peers() {
@@ -553,12 +555,18 @@ fn a_burst_is_bounded_in_frames_not_runs() {
     // Ten runs of a hundred (undecodable) frames wait in the inbox before
     // the node first looks: the drain stops with the run that takes the
     // burst to 256 frames, so timers get their turn after 300, not 1 000.
-    let system = quiet_system();
+    // The drain loop is the host's, so this one runs a real mailbox thread.
+    let (inbox, receiver) = std::sync::mpsc::sync_channel(16);
     let junk = run_of(&vec![b"not a frame".to_vec(); 100]);
-    let under_test = UnderTest::spawn(&system, vec![junk; 10]);
+    for _ in 0..10 {
+        inbox.send(junk.clone()).expect("room in the inbox");
+    }
+    let transport = Logged::new(receiver);
+    let log = Arc::clone(&transport.log);
+    let node = spawn_node(config(&quiet_system()), transport).expect("spawn node");
     let give_up = Instant::now() + std::time::Duration::from_secs(30);
     let bursts = loop {
-        let snapshot = under_test.node.telemetry().snapshot();
+        let snapshot = node.telemetry().snapshot();
         let bursts = snapshot
             .histogram("node.pipeline.burst_frames")
             .expect("registered")
@@ -569,8 +577,11 @@ fn a_burst_is_bounded_in_frames_not_runs() {
         assert!(Instant::now() < give_up, "{} frames drained", bursts.sum);
         std::thread::sleep(std::time::Duration::from_millis(1));
     };
-    let (calls, report) = under_test.stop();
-    assert!(calls.is_empty());
+    let report = node.shutdown().expect("the node never panicked");
+    assert!(
+        log.lock().unwrap().is_empty(),
+        "nothing decoded, nothing sent"
+    );
     assert_eq!(report.decode_failures, 1_000);
     assert_eq!(
         (bursts.count, bursts.sum),

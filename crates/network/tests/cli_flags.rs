@@ -46,6 +46,11 @@ fn removed_flags_are_rejected() {
         &["cluster", "--in-process", "--execution-workers", "4"],
         "--execution-workers",
     );
+    // `cluster --chaos` went: its two values spelt `--kill 1` and `--mangle-ppm`.
+    assert_usage_error(
+        &["cluster", "--in-process", "--chaos", "wire-mangle"],
+        "--chaos",
+    );
 }
 
 #[test]
