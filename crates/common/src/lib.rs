@@ -11,7 +11,8 @@
 //! * [`transaction`] — client transactions (YCSB-style record operations,
 //!   bank transfers, and no-ops) and client requests.
 //! * [`batch`] — batches of client requests, the unit replicated by a single
-//!   consensus slot, together with wire-size accounting.
+//!   consensus slot: one shared allocation holding the batch's wire bytes,
+//!   read in place, together with wire-size accounting.
 //! * [`codec`] — the hand-rolled canonical binary wire codec
 //!   ([`codec::Encode`]/[`codec::Decode`]) used by every message that
 //!   crosses a deployment boundary (the vendored `serde` is a no-op facade).
@@ -54,4 +55,4 @@ pub use pool::WorkerPool;
 pub use rng::SplitMix64;
 pub use status::InstanceStatus;
 pub use time::{Duration, Time};
-pub use transaction::{ClientRequest, RequestId, Transaction, TransactionKind};
+pub use transaction::{ClientRequest, RequestId, RequestRef, Transaction, TransactionKind};

@@ -18,8 +18,11 @@ pub type RecordKey = u64;
 pub type AccountId = u32;
 
 /// The operation a transaction performs when executed.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum TransactionKind {
+///
+/// `V` holds a write's payload bytes: an owned `Vec<u8>` in a
+/// [`Transaction`], a slice of a batch's wire bytes in a [`RequestRef`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+pub enum TransactionKind<V = Vec<u8>> {
     /// Read the record stored under `key`.
     YcsbRead {
         /// The record key to read.
@@ -30,7 +33,7 @@ pub enum TransactionKind {
         /// The record key to write.
         key: RecordKey,
         /// The new field payload of the record.
-        value: Vec<u8>,
+        value: V,
     },
     /// Read the record under `key`, append `delta` to its payload, and write
     /// it back (a read-modify-write).
@@ -38,7 +41,7 @@ pub enum TransactionKind {
         /// The record key to update.
         key: RecordKey,
         /// Bytes appended to the record payload.
-        delta: Vec<u8>,
+        delta: V,
     },
     /// Scan `count` consecutive records starting at `start`.
     YcsbScan {
@@ -78,7 +81,7 @@ pub enum TransactionKind {
     NoOp,
 }
 
-impl TransactionKind {
+impl<V: AsRef<[u8]>> TransactionKind<V> {
     /// `true` when execution of the transaction may modify state.
     pub fn is_write(&self) -> bool {
         matches!(
@@ -102,13 +105,51 @@ impl TransactionKind {
     pub fn payload_size(&self) -> usize {
         match self {
             TransactionKind::YcsbRead { .. } => 16,
-            TransactionKind::YcsbWrite { value, .. } => 16 + value.len(),
-            TransactionKind::YcsbReadModifyWrite { delta, .. } => 16 + delta.len(),
+            TransactionKind::YcsbWrite { value, .. } => 16 + value.as_ref().len(),
+            TransactionKind::YcsbReadModifyWrite { delta, .. } => 16 + delta.as_ref().len(),
             TransactionKind::YcsbScan { .. } => 20,
             TransactionKind::Transfer { .. } => 32,
             TransactionKind::Deposit { .. } => 20,
             TransactionKind::BalanceQuery { .. } => 12,
             TransactionKind::NoOp => 1,
+        }
+    }
+}
+
+impl TransactionKind<&[u8]> {
+    /// The operation with its payload copied out of the bytes it borrows.
+    pub(crate) fn to_owned(self) -> TransactionKind {
+        match self {
+            TransactionKind::YcsbRead { key } => TransactionKind::YcsbRead { key },
+            TransactionKind::YcsbWrite { key, value } => TransactionKind::YcsbWrite {
+                key,
+                value: value.to_vec(),
+            },
+            TransactionKind::YcsbReadModifyWrite { key, delta } => {
+                TransactionKind::YcsbReadModifyWrite {
+                    key,
+                    delta: delta.to_vec(),
+                }
+            }
+            TransactionKind::YcsbScan { start, count } => {
+                TransactionKind::YcsbScan { start, count }
+            }
+            TransactionKind::Transfer {
+                from,
+                to,
+                min_balance,
+                amount,
+            } => TransactionKind::Transfer {
+                from,
+                to,
+                min_balance,
+                amount,
+            },
+            TransactionKind::Deposit { account, amount } => {
+                TransactionKind::Deposit { account, amount }
+            }
+            TransactionKind::BalanceQuery { account } => TransactionKind::BalanceQuery { account },
+            TransactionKind::NoOp => TransactionKind::NoOp,
         }
     }
 }
@@ -225,6 +266,41 @@ impl ClientRequest {
     }
 }
 
+/// A client request read in place from a batch's wire bytes (the codec's
+/// `RequestRef::decode` makes one): what a replica validates, executes and
+/// replies from, without copying a payload or allocating.
+/// [`RequestRef::to_owned`] makes the [`ClientRequest`] it encodes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RequestRef<'a> {
+    /// Identity of the request (client plus per-client sequence number).
+    pub id: RequestId,
+    /// The requested operation, its payload borrowed from the batch.
+    pub kind: TransactionKind<&'a [u8]>,
+    /// The consensus instance the client is assigned to, if any.
+    pub assigned_instance: Option<InstanceId>,
+}
+
+impl RequestRef<'_> {
+    /// `true` when this is a no-op filler request.
+    pub fn is_noop(&self) -> bool {
+        self.kind.is_noop()
+    }
+
+    /// [`ClientRequest::wire_size`] of the request this view reads.
+    pub fn wire_size(&self) -> usize {
+        24 + self.kind.payload_size()
+    }
+
+    /// The owned request, its payload copied out of the batch.
+    pub fn to_owned(self) -> ClientRequest {
+        ClientRequest {
+            id: self.id,
+            transaction: Transaction::new(self.kind.to_owned()),
+            assigned_instance: self.assigned_instance,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,16 +312,16 @@ mod tests {
             value: vec![0; 8]
         }
         .is_write());
-        assert!(TransactionKind::Transfer {
+        assert!(TransactionKind::<&[u8]>::Transfer {
             from: 0,
             to: 1,
             min_balance: 5,
             amount: 3
         }
         .is_write());
-        assert!(!TransactionKind::YcsbRead { key: 1 }.is_write());
-        assert!(!TransactionKind::NoOp.is_write());
-        assert!(TransactionKind::NoOp.is_noop());
+        assert!(!TransactionKind::<&[u8]>::YcsbRead { key: 1 }.is_write());
+        assert!(!TransactionKind::<&[u8]>::NoOp.is_write());
+        assert!(TransactionKind::<&[u8]>::NoOp.is_noop());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! SHA-256 digests over the workspace's wire encodings.
 
-use rcc_common::codec::Encode;
 use rcc_common::{Batch, Digest};
 use sha2::{Digest as _, Sha256};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +16,8 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
 }
 
 /// Hashes a batch of client requests (the digest carried by proposals and
-/// certified by commit quorums): SHA-256 of the batch's wire encoding, so
+/// certified by commit quorums): SHA-256 of the batch's wire encoding, the
+/// bytes the batch holds (`Batch::bytes`; nothing is re-encoded), so
 /// the digest covers every byte of the batch that a message carries and a
 /// request field cannot travel without being vouched for. The codec is
 /// injective (fixed-width integers, length prefixes, decoders that reject
@@ -32,7 +32,7 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
 pub fn digest_batch(batch: &Batch) -> Digest {
     *batch.digest_memo().get_or_init(|| {
         COMPUTED_BATCH_DIGESTS.fetch_add(1, Ordering::Relaxed);
-        digest_bytes(&batch.encoded())
+        digest_bytes(batch.bytes())
     })
 }
 
@@ -67,7 +67,7 @@ pub fn digest_sequence(digests: &[Digest]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcc_common::codec::Decode;
+    use rcc_common::codec::{Decode, Encode};
     use rcc_common::{ClientId, ClientRequest, InstanceId, Transaction};
 
     #[test]

@@ -105,9 +105,9 @@ impl ExecutionEngine {
         self.table.fingerprint() ^ self.accounts.fingerprint().rotate_left(17)
     }
 
-    fn execute_kind(&mut self, kind: &TransactionKind) -> ExecutionOutcome {
+    fn execute_kind(&mut self, kind: TransactionKind<&[u8]>) -> ExecutionOutcome {
         match kind {
-            TransactionKind::YcsbRead { key } => match self.table.read(*key) {
+            TransactionKind::YcsbRead { key } => match self.table.read(key) {
                 Some(record) => ExecutionOutcome::ReadResult {
                     bytes: record.payload.len(),
                     found: true,
@@ -118,13 +118,13 @@ impl ExecutionEngine {
                 },
             },
             TransactionKind::YcsbWrite { key, value } => ExecutionOutcome::WriteApplied {
-                version: self.table.write(*key, value),
+                version: self.table.write(key, value),
             },
             TransactionKind::YcsbReadModifyWrite { key, delta } => ExecutionOutcome::WriteApplied {
-                version: self.table.read_modify_write(*key, delta),
+                version: self.table.read_modify_write(key, delta),
             },
             TransactionKind::YcsbScan { start, count } => {
-                let records = self.table.scan(*start, *count);
+                let records = self.table.scan(start, count);
                 ExecutionOutcome::ScanResult { records }
             }
             TransactionKind::Transfer {
@@ -133,21 +133,21 @@ impl ExecutionEngine {
                 min_balance,
                 amount,
             } => {
-                let applied = self.accounts.transfer(*from, *to, *min_balance, *amount);
+                let applied = self.accounts.transfer(from, to, min_balance, amount);
                 ExecutionOutcome::TransferResult {
                     applied,
-                    from_balance: self.accounts.balance(*from),
-                    to_balance: self.accounts.balance(*to),
+                    from_balance: self.accounts.balance(from),
+                    to_balance: self.accounts.balance(to),
                 }
             }
             TransactionKind::Deposit { account, amount } => {
-                self.accounts.deposit(*account, *amount);
+                self.accounts.deposit(account, amount);
                 ExecutionOutcome::Balance {
-                    balance: self.accounts.balance(*account),
+                    balance: self.accounts.balance(account),
                 }
             }
             TransactionKind::BalanceQuery { account } => ExecutionOutcome::Balance {
-                balance: self.accounts.balance(*account),
+                balance: self.accounts.balance(account),
             },
             TransactionKind::NoOp => ExecutionOutcome::NoOp,
         }
@@ -157,7 +157,7 @@ impl ExecutionEngine {
     /// batch)` pairs is appended to the ledger, the batches are executed in
     /// place in the order provided, and one reply per client request is
     /// returned. Batches may be owned or borrowed (`B` is `Batch` or
-    /// `&Batch`).
+    /// `&Batch`); each request is read in place from its batch's bytes.
     ///
     /// The `round` is the RCC round (or the baseline's sequence number); the
     /// caller is responsible for having agreed on the order (Section III-B
@@ -181,12 +181,12 @@ impl ExecutionEngine {
         let mut position: u32 = 0;
         for (_, batch) in ordered {
             self.summary.batches += 1;
-            for request in &batch.borrow().requests {
+            for request in batch.borrow().views() {
                 if request.is_noop() {
                     self.summary.noops += 1;
                     continue;
                 }
-                let outcome = self.execute_kind(&request.transaction.kind);
+                let outcome = self.execute_kind(request.kind);
                 self.summary.transactions += 1;
                 replies.push(ClientReply {
                     request: request.id,

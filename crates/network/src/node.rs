@@ -518,7 +518,7 @@ impl NodeCore {
                     self.telemetry.auth_failures.inc();
                     return;
                 }
-                let batch = match Batch::decode_all(&payload) {
+                let batch = match Batch::from_bytes(payload) {
                     Ok(batch) => batch,
                     Err(_) => {
                         self.telemetry.decode_failures.inc();
@@ -662,19 +662,21 @@ impl NodeCore {
 
     /// Sends the released batch's certified digest back to the client node
     /// that submitted it (§III-A replies; `f + 1` matching replies convince
-    /// the client). No-op filler has no client; its release is silent.
+    /// the client): one reply per client stream the batch names, in stream
+    /// order, however its requests interleave. No-op filler has no client;
+    /// its release is silent.
     fn reply(&mut self, digest: Digest, batch: &Batch, net: &impl Transport) {
-        let mut last_stream = None;
-        for request in &batch.requests {
-            let Some(stream) = rcc_workload::stream_of_client(request.id.client) else {
-                continue;
-            };
-            // Batches are assembled per client node: every request carries
-            // the same stream. Dedup cheaply without a set.
-            if last_stream == Some(stream) {
-                continue;
+        // A batch is assembled by one client node, so this is one stream
+        // in practice, and a sorted `Vec` is the cheapest set.
+        let mut streams: Vec<u64> = Vec::new();
+        for request in batch.views() {
+            if let Some(stream) = rcc_workload::stream_of_client(request.id.client) {
+                if let Err(at) = streams.binary_search(&stream) {
+                    streams.insert(at, stream);
+                }
             }
-            last_stream = Some(stream);
+        }
+        for stream in streams {
             let client = ClientId(stream);
             let tag = self
                 .verify

@@ -12,9 +12,12 @@
 //! transports run through `spawn_node`.
 
 use rcc_common::codec::Encode;
-use rcc_common::{Batch, ClientId, Duration, InstanceId, ReplicaId, SystemConfig, Time};
+use rcc_common::{
+    Batch, ClientId, ClientRequest, Duration, InstanceId, ReplicaId, SystemConfig, Time,
+    Transaction,
+};
 use rcc_core::{RccMessage, RccReplica};
-use rcc_crypto::{AuthTag, Authenticator, DeploymentKeys};
+use rcc_crypto::{digest_batch, AuthTag, Authenticator, DeploymentKeys};
 use rcc_network::run::{frames, pack_frame};
 use rcc_network::{
     run_local_cluster, spawn_node, verify_identical_ledgers, verify_identical_orders, ClusterPlan,
@@ -225,7 +228,12 @@ impl Model {
 
     /// The client of `instance` submits its next batch to the coordinator.
     fn submit(&mut self, instance: InstanceId) {
-        let batch: Batch = self.generators[instance.0 as usize].next_batch();
+        let batch = self.generators[instance.0 as usize].next_batch();
+        self.submit_batch(instance, batch);
+    }
+
+    /// The client of `instance` submits `batch` to the coordinator.
+    fn submit_batch(&mut self, instance: InstanceId, batch: Batch) {
         let coordinator = instance.primary();
         if coordinator == R1 {
             let client = ClientId(instance.0 as u64);
@@ -499,6 +507,45 @@ fn a_node_core_is_a_deterministic_function_of_its_inputs() {
     assert!(log_a.iter().any(|call| matches!(call, Call::Client(..))));
     assert!(log_a == log_b, "the same calls, in order, byte for byte");
     assert_eq!(report_a, report_b);
+}
+
+#[test]
+fn a_batch_is_answered_once_per_client_stream_however_its_requests_interleave() {
+    // Instance 0's batch alternates the requests of two client streams
+    // (stream `s` names its clients `(s + 1) << 32 | k`); instance 1's is an
+    // ordinary one-stream batch, so that round 0 is released. Every reply
+    // is a MAC and a frame on the submitter's connection, and frees one of
+    // its window slots: one per request would be 20 here, not 2.
+    let system = quiet_system();
+    let mut model = Model::new(&system);
+    let interleaved = Batch::new(
+        (0..20u64)
+            .map(|k| {
+                let client = ClientId(((k % 2 + 1) << 32) | k);
+                ClientRequest::new(client, k, Transaction::transfer(0, 1, 0, 1))
+            })
+            .collect(),
+    );
+    let digest = digest_batch(&interleaved);
+    model.submit_batch(InstanceId(0), interleaved);
+    model.submit(InstanceId(1));
+    model.deliver(None);
+    let mut node = UnderTest::new(&system);
+    node.burst(Time::ZERO, vec![run_of(&model.inbound)]);
+
+    let log = node.transport.log.lock().unwrap().clone();
+    let answered: Vec<ClientId> = log
+        .iter()
+        .filter_map(|call| match call {
+            Call::Client(to, frame) => match Frame::decode_frame(frame) {
+                Ok(Frame::ClientReply { digest: d, .. }) if d == digest => Some(*to),
+                _ => None,
+            },
+            Call::Replica(..) => None,
+        })
+        .collect();
+    assert_eq!(answered, [ClientId(0), ClientId(1)], "one reply per stream");
+    assert_eq!(node.report().replies_sent, 3, "two streams, then one");
 }
 
 #[test]

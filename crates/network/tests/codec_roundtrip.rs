@@ -331,6 +331,77 @@ fn batches_and_checkpoints_round_trip_under_fuzzing() {
     }
 }
 
+/// The two decoders of a batch's bytes, held to each other: the batch path
+/// (`Batch::decode_all`, and `Batch::from_bytes`, which keeps the buffer; one
+/// validating pass, then every request read in place) and the owned decode
+/// of the same bytes as a `Vec<ClientRequest>`. They accept exactly the same
+/// inputs with the same error, and on an accepted input they read the same
+/// requests from bytes that re-encode to the input.
+fn assert_batch_decoders_agree(bytes: &[u8], context: &str) {
+    let owned = Vec::<ClientRequest>::decode_all(bytes);
+    let decoded = Batch::decode_all(bytes);
+    let kept = Batch::from_bytes(bytes.to_vec());
+    assert_eq!(decoded.as_ref().err(), owned.as_ref().err(), "{context}");
+    assert_eq!(kept.as_ref().err(), owned.as_ref().err(), "{context}");
+    let (Ok(owned), Ok(decoded), Ok(kept)) = (owned, decoded, kept) else {
+        return;
+    };
+    for batch in [&decoded, &kept] {
+        assert_eq!(batch.len(), owned.len(), "{context}");
+        let viewed: Vec<ClientRequest> = batch.views().map(|r| r.to_owned()).collect();
+        assert_eq!(viewed, owned, "{context}: views");
+        assert_eq!(batch.requests[..], owned[..], "{context}: owned list");
+        assert_eq!(batch.encoded(), bytes, "{context}: canonical re-encode");
+    }
+    assert_eq!(
+        owned.encoded(),
+        bytes,
+        "{context}: canonical owned re-encode"
+    );
+}
+
+/// The batch decoders on fuzzed batches and on everything the frame tests
+/// do to bytes — single-bit corruption, the 100% mangler, splices from
+/// another batch, truncation at every cut, trailing garbage.
+#[test]
+fn borrowed_and_owned_batch_decoders_accept_the_same_bytes() {
+    let mut rng = SplitMix64::new(10);
+    let mut mangler = ByteMangler::new(MangleConfig::new(10, 1_000_000));
+    for _ in 0..SAMPLES {
+        let bytes = batch(&mut rng).encoded();
+        let donor = batch(&mut rng).encoded();
+        assert_batch_decoders_agree(&bytes, "fuzzed batch");
+        for _ in 0..8 {
+            let mut corrupted = bytes.clone();
+            let index = rng.next_below(bytes.len() as u64) as usize;
+            corrupted[index] ^= 1 << rng.next_below(8);
+            assert_batch_decoders_agree(&corrupted, "corrupted batch");
+        }
+        for out in mangler.mangle(bytes.clone()) {
+            assert_batch_decoders_agree(&out, "mangled batch");
+        }
+        for _ in 0..4 {
+            let start = rng.next_below(bytes.len() as u64) as usize;
+            let len = 1 + rng.next_below(64.min(bytes.len() as u64)) as usize;
+            let mut spliced = bytes.clone();
+            for offset in 0..len.min(bytes.len() - start) {
+                spliced[start + offset] = donor[(start + offset) % donor.len()];
+            }
+            assert_batch_decoders_agree(&spliced, "spliced batch");
+        }
+        for cut in 0..bytes.len() {
+            assert_batch_decoders_agree(&bytes[..cut], "truncated batch");
+        }
+        let mut extended = bytes.clone();
+        extended.extend((0..1 + rng.next_below(16)).map(|_| rng.next_u64() as u8));
+        assert_batch_decoders_agree(&extended, "extended batch");
+    }
+    assert!(
+        mangler.stats().mangled() > 0,
+        "the 100% mangler never fired"
+    );
+}
+
 /// The invariant every mangled buffer must satisfy at the decode boundary:
 /// either a typed [`WireError`], or a value whose canonical re-encoding is
 /// exactly the input (the codec has one encoding per value, so "accepted"

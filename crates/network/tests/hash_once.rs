@@ -1,16 +1,22 @@
-//! Each replica hashes each batch once between admission and ledger append.
+//! Each replica hashes each batch once between admission and ledger append,
+//! and never re-encodes it or builds its owned request list.
 //!
 //! A test binary of its own with one `#[test]`: the count of computed batch
-//! digests (`rcc_crypto::hash::computed_batch_digests`) is process-wide, and
-//! nothing else may hash a batch while this runs.
+//! digests (`rcc_crypto::hash::computed_batch_digests`) and the counts of
+//! batch encodes and owned request lists
+//! (`rcc_common::batch::{batch_encodes, request_lists_built}`) are
+//! process-wide, and nothing else may touch a batch while this runs.
 //!
 //! The four nodes run in this process over the in-process transport, and the
-//! test is their only client: it hashes every batch *before* it reads the
-//! counter, so everything counted afterwards was computed by a node from
-//! bytes it decoded. A coordinator asks for a batch's digest at admission, at
-//! propose and at ledger append; a backup at the proposal check and at ledger
-//! append. Exactly one of those may compute.
+//! test is their only client: it hashes and encodes every batch *before* it
+//! reads the counters, so everything counted afterwards was done by a node
+//! to bytes it decoded. A coordinator asks for a batch's digest at admission,
+//! at propose and at ledger append; a backup at the proposal check and at
+//! ledger append. Exactly one of those may compute. A node's batch is the
+//! bytes it arrived as, so encoding it, executing it and replying to it
+//! neither encode a request list nor build one.
 
+use rcc_common::batch::{batch_encodes, request_lists_built};
 use rcc_common::codec::Encode;
 use rcc_common::{Batch, ClientId, Digest, Duration, InstanceId, ReplicaId, SystemConfig};
 use rcc_crypto::hash::computed_batch_digests;
@@ -49,6 +55,7 @@ fn no_replica_computes_the_digest_of_a_batch_twice() {
         .map(|round| round.iter().map(digest_batch).collect())
         .collect();
     let before = computed_batch_digests();
+    let (encodes_before, lists_before) = (batch_encodes(), request_lists_built());
 
     let keys = DeploymentKeys::generate(&system);
     let hub = InProcessNetwork::new(REPLICAS, queue_capacity(&system));
@@ -120,5 +127,11 @@ fn no_replica_computes_the_digest_of_a_batch_twice() {
         computed_batch_digests() - before,
         REPLICAS as u64 * batches,
         "computed digests, for {batches} batches on {REPLICAS} replicas"
+    );
+    assert_eq!(batch_encodes() - encodes_before, 0, "batch encodes");
+    assert_eq!(
+        request_lists_built() - lists_before,
+        0,
+        "owned request lists"
     );
 }
